@@ -27,7 +27,7 @@
 #include "fabric/sim_executor.hpp"
 #include "sched/graph_builders.hpp"
 #include "sched/graph_scheduler.hpp"
-#include "sched/trace.hpp"
+#include "sched/workload.hpp"
 
 namespace {
 

@@ -10,6 +10,7 @@
 // byte-identical determinism check across pool widths. Set LAC_BENCH_SMOKE=1
 // for a CI-sized run.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,11 +19,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/presets.hpp"
 #include "bench_support.hpp"
-#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/model_executor.hpp"
@@ -100,9 +101,10 @@ ModeStats finalize(double wall_ms, std::size_t n, std::vector<double> lat) {
 }
 
 /// PR-1 pattern: dispatch arrives in small batches, each batch spawning and
-/// joining `width` fresh host threads (what BatchDispatcher{width}::run did
-/// before the pool). Latency is completion minus the dispatch of the
-/// request's batch.
+/// joining `width` fresh host threads, clamped to the batch size (serial
+/// when width <= 1). This baseline is the one deliberate per-call spawn in
+/// the tree. Latency is completion minus the dispatch of the request's
+/// batch.
 ModeStats run_spawn(const fabric::Executor& ex,
                     const std::vector<fabric::KernelRequest>& reqs,
                     std::size_t chunk, unsigned width, int iterations) {
@@ -115,14 +117,22 @@ ModeStats run_spawn(const fabric::Executor& ex,
       const std::size_t count = std::min(chunk, reqs.size() - base);
       const auto dispatch = Clock::now();
       std::vector<double> chunk_lat(count);
-      lac::parallel_for(
-          count,
-          [&](std::size_t i) {
-            fabric::KernelResult r = ex.execute(reqs[base + i]);
-            (void)r;
-            chunk_lat[i] = ms_between(dispatch, Clock::now());
-          },
-          width);
+      std::atomic<std::size_t> next{0};
+      auto drain = [&] {
+        for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+          fabric::KernelResult r = ex.execute(reqs[base + i]);
+          (void)r;
+          chunk_lat[i] = ms_between(dispatch, Clock::now());
+        }
+      };
+      const std::size_t workers = std::min<std::size_t>(width, count);
+      if (workers <= 1) {
+        drain();
+      } else {
+        std::vector<std::thread> spawned;  // lint-allow(raw-thread)
+        for (std::size_t w = 0; w < workers; ++w) spawned.emplace_back(drain);
+        for (std::thread& t : spawned) t.join();  // lint-allow(raw-thread)
+      }
       lat.insert(lat.end(), chunk_lat.begin(), chunk_lat.end());
     }
     wall += ms_between(t0, Clock::now());

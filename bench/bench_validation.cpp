@@ -5,14 +5,15 @@
 //    utilization (Fermi C2050 and ClearSpeed CSX).
 //
 // 2. Fabric backend validation: run a kernel sweep through both fabric
-//    backends (cycle-exact sim, analytical model) with the BatchDispatcher
-//    and emit machine-readable JSON -- one record per (kernel, n, backend)
+//    backends (cycle-exact sim, analytical model) and emit
+//    machine-readable JSON -- one record per (kernel, n, backend)
 //    with cycles and utilization, plus per-thread-count wall times for the
 //    sweep -- to stdout and to BENCH_validation.json, so successive PRs
 //    have a perf trajectory to diff.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,8 +22,9 @@
 #include "bench_support.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
-#include "fabric/batch.hpp"
+#include "common/thread_pool.hpp"
 #include "fabric/model_executor.hpp"
+#include "fabric/serving.hpp"
 #include "fabric/sim_executor.hpp"
 #include "model/validation.hpp"
 
@@ -114,18 +116,22 @@ int main() {
   const fabric::SimExecutor sim;
   const fabric::ModelExecutor model;
 
-  // Per-thread-count wall time of the cycle-exact sweep (the
-  // BatchDispatcher speedup trajectory; on a single-core host the counts
-  // coincide). The results are thread-count-invariant, so the last run
-  // doubles as the sim record set -- no duplicate sweep.
+  // Per-width wall time of the cycle-exact sweep on a pool of that many
+  // workers (on a single-core host the widths coincide). The results are
+  // width-invariant, so the last run doubles as the sim record set -- no
+  // duplicate sweep.
   std::vector<fabric::KernelResult> sim_results;
   std::ostringstream wall;
   bool first_t = true;
   for (unsigned threads : {1u, 2u, 4u}) {
     std::vector<fabric::KernelRequest> reqs = sweep_grid(cfg);
-    fabric::BatchDispatcher batch(sim, {threads});
+    ThreadPool pool(threads);
+    const fabric::AsyncExecutor async(sim, &pool);
     const auto t0 = std::chrono::steady_clock::now();
-    sim_results = batch.run(reqs);
+    std::vector<std::future<fabric::KernelResult>> futs =
+        async.submit_all(std::move(reqs));
+    sim_results.clear();
+    for (auto& f : futs) sim_results.push_back(f.get());
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -133,9 +139,9 @@ int main() {
     first_t = false;
     wall << "\"" << threads << "\": " << ms;
   }
-  std::vector<fabric::KernelRequest> model_reqs = sweep_grid(cfg);
-  std::vector<fabric::KernelResult> model_results =
-      fabric::BatchDispatcher(model).run(model_reqs);
+  std::vector<fabric::KernelResult> model_results;
+  for (const fabric::KernelRequest& req : sweep_grid(cfg))
+    model_results.push_back(model.execute(req));
 
   std::ostringstream json;
   json << "{\n  \"records\": [\n";

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "arch/presets.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "model/chip_model.hpp"
 #include "power/chip_power.hpp"
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       for (double y : ybw_axis)
         for (double z : zbw_axis) grid.push_back({s, mb, y, z, {}, 0.0});
 
-  parallel_for(grid.size(), [&](std::size_t i) {
+  ThreadPool::shared().parallel_for(grid.size(), [&](std::size_t i) {
     Candidate& c = grid[i];
     const auto pt = model::best_chip_utilization(4, c.cores, c.mem_mb, c.onchip_bw,
                                                  c.offchip_bw, 4096);

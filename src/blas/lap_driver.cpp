@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "blas/ref_blas.hpp"
-#include "fabric/sim_executor.hpp"
 #include "sched/graph_builders.hpp"
 #include "sched/graph_scheduler.hpp"
 
@@ -146,7 +145,7 @@ DriverReport lap_cholesky_graph(const fabric::Executor& ex,
   // Fall back to a dedicated pool, never the shared one: this call blocks
   // on the graph future, and parking a shared-pool thread on work that
   // itself needs shared-pool workers can deadlock the pool (e.g. a sweep
-  // dispatching drivers via parallel_for).
+  // dispatching drivers via ThreadPool::shared().parallel_for).
   ThreadPool local(workers);
   sched::GraphScheduler scheduler(ex, opts, pool ? pool : &local);
   sched::GraphResult gres = scheduler.submit(0, std::move(fg.graph)).get();
@@ -390,37 +389,6 @@ DriverReport lap_symm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                         : 0.0;
   finalize_power(rep, cfg);
   return rep;
-}
-
-/// ---- legacy entry points ------------------------------------------------
-DriverReport lap_gemm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t mc, index_t kc, ConstViewD a, ConstViewD b, ViewD c) {
-  return lap_gemm(fabric::SimExecutor(), cfg, bw_words_per_cycle, mc, kc, a, b, c);
-}
-
-DriverReport lap_cholesky(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                          index_t block, ViewD a) {
-  return lap_cholesky(fabric::SimExecutor(), cfg, bw_words_per_cycle, block, a);
-}
-
-DriverReport lap_lu(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                    ViewD a, std::vector<index_t>& pivots) {
-  return lap_lu(fabric::SimExecutor(), cfg, bw_words_per_cycle, a, pivots);
-}
-
-DriverReport lap_qr(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                    ViewD a, std::vector<double>& taus) {
-  return lap_qr(fabric::SimExecutor(), cfg, bw_words_per_cycle, a, taus);
-}
-
-DriverReport lap_trmm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t block, ConstViewD l, ViewD b) {
-  return lap_trmm(fabric::SimExecutor(), cfg, bw_words_per_cycle, block, l, b);
-}
-
-DriverReport lap_symm(const arch::CoreConfig& cfg, double bw_words_per_cycle,
-                      index_t block, ConstViewD a_lower, ConstViewD b, ViewD c) {
-  return lap_symm(fabric::SimExecutor(), cfg, bw_words_per_cycle, block, a_lower, b, c);
 }
 
 }  // namespace lac::blas

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -93,9 +94,12 @@ void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
   qj.fn = std::move(job);
   qj.enqueue_ns = obs::metrics_now_ns();
   // Hintless jobs count one unit; hinted jobs land proportional to the
-  // estimate, so one queued sim job outweighs hundreds of model jobs.
-  qj.cost = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::min(cost_hint, 1e15)));
+  // estimate, so one queued sim job outweighs hundreds of model jobs. A
+  // NaN, infinite or sub-unit hint (an invalid request's estimate) counts
+  // one unit too: it must never reach the integer cast.
+  qj.cost = std::isfinite(cost_hint) && cost_hint >= 1.0
+                ? static_cast<std::int64_t>(std::min(cost_hint, 1e15))
+                : 1;
   const std::int64_t cost = qj.cost;
 
   if (!started_flag_.load(std::memory_order_acquire)) {

@@ -26,8 +26,8 @@
 // Zero cost: a Quantity is one double, trivially copyable, standard layout
 // (static_asserts below). Hot paths and BENCH_*.json emission are
 // unchanged; `.value()` is the raw-double escape hatch, allowed only at
-// JSON/stdout formatting boundaries (tools/lint/ast_lint.py enforces the
-// header-level discipline).
+// JSON/stdout formatting boundaries (the `raw-unit` rule in
+// tools/lint/lint.py enforces the header-level discipline).
 #include <compare>
 #include <ostream>
 #include <ratio>

@@ -1,7 +1,7 @@
 #pragma once
 // The fabric Executor interface: one kernel-dispatch API over every backend.
 //
-// Callers (the LAP driver layer, benches, the batch dispatcher) describe
+// Callers (the LAP driver layer, benches, the serving layer) describe
 // work as KernelRequests and never name a backend directly; swapping the
 // cycle-exact simulator for the instant analytical model is a constructor
 // argument, not a different call path. Both backends dispatch per-kernel
@@ -19,7 +19,7 @@ class Executor {
   virtual const char* name() const = 0;
 
   /// Execute one request. Must be thread-safe for concurrent calls with
-  /// independent requests (the BatchDispatcher relies on this). Failures
+  /// independent requests (the AsyncExecutor relies on this). Failures
   /// are reported in-band: ok = false and `error` set, never an exception.
   virtual KernelResult execute(const KernelRequest& req) const = 0;
 };

@@ -9,7 +9,7 @@
 // registered here. Opening a new workload is therefore a one-file change:
 // add the KernelKind enumerator, register its traits in
 // kernel_registry.cpp, and the serving layer (AsyncExecutor, CostCache,
-// BatchDispatcher, GraphScheduler) serves it like the other ten.
+// GraphScheduler) serves it like the other ten.
 //
 // No `switch` on KernelKind exists outside kernel_registry.cpp (CI greps
 // for strays); the registry's own dispatch is the one exhaustive switch,

@@ -1,5 +1,8 @@
 #include "fabric/kernel_request.hpp"
 
+#include <cmath>
+#include <string>
+
 #include "fabric/kernel_registry.hpp"
 
 namespace lac::fabric {
@@ -282,6 +285,11 @@ KernelResult make_failed(const KernelRequest& req, std::string backend,
 std::string validate(const KernelRequest& req) {
   const KernelTraits* traits = try_kernel_traits(req.kind);
   if (!traits) return "unregistered kernel kind";
+  // Every cost model divides by the bandwidth: zero, negative or NaN would
+  // come back as an ok result with an infinite, negative or NaN cost.
+  if (!std::isfinite(req.bw_words_per_cycle) || req.bw_words_per_cycle <= 0.0)
+    return "bw_words_per_cycle must be finite and > 0, got " +
+           std::to_string(req.bw_words_per_cycle);
   return traits->validate(req);
 }
 

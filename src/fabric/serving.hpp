@@ -1,10 +1,9 @@
 #pragma once
 // Persistent serving layer over the fabric Executor interface.
 //
-// The batch dispatcher answers "run this sweep and give me every result";
-// a serving workload is different: requests arrive continuously, repeat the
-// same shapes over and over, and want their answers independently and as
-// soon as possible. Two pieces serve that traffic:
+// Serving traffic arrives continuously, repeats the same shapes over and
+// over, and wants each answer independently and as soon as possible. Two
+// pieces serve it:
 //
 //   AsyncExecutor  -- wraps any Executor and turns submissions into
 //                     std::future<KernelResult>s executed on a persistent
@@ -80,9 +79,6 @@ class CostCache {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };
-
-/// Pre-PR-3 name, kept for callers of the cycle-only era.
-using CycleCache = CostCache;
 
 /// Asynchronous façade over any Executor: submissions return futures that
 /// resolve on the pool's worker threads. The wrapped executor must be

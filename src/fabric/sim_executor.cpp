@@ -10,8 +10,8 @@ namespace {
 
 /// Failed requests charge nothing: a result that reports ok = false must
 /// not leak the cycles/activity/energy the simulator absorbed before
-/// detecting the failure (both backends agree on this, and BatchSummary
-/// relies on failures contributing zero to every total).
+/// detecting the failure (both backends agree on this, so a failure
+/// contributes zero to any roll-up).
 void void_accounting(KernelResult& res) {
   res.cycles = units::Cycles{};
   res.utilization = 0.0;

@@ -1,4 +1,4 @@
-#include "sched/trace.hpp"
+#include "sched/workload.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -1,5 +1,5 @@
 #pragma once
-// Trace-driven workload generation and replay for the scheduler layer.
+// Workload generation and replay for the scheduler layer.
 //
 // Serving claims need realistic traffic, not back-to-back loops: requests
 // arrive over time (Poisson or bursty), from several tenants, mixing

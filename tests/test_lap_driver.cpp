@@ -15,6 +15,8 @@
 namespace lac::blas {
 namespace {
 
+const fabric::SimExecutor kSim;
+
 TEST(LapDriver, GemmMatchesReferenceAcrossTiles) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   const index_t m = 32, n = 24, k = 32;
@@ -24,7 +26,7 @@ TEST(LapDriver, GemmMatchesReferenceAcrossTiles) {
   MatrixD expect = to_matrix<double>(ConstViewD(c.view()));
   gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, expect.view());
 
-  DriverReport rep = lap_gemm(cfg, 2.0, 16, 16, a.view(), b.view(), c.view());
+  DriverReport rep = lap_gemm(kSim, cfg, 2.0, 16, 16, a.view(), b.view(), c.view());
   EXPECT_LT(rel_error(c.view(), expect.view()), 1e-12);
   EXPECT_EQ(rep.kernel_calls, 4);  // 2 k-panels x 2 row-tiles
   EXPECT_GT(rep.total_cycles.value(), 0.0);
@@ -37,7 +39,7 @@ TEST(LapDriver, GemmUtilizationReasonable) {
   MatrixD a = random_matrix(m, k, 4);
   MatrixD b = random_matrix(k, n, 5);
   MatrixD c(m, n, 0.0);
-  DriverReport rep = lap_gemm(cfg, 2.0, 32, 32, a.view(), b.view(), c.view());
+  DriverReport rep = lap_gemm(kSim, cfg, 2.0, 32, 32, a.view(), b.view(), c.view());
   EXPECT_GT(rep.utilization, 0.5);
   EXPECT_LE(rep.utilization, 1.0);
 }
@@ -48,7 +50,7 @@ TEST(LapDriver, CholeskyByBlocksMatchesReference) {
   MatrixD a = random_spd(n, 6);
   MatrixD expect = to_matrix<double>(ConstViewD(a.view()));
   ASSERT_TRUE(cholesky(expect.view()));
-  DriverReport rep = lap_cholesky(cfg, 2.0, 8, a.view());
+  DriverReport rep = lap_cholesky(kSim, cfg, 2.0, 8, a.view());
   EXPECT_LT(rel_error(a.view(), expect.view()), 1e-9);
   EXPECT_GT(rep.kernel_calls, 3);
 }
@@ -100,7 +102,7 @@ TEST(LapDriver, CholeskySolvesSystemEndToEnd) {
   MatrixD b(n, 2, 0.0);
   gemm(Trans::No, Trans::No, 1.0, a0.view(), x_true.view(), 0.0, b.view());
 
-  lap_cholesky(cfg, 2.0, 8, a.view());
+  lap_cholesky(kSim, cfg, 2.0, 8, a.view());
   // Solve L L^T x = b with the accelerator-produced factor.
   trsm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, 1.0, a.view(), b.view());
   trsm(Side::Left, Uplo::Lower, Trans::Yes, Diag::NonUnit, 1.0, a.view(), b.view());

@@ -7,9 +7,12 @@
 #include "blas/ref_lapack.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
+#include "fabric/sim_executor.hpp"
 
 namespace lac::blas {
 namespace {
+
+const fabric::SimExecutor kSim;
 
 TEST(LapLu, ReconstructsPaEqualsLu) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
@@ -17,7 +20,7 @@ TEST(LapLu, ReconstructsPaEqualsLu) {
   MatrixD a = random_matrix(n, n, 11);
   MatrixD a0 = to_matrix<double>(ConstViewD(a.view()));
   std::vector<index_t> piv;
-  DriverReport rep = lap_lu(cfg, 2.0, a.view(), piv);
+  DriverReport rep = lap_lu(kSim, cfg, 2.0, a.view(), piv);
   EXPECT_GT(rep.kernel_calls, 4);
 
   // P*A == L*U with the driver's own factors.
@@ -45,7 +48,7 @@ TEST(LapLu, SolvesLinearSystem) {
   MatrixD b(n, 2, 0.0);
   gemm(Trans::No, Trans::No, 1.0, a0.view(), x_true.view(), 0.0, b.view());
   std::vector<index_t> piv;
-  lap_lu(cfg, 2.0, a.view(), piv);
+  lap_lu(kSim, cfg, 2.0, a.view(), piv);
   lu_solve(a.view(), piv, b.view());
   EXPECT_LT(rel_error(b.view(), x_true.view()), 1e-8);
 }
@@ -55,7 +58,7 @@ TEST(LapLu, TallPanelFactorization) {
   MatrixD a = random_matrix(32, 8, 14);
   MatrixD a0 = to_matrix<double>(ConstViewD(a.view()));
   std::vector<index_t> piv;
-  lap_lu(cfg, 2.0, a.view(), piv);
+  lap_lu(kSim, cfg, 2.0, a.view(), piv);
   MatrixD pa = a0;
   apply_pivots(pa.view(), piv);
   for (index_t j = 0; j < 8; ++j)
@@ -74,7 +77,7 @@ TEST(LapQr, MatchesReferenceFactors) {
   MatrixD expect = to_matrix<double>(ConstViewD(a.view()));
   auto ref_taus = qr_householder(expect.view());
   std::vector<double> taus;
-  DriverReport rep = lap_qr(cfg, 2.0, a.view(), taus);
+  DriverReport rep = lap_qr(kSim, cfg, 2.0, a.view(), taus);
   EXPECT_GT(rep.kernel_calls, 1);
   ASSERT_EQ(taus.size(), ref_taus.size());
   EXPECT_LT(rel_error(a.view(), expect.view()), 1e-9);
@@ -88,7 +91,7 @@ TEST(LapQr, ReconstructsInputThroughQ) {
   MatrixD a = random_matrix(m, n, 16);
   MatrixD a0 = to_matrix<double>(ConstViewD(a.view()));
   std::vector<double> taus;
-  lap_qr(cfg, 2.0, a.view(), taus);
+  lap_qr(kSim, cfg, 2.0, a.view(), taus);
   MatrixD q = qr_form_q(a.view(), taus);
   MatrixD r(n, n, 0.0);
   for (index_t j = 0; j < n; ++j)

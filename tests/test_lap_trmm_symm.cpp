@@ -7,9 +7,12 @@
 #include "blas/ref_blas.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
+#include "fabric/sim_executor.hpp"
 
 namespace lac::blas {
 namespace {
+
+const fabric::SimExecutor kSim;
 
 TEST(LapTrmm, MatchesReference) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
@@ -19,7 +22,7 @@ TEST(LapTrmm, MatchesReference) {
   MatrixD expect = to_matrix<double>(ConstViewD(b.view()));
   trmm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, 1.0, l.view(),
        expect.view());
-  DriverReport rep = lap_trmm(cfg, 2.0, 8, l.view(), b.view());
+  DriverReport rep = lap_trmm(kSim, cfg, 2.0, 8, l.view(), b.view());
   EXPECT_LT(rel_error(b.view(), expect.view()), 1e-11);
   // Tile count: lower-triangular block count = t(t+1)/2 for t = m/block.
   EXPECT_EQ(rep.kernel_calls, 6);
@@ -32,7 +35,7 @@ TEST(LapTrmm, PanelLengthGrowsPerIteration) {
   const index_t m = 32;
   MatrixD l = random_lower_triangular(m, 3);
   MatrixD b = random_matrix(m, 8, 4);
-  DriverReport rep = lap_trmm(cfg, 2.0, 8, l.view(), b.view());
+  DriverReport rep = lap_trmm(kSim, cfg, 2.0, 8, l.view(), b.view());
   EXPECT_EQ(rep.kernel_calls, 10);  // 1+2+3+4
 }
 
@@ -47,7 +50,7 @@ TEST(LapSymm, MatchesReferenceUsingOnlyLowerStorage) {
   MatrixD c = random_matrix(m, n, 7);
   MatrixD expect = to_matrix<double>(ConstViewD(c.view()));
   symm(Side::Left, Uplo::Lower, 1.0, a_lower.view(), b.view(), 1.0, expect.view());
-  DriverReport rep = lap_symm(cfg, 2.0, 8, a_lower.view(), b.view(), c.view());
+  DriverReport rep = lap_symm(kSim, cfg, 2.0, 8, a_lower.view(), b.view(), c.view());
   EXPECT_LT(rel_error(c.view(), expect.view()), 1e-11);
   EXPECT_EQ(rep.kernel_calls, 4);  // full 2x2 tile grid
 }
@@ -58,9 +61,9 @@ TEST(LapSymm, UtilizationComparableToGemm) {
   MatrixD a = random_spd(m, 8);
   MatrixD b = random_matrix(m, n, 9);
   MatrixD c(m, n, 0.0);
-  DriverReport symm_rep = lap_symm(cfg, 2.0, 16, a.view(), b.view(), c.view());
+  DriverReport symm_rep = lap_symm(kSim, cfg, 2.0, 16, a.view(), b.view(), c.view());
   MatrixD c2(m, n, 0.0);
-  DriverReport gemm_rep = lap_gemm(cfg, 2.0, 16, 16, a.view(), b.view(), c2.view());
+  DriverReport gemm_rep = lap_gemm(kSim, cfg, 2.0, 16, 16, a.view(), b.view(), c2.view());
   // SYMM is GEMM plus staging transposes: within ~15% of GEMM utilization.
   EXPECT_GT(symm_rep.utilization, 0.85 * gemm_rep.utilization);
 }

@@ -1,73 +1,22 @@
-// lac::parallel_for: coverage, worker clamping, explicit thread targets and
-// exception propagation out of worker threads. Also the ThreadPool quiesce
-// API (drain/shutdown) the scheduler layer relies on.
+// ThreadPool lifecycle and dispatch: the quiesce API (drain/shutdown) the
+// scheduler layer relies on, cost-hinted shard placement, and work
+// stealing. The pool's submit/parallel_for semantics are in
+// test_serving.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <stdexcept>
+#include <limits>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "test_support.hpp"
 
 namespace lac {
 namespace {
-
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  for (unsigned threads : {0u, 1u, 2u, 4u, 16u}) {
-    const std::size_t n = 103;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, threads);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ParallelFor, HandlesEmptyAndTinyRanges) {
-  std::atomic<int> count{0};
-  parallel_for(0, [&](std::size_t) { count.fetch_add(1); }, 8);
-  EXPECT_EQ(count.load(), 0);
-  parallel_for(1, [&](std::size_t) { count.fetch_add(1); }, 8);
-  EXPECT_EQ(count.load(), 1);
-  // More workers than items: the pool is clamped to n, so this completes
-  // without idle-thread churn and still covers both indices.
-  count.store(0);
-  parallel_for(2, [&](std::size_t) { count.fetch_add(1); }, 64);
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ParallelFor, PropagatesWorkerExceptions) {
-  for (unsigned threads : {1u, 4u}) {
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        parallel_for(
-            64,
-            [&](std::size_t i) {
-              ran.fetch_add(1);
-              if (i == 7) throw std::runtime_error("boom");
-            },
-            threads),
-        std::runtime_error)
-        << "threads=" << threads;
-    EXPECT_GE(ran.load(), 1);
-  }
-}
-
-TEST(ParallelFor, ExceptionMessageSurvives) {
-  try {
-    parallel_for(
-        16, [](std::size_t i) { if (i == 3) throw std::runtime_error("index 3 failed"); },
-        4);
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "index 3 failed");
-  }
-}
 
 TEST(ThreadPoolQuiesce, ShutdownCompletesAllQueuedWorkThenResubmitWorks) {
   ThreadPool pool(2);
@@ -197,24 +146,29 @@ TEST(ThreadPoolDispatch, ShortJobsOvertakeAQueuedLongJob) {
   // must not delay a burst of short jobs queued behind it. Two-choice
   // placement steers the shorts onto the other shard, and even under an
   // adversarial placement the idle worker steals them -- either way every
-  // short completes while the long job is still running.
-  ThreadPool pool(2);
-  std::vector<std::promise<void>> gates = park_workers(pool, 2);
-  std::atomic<bool> long_done{false};
-  std::atomic<int> shorts_before_long{0};
-  std::future<void> long_fut = pool.submit_hinted(1e9, [&long_done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    long_done.store(true);
-  });
-  std::vector<std::future<void>> shorts;
-  for (int i = 0; i < 8; ++i)
-    shorts.push_back(pool.submit_hinted(1.0, [&] {
-      if (!long_done.load()) shorts_before_long.fetch_add(1);
-    }));
-  for (auto& g : gates) g.set_value();
-  for (auto& f : shorts) f.get();
-  long_fut.get();
-  EXPECT_EQ(shorts_before_long.load(), 8);
+  // short completes while the long job is still running. A NaN or hugely
+  // negative hint (an invalid request's estimate) charges one unit like
+  // any short job instead of reaching the integer cast.
+  for (double short_hint :
+       {1.0, std::numeric_limits<double>::quiet_NaN(), -1e300}) {
+    ThreadPool pool(2);
+    std::vector<std::promise<void>> gates = park_workers(pool, 2);
+    std::atomic<bool> long_done{false};
+    std::atomic<int> shorts_before_long{0};
+    std::future<void> long_fut = pool.submit_hinted(1e9, [&long_done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      long_done.store(true);
+    });
+    std::vector<std::future<void>> shorts;
+    for (int i = 0; i < 8; ++i)
+      shorts.push_back(pool.submit_hinted(short_hint, [&] {
+        if (!long_done.load()) shorts_before_long.fetch_add(1);
+      }));
+    for (auto& g : gates) g.set_value();
+    for (auto& f : shorts) f.get();
+    long_fut.get();
+    EXPECT_EQ(shorts_before_long.load(), 8) << "short hint " << short_hint;
+  }
 }
 
 TEST(ThreadPoolSteal, IdleWorkerStealsFromAStalledShard) {

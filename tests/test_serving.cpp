@@ -15,7 +15,6 @@
 #include "arch/presets.hpp"
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
-#include "fabric/batch.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/serving.hpp"
 #include "fabric/sim_executor.hpp"
@@ -56,6 +55,27 @@ std::vector<KernelRequest> serving_workload(int repeats) {
   return reqs;
 }
 
+/// Serial reference: one execute() per request, in order.
+std::vector<KernelResult> run_serial(const Executor& ex,
+                                     const std::vector<KernelRequest>& reqs) {
+  std::vector<KernelResult> out;
+  out.reserve(reqs.size());
+  for (const KernelRequest& req : reqs) out.push_back(ex.execute(req));
+  return out;
+}
+
+/// Every request through an AsyncExecutor on `pool`; result i answers
+/// request i whatever order the workers finish in.
+std::vector<KernelResult> run_async(const Executor& ex, ThreadPool& pool,
+                                    const std::vector<KernelRequest>& reqs) {
+  std::vector<std::future<KernelResult>> futs =
+      AsyncExecutor(ex, &pool).submit_all(reqs);
+  std::vector<KernelResult> out;
+  out.reserve(futs.size());
+  for (auto& f : futs) out.push_back(f.get());
+  return out;
+}
+
 TEST(ThreadPool, SubmitReturnsFutureValues) {
   ThreadPool pool(3);
   std::vector<std::future<int>> futs;
@@ -74,24 +94,36 @@ TEST(ThreadPool, SubmitPropagatesExceptions) {
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+  // Empty and tiny ranges included: a cap above n clamps to n workers.
   ThreadPool pool(4);
-  for (unsigned cap : {0u, 1u, 2u, 7u}) {
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, cap);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " cap " << cap;
+  for (std::size_t n : {0u, 1u, 2u, 1000u}) {
+    for (unsigned cap : {0u, 1u, 2u, 7u, 64u}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(
+          n, [&](std::size_t i) { hits[i].fetch_add(1); }, cap);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i << " n " << n << " cap " << cap;
+    }
   }
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
+  // Cap 1 runs serially on the caller; the pool path rethrows from a
+  // helper. Either way the caller sees the original exception and message.
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [](std::size_t i) {
-                          if (i == 41) throw std::invalid_argument("bad index");
-                        }),
-      std::invalid_argument);
+  for (unsigned cap : {0u, 1u}) {
+    try {
+      pool.parallel_for(
+          100,
+          [](std::size_t i) {
+            if (i == 41) throw std::invalid_argument("bad index 41");
+          },
+          cap);
+      ADD_FAILURE() << "expected an exception, cap " << cap;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "bad index 41") << "cap " << cap;
+    }
+  }
   // Reusable afterwards.
   std::atomic<int> n{0};
   pool.parallel_for(50, [&](std::size_t) { n.fetch_add(1); });
@@ -148,8 +180,7 @@ TEST(AsyncExecutor, StressMixedKernelsBothBackends) {
   ASSERT_EQ(reqs.size(), 14u * static_cast<std::size_t>(repeats));
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
-    // Serial reference results.
-    std::vector<KernelResult> expect = BatchDispatcher(*ex, {1}).run(reqs);
+    std::vector<KernelResult> expect = run_serial(*ex, reqs);
     AsyncExecutor async(*ex);
     std::vector<std::future<KernelResult>> futs = async.submit_all(reqs);
     ASSERT_EQ(futs.size(), reqs.size());
@@ -164,19 +195,23 @@ TEST(AsyncExecutor, StressMixedKernelsBothBackends) {
 
 TEST(AsyncExecutor, DeterministicAcrossPoolWidths) {
   std::vector<KernelRequest> reqs = serving_workload(4);
-  ThreadPool one(1);
-  AsyncExecutor base(kSim, &one);
-  std::vector<std::future<KernelResult>> base_futs = base.submit_all(reqs);
-  std::vector<KernelResult> expect;
-  for (auto& f : base_futs) expect.push_back(f.get());
-  for (unsigned width : {2u, 5u}) {
-    ThreadPool pool(width);
-    AsyncExecutor async(kSim, &pool);
-    std::vector<std::future<KernelResult>> futs = async.submit_all(reqs);
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      KernelResult got = futs[i].get();
-      EXPECT_EQ(got.cycles.value(), expect[i].cycles.value()) << "width " << width;
-      EXPECT_TRUE(got.out == expect[i].out) << "width " << width;  // byte-identical
+  for (const Executor* ex : {static_cast<const Executor*>(&kSim),
+                             static_cast<const Executor*>(&kModel)}) {
+    ThreadPool one(1);
+    std::vector<KernelResult> expect = run_async(*ex, one, reqs);
+    for (unsigned width : {2u, 5u}) {
+      ThreadPool pool(width);
+      std::vector<KernelResult> got = run_async(*ex, pool, reqs);
+      ASSERT_EQ(got.size(), expect.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(got[i].ok) << ex->name() << " request " << i;
+        EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value())
+            << ex->name() << " width " << width;
+        EXPECT_EQ(got[i].stats.mac_ops, expect[i].stats.mac_ops)
+            << ex->name() << " width " << width;
+        EXPECT_TRUE(got[i].out == expect[i].out)  // byte-identical
+            << ex->name() << " width " << width;
+      }
     }
   }
 }
@@ -246,8 +281,9 @@ TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
   std::vector<KernelRequest> reqs = serving_workload(test::scaled(10, 3));
   const std::size_t unique_shapes = serving_workload(1).size();
 
-  std::vector<KernelResult> got = BatchDispatcher(cached, {4}).run(reqs);
-  std::vector<KernelResult> expect = BatchDispatcher(kModel, {1}).run(reqs);
+  ThreadPool pool(4);
+  std::vector<KernelResult> got = run_async(cached, pool, reqs);
+  std::vector<KernelResult> expect = run_serial(kModel, reqs);
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(got[i].ok);
     EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value()) << "request " << i;
@@ -286,8 +322,8 @@ TEST(CostCache, RegistryCountersAgreeWithInstanceCounts) {
   CostCache cache;
   ModelExecutor cached(&cache);
   std::vector<KernelRequest> reqs = serving_workload(test::scaled(6, 2));
-  for (KernelResult& r : BatchDispatcher(cached, {4}).run(reqs))
-    ASSERT_TRUE(r.ok);
+  ThreadPool pool(4);
+  for (const KernelResult& r : run_async(cached, pool, reqs)) ASSERT_TRUE(r.ok);
 
   const std::uint64_t hits_delta =
       reg.counter("lac.serving.cache.hits").value() - hits_before;

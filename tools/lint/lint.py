@@ -12,7 +12,7 @@ compiles fine today and corrupts an invariant three PRs later:
   registry-complete     Every KernelKind enumerator is registered: a
                         `case` in build_traits(), an entry in kAllKinds,
                         and a sized_request hook in its traits function
-                        (the trace/serving layers build traffic via
+                        (the workload/serving layers build traffic via
                         sized_request, so a kind without one is invisible
                         to the workload generators).
   signature-delimiters  CostCache::signature and every registered
@@ -29,10 +29,10 @@ compiles fine today and corrupts an invariant three PRs later:
                         quantity keys are how the PR 3 mW-vs-W ambiguity
                         leaks into downstream tooling.
   raw-thread            No raw std::thread construction outside
-                        src/common/: concurrency goes through the shared
-                        ThreadPool / parallel_for so the sanitizer lanes
-                        and the thread-safety annotations see every
-                        thread. Waive a deliberate exception with a
+                        src/common/: concurrency goes through the
+                        ThreadPool so the sanitizer lanes and the
+                        thread-safety annotations see every thread. Waive
+                        a deliberate exception with a
                         `lint-allow(raw-thread)` comment on the line.
   metric-names          Every metric name registered with the PR 9
                         MetricsRegistry (any `"lac.…"` string literal in
@@ -53,6 +53,23 @@ compiles fine today and corrupts an invariant three PRs later:
                         `lint-allow: hot-alloc (reason)` comment on the
                         line or the two lines above it -- the reason is
                         mandatory.
+  raw-unit              Public headers under src/ must not declare a raw
+                        `double` parameter, return type, or data member
+                        whose name marks a physical quantity (*cycles*,
+                        *energy*, *power*, *area*, *_nj, *_w, *_mm2): those
+                        belong to the src/common/units.hpp strong types.
+                        Waive a deliberate raw double with a
+                        `lint-allow: raw-unit (reason)` comment on (or
+                        directly above) the line, or a whole calibration
+                        header with `lint-allow-file: raw-unit (...)`.
+  blocking-under-lock   No blocking call (wait / submit / join / get) in
+                        src/ outside src/common/ while a lac::MutexLock is
+                        in scope -- the static complement to the TSan lane,
+                        which only catches the deadlock when the schedule
+                        cooperates. The condition-variable idiom
+                        `cv.wait(mu)` (the call names the lock or its
+                        mutex) is allowed. Waive with
+                        `lint-allow: blocking-under-lock`.
 
 --artifact FILE validates a runtime artifact instead of sources: a
 BENCH_*.json (required `meta` provenance keys; `telemetry` metric names
@@ -287,7 +304,7 @@ def check_registry_complete(tree):
             findings.append(
                 (REGISTRY, 1,
                  f"{fn}() registers KernelKind::{kind} without a "
-                 "sized_request hook -- the trace/serving generators "
+                 "sized_request hook -- the workload/serving generators "
                  "cannot build traffic for it")
             )
     return findings
@@ -359,8 +376,7 @@ def check_raw_thread(tree):
                 findings.append(
                     (rel, i + 1,
                      "raw std::thread outside src/common/ -- use the shared "
-                     "ThreadPool / parallel_for (or waive with "
-                     "lint-allow(raw-thread))")
+                     "ThreadPool (or waive with lint-allow(raw-thread))")
                 )
     return findings
 
@@ -537,6 +553,132 @@ def check_metric_names(tree):
                 continue
             for msg in metric_name_findings(literal):
                 findings.append((rel, line, msg))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# raw-unit: dimensioned quantities in public headers use units.hpp types.
+
+UNITS_HPP = "src/common/units.hpp"
+UNIT_NAME = re.compile(r"(cycles|energy|power|area)", re.I)
+UNIT_SUFFIX = re.compile(r"(_nj|_w|_mm2)$")
+# Return types, parameters, members: three declaration shapes of a raw
+# `double` carrying a dimensioned name.
+RAW_UNIT_DECLS = (
+    (re.compile(r"\bdouble\s+([A-Za-z_]\w*)\s*\("), "return of"),
+    (re.compile(r"\bdouble\s*&?\s+([A-Za-z_]\w*)\s*(?=[,)])"), "parameter"),
+    (re.compile(r"\bdouble\s+([A-Za-z_]\w*)\s*(?:=[^;(){}]*)?;"), "member"),
+)
+
+
+def waived(raw_lines, line, tag):
+    """True if `lint-allow: <tag>` sits on the line or the one above."""
+    return any(0 <= idx < len(raw_lines) and f"lint-allow: {tag}" in raw_lines[idx]
+               for idx in (line - 1, line - 2))
+
+
+def check_raw_unit(tree):
+    findings = []
+    for rel, text in tree.files.items():
+        if not rel.startswith("src/") or not rel.endswith((".hpp", ".h")):
+            continue
+        if rel == UNITS_HPP or "lint-allow-file: raw-unit" in text:
+            continue
+        clean = strip_comments(text)
+        raw_lines = text.splitlines()
+        for pat, what in RAW_UNIT_DECLS:
+            for m in pat.finditer(clean):
+                name = m.group(1)
+                if not (UNIT_NAME.search(name) or UNIT_SUFFIX.search(name)):
+                    continue
+                line = line_of(clean, m.start())
+                if waived(raw_lines, line, "raw-unit"):
+                    continue
+                findings.append(
+                    (rel, line,
+                     f"raw double {what} `{name}` carries a physical "
+                     "dimension -- use the units.hpp strong type (or waive "
+                     "with `lint-allow: raw-unit (reason)`)")
+                )
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# blocking-under-lock: no blocking call while a MutexLock is in scope.
+
+MUTEX_LOCK_DECL = re.compile(
+    r"\b(?:lac::)?MutexLock\s+(\w+)\s*[({]\s*([^;(){}]*?)\s*[)}]")
+BLOCKING_CALL = re.compile(r"\b(wait|submit|join|get)\s*\(")
+
+
+def scope_end(clean, pos):
+    """End position of the brace scope enclosing `pos`."""
+    depth = 0
+    i = pos
+    while i < len(clean):
+        c = clean[i]
+        if c in "\"'":
+            quote = c
+            i += 1
+            while i < len(clean):
+                if clean[i] == "\\":
+                    i += 2
+                    continue
+                if clean[i] == quote:
+                    break
+                i += 1
+        elif c == "{":
+            depth += 1
+        elif c == "}":
+            if depth == 0:
+                return i
+            depth -= 1
+        i += 1
+    return len(clean)
+
+
+def call_args(clean, open_paren):
+    """Argument text of the call whose '(' sits at clean[open_paren]."""
+    depth = 0
+    for i in range(open_paren, len(clean)):
+        if clean[i] == "(":
+            depth += 1
+        elif clean[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return clean[open_paren + 1 : i]
+    return clean[open_paren + 1 :]
+
+
+def check_blocking_under_lock(tree):
+    findings = []
+    for rel, text in tree.files.items():
+        if not rel.startswith("src/") or rel.startswith("src/common/"):
+            continue
+        clean = strip_comments(text)
+        raw_lines = text.splitlines()
+        for m in MUTEX_LOCK_DECL.finditer(clean):
+            lock_names = (m.group(1), m.group(2))
+            for cm in BLOCKING_CALL.finditer(clean, m.end(),
+                                             scope_end(clean, m.end())):
+                callee = cm.group(1)
+                # cv.wait(lock) / cv.wait(mu_): the blocking call that names
+                # the lock (or the mutex it guards) is the CondVar idiom.
+                args = call_args(clean, cm.end() - 1)
+                if callee == "wait" and any(
+                        n and re.search(rf"\b{re.escape(n)}\b", args)
+                        for n in lock_names):
+                    continue
+                line = line_of(clean, cm.start())
+                if waived(raw_lines, line, "blocking-under-lock"):
+                    continue
+                findings.append(
+                    (rel, line,
+                     f"`{callee}()` blocks while MutexLock `{m.group(1)}` "
+                     f"(declared line {line_of(clean, m.start())}) is held "
+                     "-- release the lock first, or waive with "
+                     "`lint-allow: blocking-under-lock`")
+                )
     return findings
 
 
@@ -738,6 +880,8 @@ CHECKS = {
     "raw-thread": check_raw_thread,
     "metric-names": check_metric_names,
     "hot-alloc": check_hot_alloc,
+    "raw-unit": check_raw_unit,
+    "blocking-under-lock": check_blocking_under_lock,
 }
 
 
@@ -758,9 +902,12 @@ def self_test(tree):
         mutate(copy.files)
         return copy
 
+    # Every seed edits a file that must exist: a seed aimed at a deleted or
+    # renamed file raises KeyError instead of silently linting nothing.
+
     # stray-kernel-switch: a switch on KernelKind in a product file.
     def seed_switch(files):
-        files["src/fabric/batch.cpp"] = files.get("src/fabric/batch.cpp", "") + (
+        files["src/fabric/serving.cpp"] += (
             "\nint lint_seed(lac::fabric::KernelKind k) {\n"
             "  switch (k) { case lac::fabric::KernelKind::Gemm: return 1; "
             "default: return 0; }\n}\n"
@@ -779,7 +926,7 @@ def self_test(tree):
 
     # signature-delimiters: two adjacent fields with no delimiter.
     def seed_delimiter(files):
-        files[REGISTRY] = files[REGISTRY] + (
+        files[REGISTRY] += (
             "\nnamespace { void lint_seed(lac::fabric::KernelTraits& t) {\n"
             "  t.signature_extra = [](const lac::fabric::KernelRequest& req,\n"
             "                         std::ostream& os) {\n"
@@ -789,7 +936,7 @@ def self_test(tree):
 
     # signature-delimiters: an extra that does not open with '|'.
     def seed_leading_pipe(files):
-        files[REGISTRY] = files[REGISTRY] + (
+        files[REGISTRY] += (
             "\nnamespace { void lint_seed2(lac::fabric::KernelTraits& t) {\n"
             "  t.signature_extra = [](const lac::fabric::KernelRequest& req,\n"
             "                         std::ostream& os) {\n"
@@ -799,8 +946,7 @@ def self_test(tree):
 
     # bench-schema: a numeric JSON field with no unit suffix.
     def seed_bench_schema(files):
-        rel = "bench/bench_serving.cpp"
-        files[rel] = files.get(rel, "") + (
+        files["bench/bench_serving.cpp"] += (
             "\nstatic void lint_seed(std::ostream& os) {\n"
             "  os << \"\\\"latency\\\": \" << 1.0;  // BENCH_seed.json\n"
             "}\n"
@@ -808,39 +954,56 @@ def self_test(tree):
 
     # raw-thread: a spawned std::thread outside src/common/.
     def seed_thread(files):
-        files["src/sched/trace.cpp"] = files.get("src/sched/trace.cpp", "") + (
+        files["src/sched/workload.cpp"] += (
             "\nvoid lint_seed() { std::thread t([] {}); t.join(); }\n"
         )
 
     # metric-names: a unit-less, non-count metric registration in src/.
     def seed_metric_name(files):
-        rel = "src/common/thread_pool.cpp"
-        files[rel] = files.get(rel, "") + (
+        files["src/common/thread_pool.cpp"] += (
             "\nstatic const char* lint_seed = \"lac.pool.latency\";\n"
         )
 
     # metric-names: an uppercase segment (backend names must be lowered).
     def seed_metric_case(files):
-        rel = "src/fabric/serving.cpp"
-        files[rel] = files.get(rel, "") + (
+        files["src/fabric/serving.cpp"] += (
             "\nstatic const char* lint_seed = \"lac.serving.GEMM.requests\";\n"
         )
 
     # hot-alloc: an unwaived per-call allocation in a sim hot path.
     def seed_hot_alloc(files):
-        rel = "src/sim/arena.cpp"
-        files[rel] = files.get(rel, "") + (
+        files["src/sim/arena.cpp"] += (
             "\nnamespace { double* lint_seed() { return new double[8]; } }\n"
         )
 
     # hot-alloc: a waiver without a reason must NOT silence the finding.
     def seed_hot_alloc_bare_waiver(files):
-        rel = "src/sim/arena.cpp"
-        files[rel] = files.get(rel, "") + (
+        files["src/sim/arena.cpp"] += (
             "\nnamespace { double* lint_seed() {\n"
             "  // lint-allow: hot-alloc\n"
             "  return new double[8];\n} }\n"
         )
+
+    # raw-unit: a dimensioned double return + parameter in a public header.
+    def seed_raw_unit(files):
+        files[REQUEST_HPP] += (
+            "\nnamespace lac::fabric {\n"
+            "double lint_seed_energy_nj(double busy_cycles);\n"
+            "}  // namespace lac::fabric\n"
+        )
+
+    # blocking-under-lock: a get() while a MutexLock is live, spliced in
+    # before the file's closing namespace brace so it sits in a scope.
+    def seed_blocking(files):
+        rel = "src/sched/graph_scheduler.cpp"
+        text = files[rel]
+        cut = text.rfind("\n}")
+        files[rel] = text[:cut] + (
+            "\nvoid lint_seed_blocking(Mutex& mu, ThreadPool& pool) {\n"
+            "  MutexLock lock(mu);\n"
+            "  pool.submit([] { return 0; }).get();\n"
+            "}\n"
+        ) + text[cut:]
 
     seeds = [
         ("stray-kernel-switch", seed_switch),
@@ -854,9 +1017,16 @@ def self_test(tree):
         ("metric-names", seed_metric_case),
         ("hot-alloc", seed_hot_alloc),
         ("hot-alloc", seed_hot_alloc_bare_waiver),
+        ("raw-unit", seed_raw_unit),
+        ("blocking-under-lock", seed_blocking),
     ]
     for name, mutate in seeds:
-        hits = run_checks(seeded(mutate), [name])
+        try:
+            hits = run_checks(seeded(mutate), [name])
+        except KeyError as missing:
+            failures.append(f"self-test: [{name}] seed `{mutate.__name__}` "
+                            f"targets missing file {missing}")
+            continue
         if not hits:
             failures.append(f"self-test: [{name}] seed `{mutate.__name__}` "
                             "was NOT caught")
