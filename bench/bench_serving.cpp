@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
   const ModeStats model_pool = run_pool(async_model, reqs, iterations, window);
   json << json_mode("model", "pool", reqs.size(), model_pool, nullptr) << ",\n";
   // No hint source here: model jobs are uniformly short, so a size hint
-  // buys nothing and its signature lookup would tax every submit.
+  // buys nothing and its cache lookup would tax every submit.
   const fabric::AsyncExecutor async_cached(cached_model, &pool);
   const CacheCounterDelta cache_before = CacheCounterDelta::sample();
   const ModeStats model_pool_cache = run_pool(async_cached, reqs, iterations, window);

@@ -1,8 +1,8 @@
 // The one translation unit that knows every kernel kind. Validation, flop
 // accounting, both backends' execution paths, the closed-form cycle models
-// (§3.4, Ch. 4-6, Appendices A/B), the energy hooks, and the CostCache
-// signature extras are registered here as KernelTraits; every other layer
-// dispatches through the registry. The single switch on KernelKind lives
+// (§3.4, Ch. 4-6, Appendices A/B) and the energy hooks are registered
+// here as KernelTraits; every other layer dispatches through the
+// registry. The single switch on KernelKind lives
 // in build_traits() below -- adding an enumerator without registering it
 // is a -Wswitch warning, and tests/test_registry.cpp executes every entry
 // on both backends.
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -613,12 +612,6 @@ KernelTraits chip_gemm_traits() {
     return power::chip_energy_from_stats(effective_chip(req), req.tech.node,
                                          stats, cycles);
   };
-  t.signature_extra = [](const KernelRequest& req, std::ostream& os) {
-    os << "|chip:" << req.chip.cores << ','
-       << req.chip.onchip_bw_words_per_cycle << ','
-       << req.chip.offchip_bw_words_per_cycle << ','
-       << static_cast<int>(req.chip.mem_kind);
-  };
   t.sized_request = [](const arch::CoreConfig& cfg, double, index_t n,
                        std::uint64_t seed) {
     // A 2-core LAP point around the caller's core; m rounds up to the
@@ -783,12 +776,6 @@ KernelTraits fft_traits() {
     return power::core_energy_from_stats(effective_core(req), req.tech.node,
                                          fft_predicted_stats(req), cycles,
                                          req.chip.onchip_mem_mbytes);
-  };
-  t.signature_extra = [](const KernelRequest& req, std::ostream& os) {
-    // FFT-specific key fields, each behind an explicit delimiter: transform
-    // size, radix, variant and frame count all steer the cost models.
-    os << "|fft:" << req.fft_n << ',' << req.fft_radix << ','
-       << static_cast<int>(req.fft_variant) << ',' << req.xc.size();
   };
   t.sized_request = [](const arch::CoreConfig& cfg, double bw, index_t n,
                        std::uint64_t seed) {

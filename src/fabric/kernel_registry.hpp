@@ -4,9 +4,11 @@
 // Every layer that must understand a kernel kind -- request validation and
 // flop accounting (kernel_request.cpp), numerics and closed-form cost on
 // the analytical backend (ModelExecutor), cycle-exact execution on the
-// simulator backend (SimExecutor), energy pricing (the power hooks), and
-// the CostCache signature -- dispatches through one KernelTraits record
-// registered here. Opening a new workload is therefore a one-file change:
+// simulator backend (SimExecutor) and energy pricing (the power hooks) --
+// dispatches through one KernelTraits record registered here. The
+// CostCache key needs no hook: it packs every request field any cost
+// model reads, whatever the kind. Opening a new workload is therefore a
+// one-file change:
 // add the KernelKind enumerator, register its traits in
 // kernel_registry.cpp, and the serving layer (AsyncExecutor, CostCache,
 // GraphScheduler) serves it like the other ten.
@@ -18,7 +20,6 @@
 // registered kind on both backends.
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string_view>
 #include <vector>
 
@@ -68,11 +69,6 @@ struct KernelTraits {
   std::function<power::EnergyReport(const KernelRequest&, const sim::Stats&,
                                     units::Cycles cycles)>
       sim_energy;
-
-  /// Kind-specific CostCache signature fields, written with the explicit-
-  /// delimiter convention (serving.cpp prefixes the shared fields). Null
-  /// when the shared fields already pin the estimate.
-  std::function<void(const KernelRequest&, std::ostream&)> signature_extra;
 
   /// Valid request of this kind scaled to a nominal operand dimension `n`
   /// (workload/trace generators -- the sched layer builds its serving

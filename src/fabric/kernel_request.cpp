@@ -13,8 +13,8 @@ SharedMatrix own(ConstViewD v) { return SharedMatrix(to_matrix<double>(v)); }
 }  // namespace
 
 const char* to_string(KernelKind kind) {
-  // The registry's name field is the one source of truth: to_string, the
-  // CostCache signature prefix and find_kernel_traits cannot drift.
+  // The registry's name field is the one source of truth: to_string and
+  // find_kernel_traits cannot drift.
   const KernelTraits* traits = try_kernel_traits(kind);
   return traits ? traits->name : "?";
 }
@@ -290,6 +290,19 @@ std::string validate(const KernelRequest& req) {
   if (!std::isfinite(req.bw_words_per_cycle) || req.bw_words_per_cycle <= 0.0)
     return "bw_words_per_cycle must be finite and > 0, got " +
            std::to_string(req.bw_words_per_cycle);
+  // The energy models divide by the clock and scale by the node: a clock
+  // that is not positive and finite, or an unknown node, would be priced
+  // as NaN, negative or silently at the wrong operating point.
+  for (const double ghz : {req.core.pe.clock_ghz, req.chip.core.pe.clock_ghz})
+    if (!std::isfinite(ghz) || ghz <= 0.0)
+      return "core clock_ghz must be finite and > 0, got " + std::to_string(ghz);
+  if (!std::isfinite(req.tech.clock_ghz) || req.tech.clock_ghz < 0.0)
+    return "tech.clock_ghz must be finite and >= 0 (0 = core clock), got " +
+           std::to_string(req.tech.clock_ghz);
+  if (req.tech.node != arch::TechNode::nm65 &&
+      req.tech.node != arch::TechNode::nm45 && req.tech.node != arch::TechNode::nm32)
+    return "tech.node must be nm65, nm45 or nm32, got " +
+           std::to_string(static_cast<int>(req.tech.node));
   return traits->validate(req);
 }
 

@@ -32,8 +32,8 @@ units::Cycles model_cycles(const KernelRequest& req);
 
 /// Full closed-form cost of a request: cycles, utilization, and the busy +
 /// leakage energy/power/area at the request's TechContext. Depends only on
-/// the request's signature (shapes + configuration), never operand values
-/// -- the contract the CostCache memoization relies on.
+/// the fields packed into the request's CostKey (shapes + configuration),
+/// never operand values -- the contract the CostCache memoization relies on.
 struct ModelCost {
   units::Cycles cycles;
   double utilization = 0.0;

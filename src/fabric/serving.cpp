@@ -1,11 +1,12 @@
 #include "fabric/serving.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
-#include <limits>
-#include <sstream>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
-#include "fabric/kernel_registry.hpp"
 #include "fabric/model_executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,16 +40,92 @@ struct CacheMetrics {
   }
 };
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t word(index_t v) { return static_cast<std::uint64_t>(v); }
+
+/// Two 32-bit fields (ints, enums, bools) in one word.
+std::uint64_t ints(int lo, int hi) {
+  return static_cast<std::uint32_t>(lo) |
+         std::uint64_t{static_cast<std::uint32_t>(hi)} << 32;
+}
+
+/// Every core field the cycle or energy models read.
+std::array<std::uint64_t, 10> core_words(const arch::CoreConfig& core) {
+  const arch::PeConfig& pe = core.pe;
+  return {bits(pe.clock_ghz),
+          bits(pe.mem_a_kbytes),
+          bits(pe.mem_b_kbytes),
+          ints(core.nr, pe.pipeline_stages),
+          ints(core.bus_latency, static_cast<int>(core.sfu)),
+          ints(core.sfu_latency_recip, core.sfu_latency_rsqrt),
+          ints(core.sfu_latency_sqrt, core.sw_emulation_cycles),
+          ints(pe.extensions.comparator, pe.extensions.extended_exponent),
+          ints(static_cast<int>(pe.precision), pe.mem_a_ports),
+          ints(pe.mem_b_ports, 0)};
+}
+
+std::array<std::uint64_t, CostKey::kWords> pack(const KernelRequest& req) {
+  const arch::ChipConfig& chip = req.chip;
+  const auto head = std::to_array<std::uint64_t>({
+      ints(static_cast<int>(req.kind), static_cast<int>(req.overlap)),
+      word(req.a.rows()), word(req.a.cols()),
+      word(req.b.rows()), word(req.b.cols()),
+      word(req.c.rows()), word(req.c.cols()),
+      std::uint64_t{req.x.size()},
+      ints(req.owner_col, static_cast<int>(req.tech.node)),
+      bits(req.bw_words_per_cycle),
+      word(req.mc), word(req.kc),
+      bits(req.tech.clock_ghz),
+      ints(chip.cores, static_cast<int>(chip.mem_kind)),
+      bits(chip.onchip_mem_mbytes),
+      bits(chip.onchip_bw_words_per_cycle),
+      bits(chip.offchip_bw_words_per_cycle),
+      word(req.fft_n),
+      std::uint64_t{req.xc.size()},
+      ints(req.fft_radix, static_cast<int>(req.fft_variant)),
+  });
+  // Both cores: the core-level models read req.core, the ChipGemm cycle
+  // and energy models read req.chip.core.
+  const auto core = core_words(req.core);
+  const auto chip_core = core_words(chip.core);
+  static_assert(std::tuple_size_v<decltype(head)> +
+                    2 * std::tuple_size_v<decltype(core)> ==
+                CostKey::kWords);
+  std::array<std::uint64_t, CostKey::kWords> words{};
+  auto out = std::copy(head.begin(), head.end(), words.begin());
+  out = std::copy(core.begin(), core.end(), out);
+  std::copy(chip_core.begin(), chip_core.end(), out);
+  return words;
+}
+
+/// FxHash-style word chain, then the murmur3 finalizer so the shard index
+/// and the map's bucket both depend on every word.
+std::uint64_t hash_words(const std::array<std::uint64_t, CostKey::kWords>& words) {
+  std::uint64_t h = 0;
+  for (std::uint64_t w : words) h = (std::rotl(h, 5) ^ w) * 0x9e3779b97f4a7c15ull;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  return h ^ (h >> 33);
+}
+
 }  // namespace
+
+// Trivially copyable with no padding bytes: comparing and hashing the
+// words covers the whole key.
+static_assert(std::has_unique_object_representations_v<CostKey>);
+
+CostKey::CostKey(const KernelRequest& req)
+    : words(pack(req)), hash(hash_words(words)) {}
 
 CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   CacheMetrics& metrics = CacheMetrics::instance();
-  const std::string key = signature(req);
+  const CostKey key(req);
+  Shard& shard = shards_[key.hash % kShards];
   {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      ++shard.hits;
       metrics.hits.add();
       return it->second;
     }
@@ -62,71 +139,50 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   e.energy_nj = cost.energy.energy_nj();
   e.avg_power_w = cost.energy.avg_power_w;
   e.area_mm2 = cost.energy.area_mm2;
-  MutexLock lock(mu_);
-  const bool inserted = map_.emplace(key, e).second;
+  MutexLock lock(shard.mu);
   // Exactly one racing thread owns the insert (one miss per entry); the
-  // losers found the value present and count as hits, keeping
-  // hits + misses == lookups and misses == size().
-  if (inserted) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  // losers found the value present and count as hits.
+  if (shard.map.emplace(key, e).second) {
+    ++shard.misses;
     metrics.misses.add();
     metrics.inserts.add();
   } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.hits;
     metrics.hits.add();
   }
   return e;
 }
 
 std::string CostCache::signature(const KernelRequest& req) {
-  const arch::CoreConfig& core = req.core;
-  std::ostringstream os;
-  // Round-trip precision for the floating-point fields: distinct doubles
-  // must never collapse onto one key (the default 6 significant digits
-  // would alias fine-grained bandwidth or clock sweep points).
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << to_string(req.kind) << '|' << req.a.rows() << 'x' << req.a.cols() << '|'
-     << req.b.rows() << 'x' << req.b.cols() << '|' << req.c.rows() << 'x'
-     << req.c.cols() << '|' << req.x.size() << ':' << req.owner_col << '|'
-     << req.bw_words_per_cycle << '|' << static_cast<int>(req.overlap) << '|'
-     << req.mc << ',' << req.kc << "|core:" << core.nr << ','
-     << core.pe.pipeline_stages << ',' << core.bus_latency << ','
-     << static_cast<int>(core.sfu) << ',' << core.sfu_latency_recip << ','
-     << core.sfu_latency_rsqrt << ',' << core.sfu_latency_sqrt << ','
-     << core.sw_emulation_cycles << ',' << core.pe.extensions.comparator << ','
-     << core.pe.extensions.extended_exponent
-     // Fields the energy/area models read (the cycle models don't): clock,
-     // precision, local-store organisation, and the technology context.
-     << "|pe:" << core.pe.clock_ghz << ',' << static_cast<int>(core.pe.precision)
-     << ',' << core.pe.mem_a_kbytes << ',' << core.pe.mem_a_ports << ','
-     << core.pe.mem_b_kbytes << ',' << core.pe.mem_b_ports
-     << "|tech:" << static_cast<int>(req.tech.node) << ',' << req.tech.clock_ghz
-     << "|mem:" << req.chip.onchip_mem_mbytes;
-  // Kind-specific key fields (ChipGemm's chip organisation, Fft's
-  // size/radix/variant/frame-count) come from the registry entry, so a new
-  // kernel's signature extension lands with its registration.
-  if (const KernelTraits* traits = try_kernel_traits(req.kind);
-      traits && traits->signature_extra)
-    traits->signature_extra(req, os);
-  return os.str();
+  const CostKey key(req);
+  return std::string(reinterpret_cast<const char*>(key.words.data()),
+                     sizeof(key.words));
+}
+
+CostCache::Totals CostCache::totals() const {
+  Totals t;
+  for (const Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    t.hits += shard.hits;
+    t.misses += shard.misses;
+    t.entries += shard.map.size();
+  }
+  return t;
 }
 
 double CostCache::hit_rate() const {
-  const double h = static_cast<double>(hits_.load());
-  const double m = static_cast<double>(misses_.load());
-  return h + m > 0 ? h / (h + m) : 0.0;
-}
-
-std::size_t CostCache::size() const {
-  MutexLock lock(mu_);
-  return map_.size();
+  const Totals t = totals();
+  const double lookups = static_cast<double>(t.hits + t.misses);
+  return lookups > 0 ? static_cast<double>(t.hits) / lookups : 0.0;
 }
 
 void CostCache::clear() {
-  MutexLock lock(mu_);
-  map_.clear();
-  hits_.store(0);
-  misses_.store(0);
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    shard.map.clear();
+    shard.hits = 0;
+    shard.misses = 0;
+  }
 }
 
 AsyncExecutor::AsyncExecutor(const Executor& backend, ThreadPool* pool,

@@ -9,16 +9,16 @@
 //                     std::future<KernelResult>s executed on a persistent
 //                     ThreadPool (no thread spawn on the hot path).
 //   CostCache      -- memoizes the analytical backend's full cost estimate
-//                     (cycles, utilization, energy, power, area) keyed by
-//                     the request *signature* (kernel kind, operand shapes,
+//                     (cycles, utilization, energy, power, area) keyed by a
+//                     fixed-size CostKey (kernel kind, operand shapes,
 //                     core/chip configuration, bandwidth, overlap regime,
-//                     technology context), so repeated-shape traffic skips
-//                     re-estimation entirely.
+//                     technology context, FFT geometry), so repeated-shape
+//                     traffic skips re-estimation entirely.
 //
 // Requests on this path should carry shared operand payloads (see the
 // shared-payload make_* overloads in kernel_request.hpp): enqueueing then
 // costs two pointer copies instead of three matrix copies.
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -37,11 +37,33 @@ class Histogram;
 
 namespace lac::fabric {
 
+/// The CostCache key: every request field a cycle or energy model reads,
+/// packed into fixed 64-bit words. Doubles are keyed by bit pattern, so a
+/// NaN field still matches itself and -0.0 stays distinct from 0.0. Every
+/// kind keys the ChipGemm fields (chip organisation and chip.core) and the
+/// FFT fields; kinds that never read them carry their defaults, so no
+/// per-kind hook is needed. The key holds no padding: equality and the
+/// hash cover exactly the packed fields.
+struct CostKey {
+  static constexpr std::size_t kWords = 40;
+
+  explicit CostKey(const KernelRequest& req);
+
+  std::array<std::uint64_t, kWords> words;
+  std::uint64_t hash;  ///< of `words`, computed once: shard and bucket reuse it
+
+  friend bool operator==(const CostKey&, const CostKey&) = default;
+
+  struct Hash {
+    std::size_t operator()(const CostKey& key) const noexcept { return key.hash; }
+  };
+};
+
 /// Thread-safe memo of model-backend cost estimates (cycles, utilization,
 /// energy, power, area). The estimate for a request depends only on its
-/// signature -- never on operand values -- so one entry serves every
-/// request of the same shape against the same architecture point and
-/// technology context.
+/// CostKey -- never on operand values -- so one entry serves every request
+/// of the same shape against the same architecture point and technology
+/// context.
 class CostCache {
  public:
   struct Estimate {
@@ -54,30 +76,42 @@ class CostCache {
 
   /// Cached estimate for the request, computing (and remembering) it on a
   /// miss via the closed-form models behind ModelExecutor.
-  Estimate estimate(const KernelRequest& req) LAC_EXCLUDES(mu_);
+  Estimate estimate(const KernelRequest& req);
 
-  /// The memo key: every field of the request that the cycle or energy
-  /// models read, each separated by an explicit delimiter (no two adjacent
-  /// fields may concatenate ambiguously as more fields are added).
-  /// Kind-specific fields (ChipGemm's chip organisation, Fft's
-  /// size/radix/variant/frames) come from the registry's signature_extra
-  /// hook, so they register with the kernel.
+  /// The request's CostKey words as a byte string: two signatures are
+  /// equal exactly when the keys are.
   static std::string signature(const KernelRequest& req);
 
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-  /// Hits over lookups so far (0 when the cache is cold). Threads racing on
-  /// a cold key resolve to one miss (the inserting thread) and hits for the
-  /// rest, so hits + misses == lookups and misses == distinct entries.
+  /// Threads racing on a cold key resolve to one miss (the inserting
+  /// thread) and hits for the rest, so hits + misses == lookups and
+  /// misses == size().
+  std::uint64_t hits() const { return totals().hits; }
+  std::uint64_t misses() const { return totals().misses; }
+  /// Hits over lookups so far (0 when the cache is cold).
   double hit_rate() const;
-  std::size_t size() const LAC_EXCLUDES(mu_);
-  void clear() LAC_EXCLUDES(mu_);
+  std::size_t size() const { return totals().entries; }
+  void clear();
 
  private:
-  mutable Mutex mu_;
-  std::unordered_map<std::string, Estimate> map_ LAC_GUARDED_BY(mu_);
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  struct Totals {
+    std::uint64_t hits = 0, misses = 0;
+    std::size_t entries = 0;
+  };
+  Totals totals() const;
+
+  /// Entries spread over a fixed number of independently locked shards,
+  /// chosen by the key's hash: with the key this cheap, a single lock in
+  /// front of every lookup would be the cost.
+  static constexpr std::size_t kShards = 16;
+
+  struct alignas(64) Shard {
+    mutable Mutex mu;
+    std::unordered_map<CostKey, Estimate, CostKey::Hash> map LAC_GUARDED_BY(mu);
+    std::uint64_t hits LAC_GUARDED_BY(mu) = 0;
+    std::uint64_t misses LAC_GUARDED_BY(mu) = 0;
+  };
+
+  std::array<Shard, kShards> shards_;
 };
 
 /// Asynchronous façade over any Executor: submissions return futures that

@@ -40,7 +40,7 @@ struct GraphScheduler::Unit {
   std::shared_ptr<Job> job;
   NodeId id = 0;
   fabric::KernelRequest req;
-  std::string signature;   // cost-model signature (affinity batching)
+  std::optional<fabric::CostKey> key;  // affinity batching; unset at batch_limit <= 1
   std::string make_error;  // deferred `make` closure threw; fail in-band
   std::uint64_t ready_ns = 0;  // enqueue timestamp (ready -> run wait)
 };
@@ -269,8 +269,7 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   unit->job = std::move(job);
   unit->id = 0;
   unit->req = std::move(req);
-  if (opts_.batch_limit > 1)
-    unit->signature = fabric::CostCache::signature(unit->req);
+  if (opts_.batch_limit > 1) unit->key.emplace(unit->req);
   std::vector<std::unique_ptr<Unit>> units;
   units.push_back(std::move(unit));
   enqueue(std::move(units));
@@ -285,8 +284,7 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
   auto unit = std::make_unique<Unit>();
   try {
     unit->req = job->graph.node(id).make();
-    if (opts_.batch_limit > 1)
-      unit->signature = fabric::CostCache::signature(unit->req);
+    if (opts_.batch_limit > 1) unit->key.emplace(unit->req);
   } catch (const std::exception& e) {
     unit->make_error = std::string("request build failed: ") + e.what();
   } catch (...) {
@@ -354,14 +352,14 @@ GraphScheduler::take_batch_locked() {
   batch.push_back(std::move(best->ready.front()));
   best->ready.pop_front();
   ++best->inflight;
-  // Signature-affinity batching: pull same-signature units from this
-  // tenant's queue so they execute back-to-back (the model backend's
+  // Cost-key affinity batching: pull units with the same CostKey from
+  // this tenant's queue so they execute back-to-back (the model backend's
   // CostCache stays hot, and per-unit dispatch overhead amortizes).
-  const std::string& sig = batch.front()->signature;
-  if (opts_.batch_limit > 1 && !sig.empty()) {
+  const std::optional<fabric::CostKey>& key = batch.front()->key;
+  if (key) {
     for (auto it = best->ready.begin();
          it != best->ready.end() && batch.size() < opts_.batch_limit;) {
-      if ((*it)->signature == sig) {
+      if ((*it)->key == key) {
         batch.push_back(std::move(*it));
         it = best->ready.erase(it);
         ++best->inflight;

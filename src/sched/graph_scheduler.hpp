@@ -14,10 +14,10 @@
 //   - bounded admission: at most `queue_capacity` jobs are admitted and
 //     unfinished at once -- submit() blocks (backpressure), try_submit()
 //     refuses;
-//   - signature-affinity batching: ready units with identical cost-model
-//     signatures dispatch back-to-back on one worker, so model-backend
-//     traffic hits the CostCache while it is hot and skips per-unit
-//     dispatch overhead.
+//   - cost-key affinity batching: ready units with equal CostKeys (the
+//     cost cache's key) dispatch back-to-back on one worker, so
+//     model-backend traffic hits the CostCache while it is hot and skips
+//     per-unit dispatch overhead.
 //
 // Failure semantics follow PR 2: a failed node reports in-band
 // (ok = false, zero cost), and every node downstream of it is cancelled
@@ -58,7 +58,7 @@ struct SchedulerOptions {
   unsigned workers = 0;
   /// Admitted-but-unfinished job bound (graphs and single requests alike).
   std::size_t queue_capacity = 64;
-  /// Max units one worker takes per dispatch when their signatures match
+  /// Max units one worker takes per dispatch when their CostKeys match
   /// (<= 1, the default, disables affinity batching). Worth raising only
   /// when the backend is a CostCache-backed ModelExecutor: batching keeps
   /// the memo hot and amortizes dispatch, but on the sim backend it just

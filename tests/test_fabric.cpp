@@ -8,6 +8,7 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -16,6 +17,7 @@
 #include "blas/ref_lapack.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
+#include "fabric/kernel_registry.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/sim_executor.hpp"
 #include "fft/reference_fft.hpp"
@@ -289,7 +291,29 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   for (double bw : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
                     std::numeric_limits<double>::infinity()})
     bad.push_back(make_gemm(cfg, bw, a.view(), a.view(), a.view()));
+  // Clocks and tech nodes no cost model can price: each used to come back
+  // ok with a NaN, negative or wrongly clocked energy, or an unknown node.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const KernelRequest good = make_gemm(cfg, 2.0, a.view(), a.view(), a.view());
+  for (double ghz : {inf, -1.0, nan}) {
+    bad.push_back(good);
+    bad.back().tech.clock_ghz = ghz;
+    bad.back().tag = "tech.clock_ghz " + std::to_string(ghz);
+  }
+  for (double ghz : {0.0, -1.0, nan}) {
+    bad.push_back(good);
+    bad.back().core.pe.clock_ghz = ghz;
+    bad.back().tag = "core.pe.clock_ghz " + std::to_string(ghz);
+  }
+  bad.push_back(good);
+  bad.back().tech.node = static_cast<arch::TechNode>(7);
+  bad.back().tag = "tech.node 7";
+  bad.push_back(kernel_traits(KernelKind::ChipGemm).sample_request(7));
+  bad.back().chip.core.pe.clock_ghz = nan;
+  bad.back().tag = "chip.core.pe.clock_ghz nan";
   for (const KernelRequest& req : bad) {
+    SCOPED_TRACE(req.tag);
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                                static_cast<const Executor*>(&kModel)}) {
       KernelResult res = ex->execute(req);

@@ -1,9 +1,8 @@
 // Kernel registry completeness and consistency: every KernelKind has
 // registered traits with every hook filled, names round-trip through
 // to_string()/find_kernel_traits(), both backends execute every registered
-// kind's sample request without throwing, and the CostCache signature
-// keys the registry extras (ChipGemm chip organisation, FFT
-// size/radix/variant/frames) with the explicit-delimiter convention.
+// kind's sample request without throwing, and no two kinds' sample
+// requests share a CostCache key.
 #include <gtest/gtest.h>
 
 #include <set>

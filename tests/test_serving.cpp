@@ -8,13 +8,16 @@
 #include <cmath>
 #include <complex>
 #include <future>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/presets.hpp"
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
+#include "fabric/kernel_registry.hpp"
 #include "fabric/model_executor.hpp"
 #include "fabric/serving.hpp"
 #include "fabric/sim_executor.hpp"
@@ -363,6 +366,29 @@ TEST(CostCache, ColdKeyRaceCountsOneMissPerEntry) {
     EXPECT_EQ(cache.misses(), 1u) << "round " << round;
     EXPECT_EQ(cache.hits(), kThreads - 1u) << "round " << round;
   }
+
+  // The same contract across shards: 8 threads walk 128 cold keys in the
+  // same order (several keys per shard), so most keys are raced.
+  std::vector<KernelRequest> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(make_gemm(cfg, 0.5 + 0.125 * i, a, b, c));
+    keys.push_back(make_syrk(cfg, 0.5 + 0.125 * i, a, c));
+  }
+  for (int round = 0; round < test::scaled(4, 1); ++round) {
+    CostCache cache;
+    constexpr unsigned kThreads = 8;
+    ThreadPool pool(kThreads);
+    std::vector<std::future<void>> futs;
+    for (unsigned t = 0; t < kThreads; ++t)
+      futs.push_back(pool.submit([&] {
+        for (const KernelRequest& req : keys) cache.estimate(req);
+      }));
+    for (std::future<void>& f : futs) f.get();
+    EXPECT_EQ(cache.size(), keys.size()) << "round " << round;
+    EXPECT_EQ(cache.misses(), keys.size()) << "round " << round;
+    EXPECT_EQ(cache.hits() + cache.misses(), kThreads * keys.size())
+        << "round " << round;
+  }
 }
 
 TEST(CostCache, SignatureKeysEveryEnergyRelevantField) {
@@ -406,8 +432,8 @@ TEST(CostCache, SignatureKeysEveryEnergyRelevantField) {
 }
 
 TEST(CostCache, SignatureSeparatesExtensionBools) {
-  // The two MAC-extension flags are delimited fields, not a concatenated
-  // bit blob: flipping either one alone must change the key.
+  // The two MAC-extension flags are separate key fields: flipping either
+  // one alone must change the key.
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   MatrixD panel = random_matrix(16, 4, 220);
   const std::string base = CostCache::signature(make_lu(cfg, panel.view()));
@@ -420,10 +446,6 @@ TEST(CostCache, SignatureSeparatesExtensionBools) {
   EXPECT_NE(sig_cmp, base);
   EXPECT_NE(sig_exp, base);
   EXPECT_NE(sig_cmp, sig_exp);
-  // Explicit delimiter between the flags (regression for the unseparated
-  // "<<bool<<bool" streaming): flipping comparator on changes exactly the
-  // field before the delimiter, so the flags parse as ",1,0" not ",10".
-  EXPECT_NE(sig_cmp.find(",1,0|"), std::string::npos);
 }
 
 TEST(CostCache, SignatureSeparatesShapeAndConfig) {
@@ -454,13 +476,71 @@ TEST(CostCache, SignatureSeparatesShapeAndConfig) {
   KernelRequest bw_lo = make_gemm(cfg, 1024.001, a16.view(), b16.view(), c16.view());
   KernelRequest bw_hi = make_gemm(cfg, 1024.004, a16.view(), b16.view(), c16.view());
   EXPECT_NE(CostCache::signature(bw_lo), CostCache::signature(bw_hi));
+
+  // One single-field change per remaining key field: every variant, and
+  // each base, must land on its own key.
+  const KernelTraits& chip_traits = kernel_traits(KernelKind::ChipGemm);
+  const KernelRequest chip = chip_traits.sized_request(cfg, 2.0, 16, 7);
+  const KernelRequest vnorm = make_vnorm(cfg, std::vector<double>(16, 1.0));
+  std::map<std::string, std::string> seen;
+  const auto distinct = [&seen](const std::string& label, const KernelRequest& req) {
+    const auto [it, fresh] = seen.emplace(CostCache::signature(req), label);
+    EXPECT_TRUE(fresh) << label << " shares a key with " << it->second;
+  };
+  const auto with_core = [&](const std::string& label, auto edit) {
+    arch::CoreConfig core = cfg;
+    edit(core);
+    distinct(label, make_gemm(core, 2.0, a16.view(), b16.view(), c16.view()));
+  };
+  const auto with_chip = [&](const std::string& label, auto edit) {
+    KernelRequest req = chip;
+    edit(req);
+    distinct(label, req);
+  };
+  distinct("gemm", r1);
+  distinct("chip_gemm", chip);
+  distinct("vnorm", vnorm);
+  with_core("bus_latency", [](arch::CoreConfig& c) { c.bus_latency = 2; });
+  with_core("sfu", [](arch::CoreConfig& c) { c.sfu = arch::SfuOption::DiagonalPEs; });
+  with_core("sfu_latency_recip", [](arch::CoreConfig& c) { c.sfu_latency_recip += 1; });
+  with_core("sfu_latency_rsqrt", [](arch::CoreConfig& c) { c.sfu_latency_rsqrt += 1; });
+  with_core("sfu_latency_sqrt", [](arch::CoreConfig& c) { c.sfu_latency_sqrt += 1; });
+  with_core("sw_emulation_cycles", [](arch::CoreConfig& c) { c.sw_emulation_cycles += 1; });
+  with_core("mem_a_ports", [](arch::CoreConfig& c) { c.pe.mem_a_ports = 2; });
+  with_core("mem_b_ports", [](arch::CoreConfig& c) { c.pe.mem_b_ports = 1; });
+  with_core("mem_b_kbytes", [](arch::CoreConfig& c) { c.pe.mem_b_kbytes = 4.0; });
+  distinct("overlap", make_gemm(cfg, 2.0, a16.view(), b16.view(), c16.view(),
+                                model::Overlap::Full));
+  distinct("owner_col", make_vnorm(cfg, std::vector<double>(16, 1.0), 1));
+  distinct("x size", make_vnorm(cfg, std::vector<double>(32, 1.0)));
+  with_chip("mc", [](KernelRequest& r) { r.mc *= 2; });
+  with_chip("kc", [](KernelRequest& r) { r.kc *= 2; });
+  with_chip("cores", [](KernelRequest& r) { r.chip.cores += 1; });
+  with_chip("onchip_bw", [](KernelRequest& r) { r.chip.onchip_bw_words_per_cycle *= 2; });
+  with_chip("offchip_bw", [](KernelRequest& r) { r.chip.offchip_bw_words_per_cycle *= 2; });
+  with_chip("mem_kind", [](KernelRequest& r) { r.chip.mem_kind = arch::OnChipMemKind::Nuca; });
+  with_chip("onchip_mem_mbytes", [](KernelRequest& r) { r.chip.onchip_mem_mbytes *= 2; });
+
+  // ChipGemm's cycle and energy models read chip.core, not core: a deeper
+  // pipeline at a faster clock costs more cycles and energy, so it must
+  // not share the base point's entry.
+  KernelRequest deep = chip;
+  deep.chip.core.pe.pipeline_stages = 9;
+  deep.chip.core.pe.clock_ghz = 2.0;
+  distinct("chip.core", deep);
+  CostCache cache;
+  const CostCache::Estimate base_est = cache.estimate(chip);
+  const CostCache::Estimate deep_est = cache.estimate(deep);
+  EXPECT_EQ(deep_est.cycles.value(), model_cost(deep).cycles.value());
+  EXPECT_EQ(deep_est.energy_nj.value(), model_cost(deep).energy.energy_nj().value());
+  EXPECT_NE(deep_est.cycles.value(), base_est.cycles.value());
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(CostCache, SignatureKeysFftFieldsWithoutCollisions) {
   // Regression for the tenth kernel: the FFT-specific fields (transform
-  // size, radix, variant, frame count) are part of the key, each behind an
-  // explicit delimiter, so no two distinct FFT operating points -- and no
-  // ambiguous field concatenation -- can share an entry.
+  // size, radix, variant, frame count) are each part of the key, so no two
+  // distinct FFT operating points can share an entry.
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   const std::vector<std::complex<double>> one = random_cplx_vector(64, 300);
   const std::vector<std::complex<double>> two = random_cplx_vector(128, 301);
@@ -477,9 +557,7 @@ TEST(CostCache, SignatureKeysFftFieldsWithoutCollisions) {
   EXPECT_NE(CostCache::signature(make_fft(cfg, 2.0, two)), sig);
 
   // Size/radix are keyed individually: a hypothetical 640-point radix-4
-  // and 64-point radix-40 request must not concatenate onto one key
-  // ("640|4" vs "64|04" style collisions -- the explicit-delimiter
-  // convention of PR 3).
+  // and 64-point radix-40 request must not share a key.
   KernelRequest n640 = base;
   n640.fft_n = 640;
   KernelRequest r40 = base;

@@ -15,11 +15,6 @@ compiles fine today and corrupts an invariant three PRs later:
                         (the workload/serving layers build traffic via
                         sized_request, so a kind without one is invisible
                         to the workload generators).
-  signature-delimiters  CostCache::signature and every registered
-                        signature_extra hook put an explicit delimiter
-                        literal between adjacent key fields, and each
-                        extra opens with a '|' literal (PR 3: "640|4" vs
-                        "64|04" style key collisions).
   bench-schema          Every numeric field a bench emits into a
                         BENCH_*.json must carry a unit suffix (_cycles,
                         _nj, _w, _mm2, _ms, _per_s, ... -- or be a named
@@ -101,7 +96,6 @@ from pathlib import Path
 
 REGISTRY = "src/fabric/kernel_registry.cpp"
 REQUEST_HPP = "src/fabric/kernel_request.hpp"
-SERVING_CPP = "src/fabric/serving.cpp"
 
 # Directories holding product/tooling code the conventions bind. Tests are
 # exempt from stray-kernel-switch (see above) but not from raw-thread,
@@ -174,42 +168,6 @@ def matched_body(text, open_brace):
                 return clean[open_brace + 1 : i], i
         i += 1
     return clean[open_brace + 1 :], len(clean)
-
-
-def split_stream_fields(chain):
-    """Split an `a << b << c` chain at top-level << into operand strings."""
-    fields = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(chain):
-        c = chain[i]
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < len(chain):
-                if chain[i] == "\\":
-                    i += 2
-                    continue
-                if chain[i] == quote:
-                    break
-                i += 1
-        elif c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif depth == 0 and chain.startswith("<<", i):
-            fields.append(chain[start:i].strip())
-            i += 2
-            start = i
-            continue
-        i += 1
-    fields.append(chain[start:].strip())
-    return fields
-
-
-def is_literal(field):
-    return field.startswith('"') or field.startswith("'")
 
 
 class Tree:
@@ -307,53 +265,6 @@ def check_registry_complete(tree):
                  "sized_request hook -- the workload/serving generators "
                  "cannot build traffic for it")
             )
-    return findings
-
-
-def signature_chains(body):
-    """All `os << ...` field sequences in a function/lambda body, in order."""
-    fields = []
-    for stmt in re.finditer(r"\bos\s*<<(.*?);", body, re.S):
-        chain = "os <<" + stmt.group(1)
-        fields.extend(split_stream_fields(chain)[1:])  # drop the `os` operand
-    return fields
-
-
-def check_fields(rel, line, fields, require_leading_pipe, findings):
-    if require_leading_pipe:
-        if not fields or not (is_literal(fields[0]) and
-                              fields[0].lstrip('"').startswith("|")):
-            findings.append(
-                (rel, line,
-                 "signature_extra must open with a '|...' literal so "
-                 "kind-specific fields cannot run into the shared prefix")
-            )
-    for a, b in zip(fields, fields[1:]):
-        if not is_literal(a) and not is_literal(b):
-            findings.append(
-                (rel, line,
-                 f"adjacent signature fields `{a}` and `{b}` have no "
-                 "delimiter literal between them -- distinct requests "
-                 "could concatenate onto one cache key")
-            )
-
-
-def check_signature_delimiters(tree):
-    findings = []
-    serving = strip_comments(tree.files.get(SERVING_CPP, ""))
-    m = re.search(r"CostCache::signature\s*\([^)]*\)\s*\{", serving)
-    if not m:
-        findings.append((SERVING_CPP, 1, "could not find CostCache::signature"))
-    else:
-        body, _ = matched_body(serving, m.end() - 1)
-        check_fields(SERVING_CPP, line_of(serving, m.start()),
-                     signature_chains(body), False, findings)
-
-    reg = strip_comments(tree.files.get(REGISTRY, ""))
-    for em in re.finditer(r"signature_extra\s*=\s*\[[^\]]*\]\s*\([^)]*\)\s*\{", reg):
-        body, _ = matched_body(reg, em.end() - 1)
-        check_fields(REGISTRY, line_of(reg, em.start()),
-                     signature_chains(body), True, findings)
     return findings
 
 
@@ -876,7 +787,6 @@ CHECKS = {
     "stray-kernel-switch": check_stray_kernel_switch,
     "bench-schema": check_bench_schema,
     "registry-complete": check_registry_complete,
-    "signature-delimiters": check_signature_delimiters,
     "raw-thread": check_raw_thread,
     "metric-names": check_metric_names,
     "hot-alloc": check_hot_alloc,
@@ -923,26 +833,6 @@ def self_test(tree):
     def seed_sized_request(files):
         files[REGISTRY] = re.sub(r"t\.sized_request", "t.lint_seed",
                                  files[REGISTRY], count=1)
-
-    # signature-delimiters: two adjacent fields with no delimiter.
-    def seed_delimiter(files):
-        files[REGISTRY] += (
-            "\nnamespace { void lint_seed(lac::fabric::KernelTraits& t) {\n"
-            "  t.signature_extra = [](const lac::fabric::KernelRequest& req,\n"
-            "                         std::ostream& os) {\n"
-            "    os << \"|seed:\" << req.fft_n << req.fft_radix;\n"
-            "  };\n} }\n"
-        )
-
-    # signature-delimiters: an extra that does not open with '|'.
-    def seed_leading_pipe(files):
-        files[REGISTRY] += (
-            "\nnamespace { void lint_seed2(lac::fabric::KernelTraits& t) {\n"
-            "  t.signature_extra = [](const lac::fabric::KernelRequest& req,\n"
-            "                         std::ostream& os) {\n"
-            "    os << req.fft_n << ',' << req.fft_radix;\n"
-            "  };\n} }\n"
-        )
 
     # bench-schema: a numeric JSON field with no unit suffix.
     def seed_bench_schema(files):
@@ -1010,8 +900,6 @@ def self_test(tree):
         ("bench-schema", seed_bench_schema),
         ("registry-complete", seed_registry),
         ("registry-complete", seed_sized_request),
-        ("signature-delimiters", seed_delimiter),
-        ("signature-delimiters", seed_leading_pipe),
         ("raw-thread", seed_thread),
         ("metric-names", seed_metric_name),
         ("metric-names", seed_metric_case),
