@@ -1,0 +1,151 @@
+// Byte-identity pin for the cycle-exact backend. Every registered kernel
+// kind runs through SimExecutor over a grid of core configs, operand sizes,
+// bandwidths and (for GEMM) both overlap modes; everything the simulator
+// decides -- outputs, pivots, taus, the norm, cycles, utilization and the
+// sim::Stats activity counters -- is folded into one FNV-1a digest per
+// (kind, config), doubles by bit pattern. A simulator speed-up must leave
+// every digest unchanged.
+//
+// Left out: energy (priced with std::pow) and FFT spectra (twiddles from
+// std::cos / std::sin), whose last bit may vary with the libm version;
+// their inputs, the stats and cycles, are pinned here anyway.
+//
+// The digests hold for builds that do not contract `a * b + c` into a
+// fused multiply-add: the default x86-64 flags. A -march=native build (or
+// any target whose baseline ISA has FMA, under GCC's default
+// -ffp-contract=fast) changes output bits and fails this test.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "arch/presets.hpp"
+#include "fabric/kernel_registry.hpp"
+#include "fabric/sim_executor.hpp"
+
+namespace lac::fabric {
+namespace {
+
+constexpr std::size_t kConfigs = 4;
+
+std::array<arch::CoreConfig, kConfigs> golden_configs() {
+  arch::CoreConfig ports = arch::lac_4x4_dp();
+  ports.pe.mem_b_ports = 3;
+  ports.pe.mem_a_ports = 2;
+  ports.pe.pipeline_stages = 7;
+  ports.sfu = arch::SfuOption::Software;
+  arch::CoreConfig bus = arch::lac_4x4_dp();
+  bus.bus_latency = 2;
+  bus.sfu = arch::SfuOption::DiagonalPEs;
+  bus.pe.extensions.comparator = true;
+  return {arch::lac_4x4_dp(), arch::lac_8x8_dp(), ports, bus};
+}
+
+/// Digests by kind name, one column per golden_configs() entry: the 4x4
+/// baseline, the 8x8 core, 3-port MEM-B / 2-port MEM-A / 7 stages /
+/// software SFU, and bus latency 2 / diagonal-PE SFU / comparator.
+struct Golden {
+  const char* kind;
+  std::array<std::uint64_t, kConfigs> digest;
+};
+
+constexpr Golden kGolden[] = {
+    {"GEMM", {0xfa7821a0f2873cceull, 0x50bf26ccf0652254ull, 0x21e3b06dc09a7e0aull, 0xf7ecc74efc528c06ull}},
+    {"SYRK", {0x5fac3773ee01337full, 0x7761f318aa8b0fc9ull, 0x0af1270a48bbeda1ull, 0x5c16d50de44956bfull}},
+    {"SYR2K", {0x652543b8548a1493ull, 0x5c6769862144fb2dull, 0xe7f03c682bfe3578ull, 0xff2fd0dc805b5820ull}},
+    {"TRSM", {0xe823577557e1d046ull, 0x7898ca2ef9941535ull, 0x2bc5bcd91ded047bull, 0x0073e5b423720cd8ull}},
+    {"CHOL", {0xfa0cbad4e5344e14ull, 0x094d2d57be53cc0full, 0x5c9c87ab6cbb1999ull, 0x64ff0bfc0abae085ull}},
+    {"LU", {0xfb04c2a59a908046ull, 0x21ab65a971beba2bull, 0xe8ef33fb796e7b63ull, 0x38ddf06a810d453aull}},
+    {"QR", {0x49d30451ee849d0dull, 0xece13cae697c566dull, 0x25f31af2c3bb253aull, 0xa5a71e626bac379bull}},
+    {"VNORM", {0x2a599800fc875634ull, 0x5e0d438b13f56667ull, 0x980c813084bb1929ull, 0x4f3812831c0d7666ull}},
+    {"CHIP_GEMM", {0x46c96ac48f5e81dcull, 0x2eef183b6088a511ull, 0x268b456e0748cf5bull, 0x46c96ac48f5e81dcull}},
+    {"FFT", {0x38d5338f9e169c5full, 0xc5f85ee1a85bcf45ull, 0x224fa0935d8bdeaeull, 0x8716fa1aa8b6733bull}},
+};
+
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+void add_result(Digest& d, const KernelResult& r) {
+  d.add(static_cast<std::uint64_t>(r.ok));
+  d.add(static_cast<std::int64_t>(r.out.rows()));
+  d.add(static_cast<std::int64_t>(r.out.cols()));
+  for (index_t i = 0; i < r.out.rows(); ++i)
+    for (index_t j = 0; j < r.out.cols(); ++j) d.add(r.out(i, j));
+  d.add(static_cast<std::uint64_t>(r.pivots.size()));
+  for (index_t p : r.pivots) d.add(static_cast<std::int64_t>(p));
+  d.add(static_cast<std::uint64_t>(r.taus.size()));
+  for (double t : r.taus) d.add(t);
+  d.add(r.scalar);
+  d.add(r.cycles.value());
+  d.add(r.utilization);
+  const sim::Stats& s = r.stats;
+  for (std::int64_t v : {s.mac_ops, s.mul_ops, s.cmp_ops, s.mem_a_reads,
+                         s.mem_a_writes, s.mem_b_reads, s.mem_b_writes,
+                         s.rf_reads, s.rf_writes, s.row_bus_xfers,
+                         s.col_bus_xfers, s.sfu_ops, s.dma_words})
+    d.add(v);
+}
+
+std::uint64_t digest_kind(KernelKind kind, const arch::CoreConfig& cfg) {
+  const SimExecutor sim;
+  const KernelTraits& t = kernel_traits(kind);
+  Digest d;
+  for (index_t n : {16, 32, 64})
+    for (double bw : {0.5, 2.0, 3.0}) {
+      // 3 words/cycle makes transfer times that are not dyadic fractions.
+      std::vector<model::Overlap> overlaps{model::Overlap::Partial};
+      if (kind == KernelKind::Gemm) overlaps.push_back(model::Overlap::Full);
+      for (model::Overlap ov : overlaps) {
+        KernelRequest req = t.sized_request(cfg, bw, n, 2013);
+        req.overlap = ov;
+        add_result(d, sim.execute(req));
+      }
+    }
+  return d.value();
+}
+
+TEST(SimGolden, EveryKindMatchesPinnedDigests) {
+  const auto cfgs = golden_configs();
+  std::string table;
+  bool all_match = true;
+  for (KernelKind kind : registered_kernel_kinds()) {
+    const char* name = to_string(kind);
+    const Golden* pinned = nullptr;
+    for (const Golden& g : kGolden)
+      if (std::string(g.kind) == name) pinned = &g;
+    char row[160];
+    std::snprintf(row, sizeof row, "    {\"%s\", {", name);
+    table += row;
+    for (std::size_t c = 0; c < kConfigs; ++c) {
+      const std::uint64_t got = digest_kind(kind, cfgs[c]);
+      if (!pinned || pinned->digest[c] != got) all_match = false;
+      std::snprintf(row, sizeof row, "%s0x%016" PRIx64 "ull", c ? ", " : "", got);
+      table += row;
+    }
+    table += "}},\n";
+  }
+  EXPECT_TRUE(all_match)
+      << "simulator output changed; if intended, paste as kGolden:\n"
+      << table;
+}
+
+}  // namespace
+}  // namespace lac::fabric
