@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "sim/arena.hpp"
 
 namespace lac::fabric {
 namespace {
@@ -121,28 +122,50 @@ sim::time_t_ StreamSchedule::stage_panel(ConstViewD a) {
   return dma(static_cast<double>(k) * cols);
 }
 
-void StreamSchedule::rank1_update(int parity, index_t a_base, index_t rows,
-                                  index_t row0, index_t p_begin, index_t p_end,
-                                  index_t slot, sim::time_t_ gate, bool negate) {
+LAC_FMA_CLONES void StreamSchedule::rank1_update(int parity, index_t a_base,
+                                                 index_t rows, index_t row0,
+                                                 index_t p_begin, index_t p_end,
+                                                 index_t slot, sim::time_t_ gate,
+                                                 bool negate) {
   const int nr = core_.nr();
   // Replay the cached SoA plan: owner columns and MEM-A addresses are pure
   // geometry, so repeat shapes skip the address derivation entirely.
   const Rank1Plan& plan = rank1_plan(nr, rows, row0, p_begin, p_end);
   const index_t steps = p_end - p_begin;
+  // Lock-step leads: every PE of a row reads the same MEM-B slot at the
+  // same gate and MACs the same broadcast, so a PE whose timing matches an
+  // earlier PE of its row at entry follows it through the whole sweep.
+  // lead[r * nr + c] is the column PE (r, c) follows, c itself for a lead.
+  sim::Scratch<int> lead(static_cast<std::size_t>(nr) * nr);
+  for (int r = 0; r < nr; ++r)
+    for (int c = 0; c < nr; ++c) {
+      int l = 0;
+      while (l < c && !core_.pe(r, c).lockstep_with(core_.pe(r, l), parity)) ++l;
+      lead[static_cast<std::size_t>(r * nr + c)] = l;
+    }
   for (index_t s = 0; s < steps; ++s) {
     const int owner = plan.owner[static_cast<std::size_t>(s)];
     for (int r = 0; r < nr; ++r) {
       sim::TimedVal av = core_.pe(r, owner).mem_a.read(
           a_base + plan.a_addr[static_cast<std::size_t>(s * nr + r)], gate);
       if (negate) av.v = -av.v;
-      sim::TimedVal a_bcast = core_.broadcast_row(r, av);
+      const sim::TimedVal a_bcast = core_.broadcast_row(r, av);
       for (int c = 0; c < nr; ++c) {
         sim::Pe& pe = core_.pe(r, c);
-        sim::TimedVal bv = pe.mem_b.read(slot + s, gate);
-        pe.mac.mac_into_acc(parity, a_bcast, bv);
+        if (lead[static_cast<std::size_t>(r * nr + c)] == c) {
+          sim::TimedVal bv = pe.mem_b.read(slot + s, gate);
+          pe.mac.mac_into_acc(parity, a_bcast, bv);
+        } else {
+          pe.mac.accumulate(parity, a_bcast.v, pe.mem_b.peek(slot + s));
+        }
       }
     }
   }
+  for (int r = 0; r < nr; ++r)
+    for (int c = 0; c < nr; ++c) {
+      const int l = lead[static_cast<std::size_t>(r * nr + c)];
+      if (l != c) core_.pe(r, c).follow(core_.pe(r, l), parity, steps);
+    }
 }
 
 }  // namespace lac::fabric

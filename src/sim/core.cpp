@@ -42,7 +42,6 @@ void Core::reset(double bw_words_per_cycle, int accumulators) {
   row_xfers_ = 0;
   col_xfers_ = 0;
   dma_words_ = 0;
-  user_finish_ = 0.0;
 }
 
 TimedVal Core::special(SfuKind kind, int row, int col, TimedVal x, time_t_ earliest) {
@@ -68,7 +67,7 @@ TimedVal Core::special(SfuKind kind, int row, int col, TimedVal x, time_t_ earli
 }
 
 time_t_ Core::finish_time() const {
-  time_t_ t = user_finish_;
+  time_t_ t = 0.0;
   for (const auto& pe : pes_) {
     t = std::max(t, pe.mac.issue_port_free());
     // Accumulator drains are captured through read_acc by the kernels.
@@ -77,11 +76,6 @@ time_t_ Core::finish_time() const {
   for (const auto& b : col_bus_) t = std::max(t, b.next_free());
   t = std::max(t, mem_if_.next_free());
   return t;
-}
-
-void Core::barrier(time_t_ t) {
-  user_finish_ = std::max(user_finish_, t);
-  for (auto& pe : pes_) pe.mac.occupy(0.0, 0.0);  // no-op, keeps API uniform
 }
 
 Stats Core::stats() const {

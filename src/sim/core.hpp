@@ -20,6 +20,21 @@ struct Pe {
   /// Restore fresh-constructed state (resizing the accumulator set).
   void reset(int accumulators);
 
+  /// MEM-B port, MAC issue port and accumulator `acc` timing bit-identical
+  /// to `o`'s: a rank-1 sweep (timed MEM-B read, then a chained MAC into
+  /// `acc`, per step) then times this PE exactly as it times `o`.
+  bool lockstep_with(const Pe& o, int acc) const {
+    return mem_b.port_lockstep_with(o.mem_b) && mac.lockstep_with(o.mac, acc);
+  }
+  /// Close a sweep of `steps` steps in which `lead` (lockstep_with it at
+  /// entry) ran the timed reads and MACs and this PE only computed values
+  /// (MEM-B peek + MacPipeline::accumulate): take the lead's timing, count
+  /// this PE's own reads and MACs.
+  void follow(const Pe& lead, int acc, index_t steps) {
+    mem_b.follow_reads(lead.mem_b, steps);
+    mac.follow(lead.mac, acc, steps);
+  }
+
   MacPipeline mac;
   LocalStore mem_a;
   LocalStore mem_b;
@@ -94,8 +109,6 @@ class Core {
   /// Latest completion time over every resource and accumulator: the
   /// makespan of everything issued so far.
   time_t_ finish_time() const;
-  /// Barrier: no resource may start before `t` afterwards.
-  void barrier(time_t_ t);
 
   Stats stats() const;
   double bw_words_per_cycle() const { return bw_; }
@@ -113,7 +126,6 @@ class Core {
   std::int64_t row_xfers_ = 0;
   std::int64_t col_xfers_ = 0;
   std::int64_t dma_words_ = 0;
-  time_t_ user_finish_ = 0.0;  ///< extra completion constraints (barriers)
 };
 
 }  // namespace lac::sim

@@ -9,7 +9,17 @@
 // free, and an operation starts at the max of its operand-ready and
 // resource-free times. Functional values flow with the timestamps, so the
 // simulator simultaneously verifies numerics and yields exact cycle counts.
+//
+// Lock-step control also means identical PEs follow identical timelines:
+// within a rank-1 sweep every PE of a row sees the same broadcast, gate and
+// MEM-B slot, so PEs whose port and accumulator timing start bit-identical
+// stay bit-identical. fabric::StreamSchedule::rank1_update times one lead
+// per such group and lets the others follow (Pe::lockstep_with /
+// Pe::follow); only the values are computed per PE. Cycles, Stats and
+// outputs are byte-identical to timing every PE (tests/test_sim_golden.cpp
+// pins them).
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -27,6 +37,11 @@ struct TimedVal {
 };
 
 inline TimedVal at(double v, time_t_ ready) { return {v, ready}; }
+
+/// Bit-pattern equality: unlike `==`, tells -0.0 from 0.0.
+inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// A structural resource with one in-flight operation slot per cycle
 /// (issue port, bus, SRAM port) or a duration-based pipe (DMA engine).
@@ -48,6 +63,19 @@ class Resource {
   void reset() { next_free_ = 0.0; busy_ = 0.0; ops_ = 0; }
   /// Fast-forward the resource (e.g. after a barrier).
   void advance_to(time_t_ t) { next_free_ = std::max(next_free_, t); }
+
+  /// Next-free and busy time equal to `o`'s bit for bit (not `==`): the
+  /// same acquire sequence then yields the same starts and busy time.
+  bool same_timing(const Resource& o) const {
+    return same_bits(next_free_, o.next_free_) && same_bits(busy_, o.busy_);
+  }
+  /// Account `ops` acquires that `lead` timed from the same state: take
+  /// its next-free and busy time, count the ops here.
+  void follow(const Resource& lead, std::int64_t ops) {
+    next_free_ = lead.next_free_;
+    busy_ = lead.busy_;
+    ops_ += ops;
+  }
 
  private:
   time_t_ next_free_ = 0.0;

@@ -17,8 +17,8 @@ namespace lac::sim {
 
 class LocalStore {
  public:
-  LocalStore(index_t words, int ports) : data_(static_cast<std::size_t>(words), 0.0),
-                                         ports_(ports) {}
+  LocalStore(index_t words, int ports)
+      : data_(static_cast<std::size_t>(words), 0.0), ports_(ports), slot_(1.0 / ports) {}
 
   index_t size() const { return static_cast<index_t>(data_.size()); }
   int ports() const { return ports_; }
@@ -29,39 +29,54 @@ class LocalStore {
   /// Timed read: charges a port slot, value ready one cycle later.
   TimedVal read(index_t addr, time_t_ earliest) {
     assert(addr >= 0 && addr < size());
-    // `ports_` accesses fit in one cycle: charge 1/ports_ of a cycle each.
-    const time_t_ start = port_.acquire(earliest, 1.0 / ports_);
+    const time_t_ start = port_.acquire(earliest, slot_);
     ++reads_;
     return {data_[static_cast<std::size_t>(addr)], start + 1.0};
   }
   /// Timed write: charges a port slot.
   time_t_ write(index_t addr, double v, time_t_ earliest) {
-    assert(addr >= 0 && addr < size());
-    const time_t_ start = port_.acquire(earliest, 1.0 / ports_);
-    data_[static_cast<std::size_t>(addr)] = v;
+    const time_t_ start = port_.acquire(earliest, slot_);
+    poke(addr, v);
     ++writes_;
     return start + 1.0;
   }
 
   /// Untimed accessors for DMA fills (timing charged on the DMA engine).
   double peek(index_t addr) const { return data_[static_cast<std::size_t>(addr)]; }
-  void poke(index_t addr, double v) { data_[static_cast<std::size_t>(addr)] = v; }
+  void poke(index_t addr, double v) {
+    assert(addr >= 0 && addr < size());
+    data_[static_cast<std::size_t>(addr)] = v;
+    dirty_ = std::max(dirty_, addr + 1);
+  }
+
+  /// Port timing bit-identical to `o`'s (see Resource::same_timing).
+  bool port_lockstep_with(const LocalStore& o) const { return port_.same_timing(o.port_); }
+  /// Account `reads` reads that `lead`'s port timed from the same state;
+  /// the words themselves were read untimed (peek).
+  void follow_reads(const LocalStore& lead, index_t reads) {
+    port_.follow(lead.port_, reads);
+    reads_ += reads;
+  }
 
   std::int64_t reads() const { return reads_; }
   std::int64_t writes() const { return writes_; }
   void reset_counters() { reads_ = 0; writes_ = 0; port_.reset(); }
   /// Restore fresh-constructed state: zeroed words (a freshly constructed
   /// store is zero-initialized, and pooled reuse must be byte-identical to
-  /// construction), free port, zero counters.
+  /// construction), free port, zero counters. Only words written since the
+  /// last reset can be non-zero, so only those are cleared.
   void reset() {
-    std::fill(data_.begin(), data_.end(), 0.0);
+    std::fill(data_.begin(), data_.begin() + dirty_, 0.0);
+    dirty_ = 0;
     reset_counters();
   }
 
  private:
   std::vector<double> data_;
   int ports_;
+  time_t_ slot_;  ///< `ports_` accesses fit in one cycle: 1/ports_ each
   Resource port_;  ///< aggregated: `ports_` accesses per cycle
+  index_t dirty_ = 0;  ///< one past the highest word written since reset
   std::int64_t reads_ = 0;
   std::int64_t writes_ = 0;
 };

@@ -11,14 +11,34 @@
 
 #include "sim/engine.hpp"
 
+/// Compile the marked function twice on x86-64 ELF (GCC/Clang): once for
+/// FMA hardware and once for the baseline ISA, picked by the loader from
+/// the CPU. std::fma then becomes one instruction instead of a libm call.
+/// Elsewhere it expands to nothing (aarch64 inlines std::fma already; MSVC
+/// has no such attribute).
+///
+/// Rule: a function carrying LAC_FMA_CLONES -- counting everything inlined
+/// into it -- may contain no `a * b + c` other than an explicit std::fma.
+/// GCC contracts such an expression into a fused multiply-add in the FMA
+/// clone only, so the two clones would round differently and the
+/// simulator's output would depend on the host CPU.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define LAC_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#ifndef LAC_FMA_CLONES
+#define LAC_FMA_CLONES
+#endif
+
 namespace lac::sim {
 
 class MacPipeline {
  public:
   MacPipeline(int pipeline_stages, int accumulators)
-      : p_(pipeline_stages), accs_(static_cast<std::size_t>(accumulators)) {}
+      : depth_(pipeline_stages), accs_(static_cast<std::size_t>(accumulators)) {}
 
-  int depth() const { return p_; }
+  int depth() const { return static_cast<int>(depth_); }
 
   // The arithmetic ops below are defined in the header: they are the
   // innermost operations of every kernel schedule (millions of calls per
@@ -34,10 +54,19 @@ class MacPipeline {
     const time_t_ operands = std::max({a.ready, b.ready, acc.chain_free, earliest});
     const time_t_ issue = issue_.acquire(operands, 1.0);
     acc.value = std::fma(a.v, b.v, acc.value);
-    acc.ready = issue + p_;
+    acc.ready = issue + depth_;
     acc.chain_free = issue + 1.0;  // delayed normalization: 1 acc/cycle
     ++mac_ops_;
     return issue;
+  }
+
+  /// acc[idx] = fma(a, b, acc[idx]) with no timing and no count: the value
+  /// half of mac_into_acc, for a PE whose timing a lock-step lead carries
+  /// (Pe::follow accounts the MACs).
+  void accumulate(int idx, double a, double b) {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    Acc& acc = accs_[static_cast<std::size_t>(idx)];
+    acc.value = std::fma(a, b, acc.value);
   }
 
   /// General 3-input FMA: returns a*b + c as a new value, ready p cycles
@@ -46,7 +75,7 @@ class MacPipeline {
     const time_t_ operands = std::max({a.ready, b.ready, c.ready, earliest});
     const time_t_ issue = issue_.acquire(operands, 1.0);
     ++mac_ops_;
-    return {std::fma(a.v, b.v, c.v), issue + p_};
+    return {std::fma(a.v, b.v, c.v), issue + depth_};
   }
 
   /// 2-input multiply (counted separately from MACs in the stats).
@@ -54,13 +83,13 @@ class MacPipeline {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
     const time_t_ issue = issue_.acquire(operands, 1.0);
     ++mul_ops_;
-    return {a.v * b.v, issue + p_};
+    return {a.v * b.v, issue + depth_};
   }
   TimedVal add(TimedVal a, TimedVal b, time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
     const time_t_ issue = issue_.acquire(operands, 1.0);
     ++mul_ops_;
-    return {a.v + b.v, issue + p_};
+    return {a.v + b.v, issue + depth_};
   }
 
   /// Magnitude compare on the MAC datapath. With the comparator extension
@@ -78,7 +107,7 @@ class MacPipeline {
     // Emulated: subtract magnitudes on the MAC and examine the sign; costs
     // two issue slots and the result is only known after the pipeline drain.
     const time_t_ issue = issue_.acquire(operands, 2.0);
-    return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 2.0 + p_};
+    return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 2.0 + depth_};
   }
 
   /// Read the accumulated value (forces normalization: pipeline drain).
@@ -116,6 +145,26 @@ class MacPipeline {
   /// Block the issue port (e.g. software-emulated divide on this MAC).
   time_t_ occupy(time_t_ earliest, time_t_ cycles) { return issue_.acquire(earliest, cycles); }
 
+  /// Issue port and accumulator `idx` timing (ready and chain-free) bit-
+  /// identical to `o`'s: the same chained MACs then issue at the same times.
+  bool lockstep_with(const MacPipeline& o, int idx) const {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    const Acc& a = accs_[static_cast<std::size_t>(idx)];
+    const Acc& b = o.accs_[static_cast<std::size_t>(idx)];
+    return issue_.same_timing(o.issue_) && same_bits(a.ready, b.ready) &&
+           same_bits(a.chain_free, b.chain_free);
+  }
+  /// Account `macs` chained MACs into accumulator `idx` that `lead` timed
+  /// from the same state: take its issue-port and accumulator timing.
+  void follow(const MacPipeline& lead, int idx, index_t macs) {
+    issue_.follow(lead.issue_, macs);
+    const Acc& from = lead.accs_[static_cast<std::size_t>(idx)];
+    Acc& acc = accs_[static_cast<std::size_t>(idx)];
+    acc.ready = from.ready;
+    acc.chain_free = from.chain_free;
+    mac_ops_ += macs;
+  }
+
  private:
   struct Acc {
     double value = 0.0;
@@ -123,7 +172,7 @@ class MacPipeline {
     time_t_ chain_free = 0.0;  ///< when the next chained MAC may issue
   };
 
-  int p_;
+  time_t_ depth_;  ///< pipeline depth p, held as a time: converted once
   std::vector<Acc> accs_;
   Resource issue_;
   std::int64_t mac_ops_ = 0;

@@ -136,7 +136,12 @@ TEST(CoreSim, ResetRestoresFreshConstructedState) {
   used.pe(1, 2).mem_a.poke(7, 3.5);
   used.pe(0, 0).mem_b.poke(0, -1.0);
   used.pe(3, 3).rf.write(0, at(9.0, 0.0));
-  used.barrier(100.0);
+  // The last word of each store: reset() clears only words marked written,
+  // so an untimed poke and a timed write must both mark theirs.
+  LocalStore& last_a = used.pe(2, 1).mem_a;
+  LocalStore& last_b = used.pe(2, 1).mem_b;
+  last_a.poke(last_a.size() - 1, 4.25);
+  last_b.write(last_b.size() - 1, -2.5, 0.0);
   used.reset(2.0, 4);
 
   Core fresh(cfg(), 2.0, 4);
@@ -145,6 +150,8 @@ TEST(CoreSim, ResetRestoresFreshConstructedState) {
   EXPECT_DOUBLE_EQ(used.finish_time(), fresh.finish_time());
   EXPECT_DOUBLE_EQ(used.pe(1, 2).mem_a.read(7, 0.0).v, 0.0);  // zeroed store
   EXPECT_DOUBLE_EQ(used.pe(0, 0).mem_b.read(0, 0.0).v, 0.0);
+  EXPECT_DOUBLE_EQ(last_a.read(last_a.size() - 1, 0.0).v, 0.0);
+  EXPECT_DOUBLE_EQ(last_b.read(last_b.size() - 1, 0.0).v, 0.0);
   // Replay one op sequence on both; timings must agree exactly (no
   // residual bus or interface occupancy survives the reset).
   for (Core* c : {&used, &fresh}) {
