@@ -22,9 +22,19 @@
 /// GCC contracts such an expression into a fused multiply-add in the FMA
 /// clone only, so the two clones would round differently and the
 /// simulator's output would depend on the host CPU.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+///
+/// ThreadSanitizer builds go without clones: the loader runs the clone
+/// resolver before the TSan runtime is up, and the instrumented resolver
+/// crashes at startup.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define LAC_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#undef LAC_FMA_CLONES
 #endif
 #endif
 #ifndef LAC_FMA_CLONES

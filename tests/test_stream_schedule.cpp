@@ -95,10 +95,17 @@ void prepare(Core& core, int parity, std::uint64_t seed) {
 void expect_same_stats(const sim::Stats& a, const sim::Stats& b) {
   EXPECT_EQ(a.mac_ops, b.mac_ops);
   EXPECT_EQ(a.mul_ops, b.mul_ops);
+  EXPECT_EQ(a.cmp_ops, b.cmp_ops);
   EXPECT_EQ(a.mem_a_reads, b.mem_a_reads);
+  EXPECT_EQ(a.mem_a_writes, b.mem_a_writes);
   EXPECT_EQ(a.mem_b_reads, b.mem_b_reads);
   EXPECT_EQ(a.mem_b_writes, b.mem_b_writes);
+  EXPECT_EQ(a.rf_reads, b.rf_reads);
+  EXPECT_EQ(a.rf_writes, b.rf_writes);
   EXPECT_EQ(a.row_bus_xfers, b.row_bus_xfers);
+  EXPECT_EQ(a.col_bus_xfers, b.col_bus_xfers);
+  EXPECT_EQ(a.sfu_ops, b.sfu_ops);
+  EXPECT_EQ(a.dma_words, b.dma_words);
 }
 
 void expect_same_cores(Core& got, Core& want, int parity) {
