@@ -1,13 +1,10 @@
 #pragma once
-// Shared bench plumbing: run metadata, telemetry sections, --trace flag.
+// Shared bench plumbing: run metadata.
 //
 // Every BENCH_*.json used to be a bare measurement -- comparing two runs
 // meant guessing which commit, build type, and pool width produced each.
 // meta_json() stamps all of that (plus an ISO-8601 UTC timestamp) into a
-// `meta` object every bench embeds; telemetry_json() serializes the
-// process-wide obs::MetricsRegistry snapshot as the `telemetry` object; and
-// trace_path_from_args() implements the shared `--trace <file>` flag that
-// turns one bench run into a Chrome trace-event capture.
+// `meta` object every bench embeds.
 //
 // Header-only on purpose: bench/bench_*.cpp files each glob into their own
 // executable, so a bench_support.cpp would itself become a (linkless)
@@ -16,11 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <optional>
 #include <sstream>
 #include <string>
-
-#include "obs/metrics.hpp"
 
 // Stamped per bench target by CMake (the build type is only knowable
 // there); a bare `c++ bench_foo.cpp` build still compiles.
@@ -71,24 +65,6 @@ inline std::string meta_json(unsigned worker_width,
      << indent << "  \"worker_width\": " << worker_width << "\n"
      << indent << "}";
   return os.str();
-}
-
-/// The `telemetry` object: a point-in-time JSON snapshot of every metric
-/// the instrumented seams recorded this run (bench process == one run, so
-/// absolute counter values are per-run values).
-inline std::string telemetry_json(const std::string& indent = "  ") {
-  return obs::to_json(obs::MetricsRegistry::global().snapshot(), indent);
-}
-
-/// The shared `--trace <file>` / `--trace=<file>` bench flag: the capture
-/// path when present. Unknown arguments are left for the bench to reject.
-inline std::optional<std::string> trace_path_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace" && i + 1 < argc) return std::string(argv[i + 1]);
-    if (arg.rfind("--trace=", 0) == 0 && arg.size() > 8) return arg.substr(8);
-  }
-  return std::nullopt;
 }
 
 }  // namespace lac::bench

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,26 +9,14 @@
 namespace lac {
 namespace {
 
-/// Metric handles resolved once per process (registry references are
+/// Counter handles resolved once per process (registry references are
 /// stable), so the worker hot path never touches the registry lock.
-/// `queue_depth` is the aggregate across shards; the per-shard breakdown
-/// lives in the `lac.pool.shard<i>.queue_depth` gauges each pool resolves
-/// at construction. Per-worker utilization is derivable as busy_ns /
-/// (wall * width); the per-worker breakdown itself comes from `pool.task`
-/// trace spans (one trace tid per worker).
 struct PoolMetrics {
-  obs::Gauge& queue_depth;
-  obs::Histogram& dequeue_wait_us;
-  obs::Counter& busy_ns;
   obs::Counter& tasks;
   obs::Counter& steals;
 
   static PoolMetrics& instance() {
     static PoolMetrics* m = new PoolMetrics{
-        obs::MetricsRegistry::global().gauge("lac.pool.queue_depth"),
-        obs::MetricsRegistry::global().histogram(
-            "lac.pool.dequeue_wait_us", obs::default_latency_bounds_us()),
-        obs::MetricsRegistry::global().counter("lac.pool.busy_ns"),
         obs::MetricsRegistry::global().counter("lac.pool.tasks"),
         obs::MetricsRegistry::global().counter("lac.pool.steals")};
     return *m;
@@ -42,13 +29,8 @@ ThreadPool::ThreadPool(unsigned threads)
     : target_(threads > 0 ? threads
                           : std::max(1u, std::thread::hardware_concurrency())) {
   shards_.reserve(target_);
-  for (unsigned i = 0; i < target_; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->depth = &obs::MetricsRegistry::global().gauge(
-        std::string("lac.pool.") + "shard" + std::to_string(i) +
-        ".queue_depth");
-    shards_.push_back(std::move(shard));
-  }
+  for (unsigned i = 0; i < target_; ++i)
+    shards_.push_back(std::make_unique<Shard>());
 }
 
 ThreadPool::~ThreadPool() {
@@ -59,7 +41,6 @@ ThreadPool::~ThreadPool() {
     joined.swap(workers_);
     cv_.notify_all();
   }
-  publish_depths();
   // Discard queued jobs (running ones finish first -- workers re-check
   // the queues before exiting, and a job popped concurrently with this
   // sweep simply runs).
@@ -92,7 +73,6 @@ void ThreadPool::start_locked() {
 void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
   QueuedJob qj;
   qj.fn = std::move(job);
-  qj.enqueue_ns = obs::metrics_now_ns();
   // Hintless jobs count one unit; hinted jobs land proportional to the
   // estimate, so one queued sim job outweighs hundreds of model jobs. A
   // NaN, infinite or sub-unit hint (an invalid request's estimate) counts
@@ -120,7 +100,6 @@ void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
       pick = alt;
   }
 
-  PoolMetrics& metrics = PoolMetrics::instance();
   Shard& shard = *shards_[pick];
   // outstanding_/queued_ go up before the job is visible so drain() and
   // the sleep protocol never observe a posted job as "no work".
@@ -130,10 +109,7 @@ void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
     MutexLock lock(shard.mu);
     shard.queue.push_back(std::move(qj));
     shard.cost.fetch_add(cost, std::memory_order_relaxed);
-    shard.depth->set(static_cast<double>(shard.queue.size()));
   }
-  metrics.queue_depth.set(
-      static_cast<double>(queued_.load(std::memory_order_relaxed)));
   // Wake a sleeper only when one exists; the notify is taken under mu_ so
   // it cannot slip between a worker's queued_ re-check and its wait.
   if (sleepers_.load() > 0) {
@@ -149,26 +125,20 @@ bool ThreadPool::pop_from(unsigned shard_idx, QueuedJob& out) {
   out = std::move(shard.queue.front());
   shard.queue.pop_front();
   shard.cost.fetch_sub(out.cost, std::memory_order_relaxed);
-  shard.depth->set(static_cast<double>(shard.queue.size()));
   queued_.fetch_sub(1);
   return true;
 }
 
 void ThreadPool::run_job(QueuedJob&& job) {
-  PoolMetrics& metrics = PoolMetrics::instance();
-  const std::uint64_t run_ns = obs::metrics_now_ns();
-  metrics.dequeue_wait_us.observe(static_cast<double>(run_ns - job.enqueue_ns) /
-                                  1e3);
   {
     // Parent scope for any spans the job opens (serving.execute,
     // sched.run, ...); one relaxed load when no session is active.
     obs::Span span("pool.task", "pool");
     job.fn();
   }
-  metrics.busy_ns.add(obs::metrics_now_ns() - run_ns);
-  metrics.tasks.add();
-  metrics.queue_depth.set(
-      static_cast<double>(queued_.load(std::memory_order_relaxed)));
+  // Count the task before releasing it, so drain() returns only after
+  // every task it waited for is counted.
+  PoolMetrics::instance().tasks.add();
   if (outstanding_.fetch_sub(1) == 1) {
     MutexLock lock(mu_);
     idle_cv_.notify_all();
@@ -217,21 +187,9 @@ void ThreadPool::worker_loop(unsigned me) {
   }
 }
 
-void ThreadPool::publish_depths() {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->depth->set(static_cast<double>(shard->queue.size()));
-  }
-  PoolMetrics::instance().queue_depth.set(
-      static_cast<double>(queued_.load(std::memory_order_relaxed)));
-}
-
 void ThreadPool::drain() {
-  {
-    MutexLock lock(mu_);
-    while (outstanding_.load() != 0) idle_cv_.wait(mu_);
-  }
-  publish_depths();
+  MutexLock lock(mu_);
+  while (outstanding_.load() != 0) idle_cv_.wait(mu_);
 }
 
 void ThreadPool::shutdown() {

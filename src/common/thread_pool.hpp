@@ -36,10 +36,6 @@
 
 #include "common/mutex.hpp"
 
-namespace lac::obs {
-class Gauge;
-}
-
 namespace lac {
 
 class ThreadPool {
@@ -49,9 +45,7 @@ class ThreadPool {
   explicit ThreadPool(unsigned threads = 0);
 
   /// Drains nothing: queued jobs that have not started are discarded, but
-  /// running jobs complete before the workers join. Final per-shard queue
-  /// depths are published through the `lac.pool.shard<i>.queue_depth`
-  /// gauges before the queues are discarded.
+  /// running jobs complete before the workers join.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -89,7 +83,7 @@ class ThreadPool {
 
   /// Block until every job queued so far has been taken *and* completed
   /// (the pool is momentarily idle). Jobs submitted concurrently extend
-  /// the wait; the workers stay up. Publishes per-shard queue depths.
+  /// the wait; the workers stay up.
   void drain();
 
   /// Quiesce deterministically: complete all outstanding work, join the
@@ -110,17 +104,14 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     unsigned max_workers = 0);
 
-  /// Total jobs queued across all shards right now (tests / telemetry).
+  /// Total jobs queued across all shards right now (tests).
   std::size_t queued() const { return queued_.load(std::memory_order_relaxed); }
 
  private:
-  /// One queued job plus its post() timestamp and placement cost: the
-  /// observability layer's `lac.pool.dequeue_wait_us` histogram measures
-  /// enqueue -> dequeue; the cost is subtracted from the shard backlog on
-  /// dequeue.
+  /// One queued job plus its placement cost, which is subtracted from the
+  /// shard backlog on dequeue.
   struct QueuedJob {
     std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;
     std::int64_t cost = 1;
   };
 
@@ -133,14 +124,12 @@ class ThreadPool {
     Mutex mu;
     std::deque<QueuedJob> queue LAC_GUARDED_BY(mu);
     std::atomic<std::int64_t> cost{0};
-    obs::Gauge* depth = nullptr;  ///< lac.pool.shard<i>.queue_depth
   };
 
   void worker_loop(unsigned me);
   void start_locked() LAC_REQUIRES(mu_);
   bool pop_from(unsigned shard, QueuedJob& out);
   void run_job(QueuedJob&& job);
-  void publish_depths();
 
   unsigned target_ = 1;  ///< immutable after construction
 

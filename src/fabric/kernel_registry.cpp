@@ -534,14 +534,26 @@ KernelTraits chip_gemm_traits() {
   t.kind = KernelKind::ChipGemm;
   t.name = "CHIP_GEMM";
   t.validate = [](const KernelRequest& req) -> std::string {
+    const arch::ChipConfig& chip = req.chip;
+    // Both backends tile by the chip's core, so its nr is the one to check
+    // -- and, like the core count, before anything divides by it.
+    if (chip.cores < 1 || chip.core.nr < 1)
+      return "CHIP_GEMM needs chip.cores >= 1 and chip.core.nr >= 1, got " +
+             std::to_string(chip.cores) + " and " + std::to_string(chip.core.nr);
+    // The chip models divide by both interface bandwidths.
+    for (const double bw :
+         {chip.onchip_bw_words_per_cycle, chip.offchip_bw_words_per_cycle})
+      if (!std::isfinite(bw) || bw <= 0.0)
+        return "CHIP_GEMM chip bandwidths must be finite and > 0, got " +
+               std::to_string(bw);
     const index_t m = req.c.rows();
-    const index_t s = req.chip.cores;
-    const int nr = req.core.nr;
+    const index_t n = req.c.cols();
+    const index_t s = chip.cores;
+    const int nr = chip.core.nr;
     if (req.mc <= 0 || req.kc <= 0 || req.mc % nr != 0 || req.kc % nr != 0 ||
-        m % (s * nr) != 0 || (m / s) % req.mc != 0 ||
-        !multiple_of_nr(req, req.c.cols()) || req.a.cols() % req.kc != 0 ||
-        req.a.rows() != m || req.b.rows() != req.a.cols() ||
-        req.b.cols() != req.c.cols())
+        m % (s * nr) != 0 || (m / s) % req.mc != 0 || n <= 0 || n % nr != 0 ||
+        req.a.cols() % req.kc != 0 || req.a.rows() != m ||
+        req.b.rows() != req.a.cols() || req.b.cols() != n)
       return "CHIP_GEMM shapes/blocking: m splits into S row panels of mc, "
              "k into kc panels";
     return "";

@@ -1,9 +1,7 @@
 #include "fabric/model_executor.hpp"
 
-#include "fabric/fabric_metrics.hpp"
 #include "fabric/kernel_registry.hpp"
 #include "fabric/serving.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lac::fabric {
@@ -34,8 +32,6 @@ KernelResult ModelExecutor::execute(const KernelRequest& req) const {
   // golden models the simulator is tested against); in-band failures leave
   // every cost field at its zero default.
   const KernelTraits& traits = kernel_traits(req.kind);
-  static ExecuteHistograms hists("model");
-  const std::uint64_t start_ns = obs::metrics_now_ns();
   obs::Span span(traits.name, "model");
   if (std::string err = traits.reference_run(req, res); !err.empty()) {
     res.error = std::move(err);
@@ -59,9 +55,6 @@ KernelResult ModelExecutor::execute(const KernelRequest& req) const {
   }
   res.ok = true;
   span.set_cycles(res.cycles);
-  // Successful executes only (matches the sim backend's histogram).
-  hists.for_kind(req.kind).observe(
-      static_cast<double>(obs::metrics_now_ns() - start_ns) / 1e3);
   return res;
 }
 

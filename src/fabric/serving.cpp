@@ -2,43 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "fabric/model_executor.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lac::fabric {
 namespace {
-
-std::string lower_copy(std::string_view s) {
-  std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-/// Process-wide cache counters: CostCache instances come and go (benches
-/// build one per run), but the serving telemetry wants the totals, so the
-/// counters live in the registry rather than per instance. The per-instance
-/// hits()/misses() accessors remain the per-cache view.
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& inserts;
-
-  static CacheMetrics& instance() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    static CacheMetrics* m = new CacheMetrics{
-        reg.counter("lac.serving.cache.hits"),
-        reg.counter("lac.serving.cache.misses"),
-        reg.counter("lac.serving.cache.inserts")};
-    return *m;
-  }
-};
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 std::uint64_t word(index_t v) { return static_cast<std::uint64_t>(v); }
@@ -118,7 +90,6 @@ CostKey::CostKey(const KernelRequest& req)
     : words(pack(req)), hash(hash_words(words)) {}
 
 CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
-  CacheMetrics& metrics = CacheMetrics::instance();
   const CostKey key(req);
   Shard& shard = shards_[key.hash % kShards];
   {
@@ -126,7 +97,6 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       ++shard.hits;
-      metrics.hits.add();
       return it->second;
     }
   }
@@ -142,14 +112,10 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   MutexLock lock(shard.mu);
   // Exactly one racing thread owns the insert (one miss per entry); the
   // losers found the value present and count as hits.
-  if (shard.map.emplace(key, e).second) {
+  if (shard.map.emplace(key, e).second)
     ++shard.misses;
-    metrics.misses.add();
-    metrics.inserts.add();
-  } else {
+  else
     ++shard.hits;
-    metrics.hits.add();
-  }
   return e;
 }
 
@@ -189,13 +155,7 @@ AsyncExecutor::AsyncExecutor(const Executor& backend, ThreadPool* pool,
                              CostCache* cost_hints)
     : backend_(backend),
       pool_(pool ? *pool : ThreadPool::shared()),
-      hints_(cost_hints) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  requests_ = &reg.counter(std::string("lac.serving.") +
-                           lower_copy(backend.name()) + ".requests");
-  queue_wait_us_ = &reg.histogram("lac.serving.queue_wait_us",
-                                  obs::default_latency_bounds_us());
-}
+      hints_(cost_hints) {}
 
 std::future<KernelResult> AsyncExecutor::submit(KernelRequest req) const {
   return submit(std::move(req), nullptr);
@@ -204,24 +164,20 @@ std::future<KernelResult> AsyncExecutor::submit(KernelRequest req) const {
 std::future<KernelResult> AsyncExecutor::submit(
     KernelRequest req, std::function<void(const KernelResult&)> on_complete) const {
   const Executor& backend = backend_;
-  obs::Counter* requests = requests_;
-  obs::Histogram* queue_wait_us = queue_wait_us_;
   // Captured on the submitting thread: the queue-wait interval starts here,
   // and the submitter's span id parents the worker-side spans so a
   // request's queue-wait/execute/hook phases chain across the thread hop.
-  const std::uint64_t submit_ns = obs::metrics_now_ns();
+  const std::uint64_t submit_ns = obs::now_ns();
   const std::uint64_t parent = obs::Span::current_id();
   // Size-aware dispatch: the model cycle estimate is a monotone proxy for
   // backend runtime (sim wall time scales with simulated cycles), which is
   // all the pool's placement needs.
   const double hint = hints_ ? hints_->estimate(req).cycles.value() : 0.0;
-  return pool_.submit_hinted(hint, [&backend, requests, queue_wait_us,
-                                    submit_ns, parent, req = std::move(req),
+  return pool_.submit_hinted(hint, [&backend, submit_ns, parent,
+                                    req = std::move(req),
                                     hook = std::move(on_complete)] {
-    const std::uint64_t start_ns = obs::metrics_now_ns();
-    queue_wait_us->observe(static_cast<double>(start_ns - submit_ns) / 1e3);
-    obs::record_interval("serving.queue_wait", "serving", submit_ns, start_ns,
-                         parent);
+    obs::record_interval("serving.queue_wait", "serving", submit_ns,
+                         obs::now_ns(), parent);
     KernelResult res;
     {
       obs::Span span("serving.execute", "serving", parent);
@@ -232,7 +188,6 @@ std::future<KernelResult> AsyncExecutor::submit(
       obs::Span span("serving.hook", "serving", parent);
       hook(res);
     }
-    requests->add();
     return res;
   });
 }

@@ -30,11 +30,6 @@
 #include "common/thread_pool.hpp"
 #include "fabric/executor.hpp"
 
-namespace lac::obs {
-class Counter;
-class Histogram;
-}  // namespace lac::obs
-
 namespace lac::fabric {
 
 /// The CostCache key: every request field a cycle or energy model reads,
@@ -122,10 +117,7 @@ class CostCache {
 /// future::get().
 class AsyncExecutor {
  public:
-  /// `pool` defaults to the process-wide shared pool. Construction resolves
-  /// this wrapper's observability handles (`lac.serving.<backend>.requests`,
-  /// `lac.serving.queue_wait_us`), so the submit hot path never touches the
-  /// metrics registry lock.
+  /// `pool` defaults to the process-wide shared pool.
   ///
   /// `cost_hints` (optional, must outlive the wrapper) turns on size-aware
   /// dispatch: each submission is tagged with the cached model-backend
@@ -156,9 +148,7 @@ class AsyncExecutor {
  private:
   const Executor& backend_;
   ThreadPool& pool_;
-  CostCache* hints_;             ///< nullptr = un-hinted submission
-  obs::Counter* requests_;       ///< lac.serving.<backend>.requests
-  obs::Histogram* queue_wait_us_;  ///< lac.serving.queue_wait_us
+  CostCache* hints_;  ///< nullptr = un-hinted submission
 };
 
 }  // namespace lac::fabric

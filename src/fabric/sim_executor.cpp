@@ -1,8 +1,6 @@
 #include "fabric/sim_executor.hpp"
 
-#include "fabric/fabric_metrics.hpp"
 #include "fabric/kernel_registry.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lac::fabric {
@@ -38,8 +36,6 @@ KernelResult SimExecutor::execute(const KernelRequest& req) const {
   // request's TechContext: per-event energies for the dynamic part,
   // leakage over the exact cycle count for the static part.
   const KernelTraits& traits = kernel_traits(req.kind);
-  static ExecuteHistograms hists("sim");
-  const std::uint64_t start_ns = obs::metrics_now_ns();
   obs::Span span(traits.name, "sim");
   if (std::string err = traits.sim_run(req, res); !err.empty()) {
     res.error = std::move(err);
@@ -49,10 +45,6 @@ KernelResult SimExecutor::execute(const KernelRequest& req) const {
   attach_cost(res, req, traits.sim_energy(req, res.stats, res.cycles));
   res.ok = true;
   span.set_cycles(res.cycles);
-  // Successful executes only: the histogram reads as "kernel latency", not
-  // "latency mixed with early-out failures".
-  hists.for_kind(req.kind).observe(
-      static_cast<double>(obs::metrics_now_ns() - start_ns) / 1e3);
   return res;
 }
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "obs/metrics.hpp"
 #include "sim/arena.hpp"
 
 namespace lac::fabric {
@@ -30,19 +29,6 @@ struct PlanKeyHash {
   }
 };
 
-struct PlanMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-
-  static PlanMetrics& instance() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    static PlanMetrics* m = new PlanMetrics{
-        reg.counter("lac.fabric.schedule.plan_hits"),
-        reg.counter("lac.fabric.schedule.plan_misses")};
-    return *m;
-  }
-};
-
 /// Thread-local plan memo: serving traffic repeats a handful of shapes, so
 /// the same sweeps recur thousands of times per worker. Thread-local keeps
 /// the lookup lock-free; the bound is a safety valve for shape sweeps (a
@@ -51,13 +37,8 @@ const Rank1Plan& rank1_plan(int nr, index_t rows, index_t row0, index_t p_begin,
                             index_t p_end) {
   static thread_local std::unordered_map<PlanKey, Rank1Plan, PlanKeyHash> cache;
   constexpr std::size_t kMaxPlans = 4096;
-  PlanMetrics& metrics = PlanMetrics::instance();
   const PlanKey key{nr, rows, row0, p_begin, p_end};
-  if (auto it = cache.find(key); it != cache.end()) {
-    metrics.hits.add();
-    return it->second;
-  }
-  metrics.misses.add();
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
   if (cache.size() >= kMaxPlans) cache.clear();
   Rank1Plan plan;
   const std::size_t steps = static_cast<std::size_t>(p_end - p_begin);

@@ -31,8 +31,7 @@ inline index_t mem_a_addr(index_t i, index_t p, index_t rows, int nr) {
 /// sweep derives from the geometry and nothing it derives from the data --
 /// so repeat shapes replay a cached plan instead of re-deriving addresses
 /// (cached thread-locally next to the CostCache memo, see
-/// stream_schedule.cpp; `lac.fabric.schedule.plan_hits`/`plan_misses`
-/// count reuse).
+/// stream_schedule.cpp).
 struct Rank1Plan {
   std::vector<int> owner;       ///< owner column of step s (= (p_begin+s) % nr)
   std::vector<index_t> a_addr;  ///< a_base-relative address, [s * nr + r]

@@ -2,14 +2,9 @@
 
 #include <cassert>
 
+#include "fabric/stream_schedule.hpp"
+
 namespace lac::kernels {
-namespace {
-
-index_t mem_a_addr(index_t i, index_t p, index_t mc, int nr) {
-  return i / nr + (mc / nr) * (p / nr);
-}
-
-}  // namespace
 
 ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
                          ConstViewD a, ConstViewD b, ConstViewD c_in) {
@@ -40,14 +35,13 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
 
     for (index_t tile = 0; tile < rows_per_core / mc; ++tile) {
       for (int core_id = 0; core_id < s; ++core_id) {
-        sim::Core& core = chip.core(core_id);
+        // The core-level placement and sweep helpers; every transfer is
+        // charged on the chip's shared interface instead of the core's.
+        fabric::StreamSchedule sched(chip.core(core_id));
         const index_t row0 = core_id * rows_per_core + tile * mc;
 
         // Resident A tile for this core (through the shared interface).
-        for (index_t p = 0; p < kc; ++p)
-          for (index_t i = 0; i < mc; ++i)
-            core.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-                .mem_a.poke(mem_a_addr(i, p, mc, nr), a(row0 + i, pp + p));
+        sched.poke_resident(a.block(row0, pp, mc, kc));
         cursor[static_cast<std::size_t>(core_id)] = chip.shared_dma(
             core_id, static_cast<double>(mc) * kc,
             std::max(cursor[static_cast<std::size_t>(core_id)], panels_on_chip));
@@ -58,41 +52,23 @@ ChipGemmResult chip_gemm(const arch::ChipConfig& cfg, index_t mc, index_t kc,
         // accumulators, run kc rank-1 updates, stream the result out.
         sim::time_t_ dma_cursor = a_ready;
         for (index_t jb = 0; jb < n / nr; ++jb) {
-          for (index_t p = 0; p < kc; ++p)
-            for (int cc = 0; cc < nr; ++cc)
-              for (int rr = 0; rr < nr; ++rr)
-                core.pe(rr, cc).mem_b.poke(p, b(pp + p, jb * nr + cc));
+          const index_t col0 = jb * nr;
+          sched.stage_panel_b(0, kc,
+                              [&](index_t p, int c) { return b(pp + p, col0 + c); });
           dma_cursor = chip.shared_dma(core_id, static_cast<double>(kc) * nr, dma_cursor);
           const sim::time_t_ b_ready = dma_cursor;
           for (index_t ib = 0; ib < mc / nr; ++ib) {
             const int parity = static_cast<int>((jb * (mc / nr) + ib) % 2);
+            const index_t c_row0 = row0 + ib * nr;
             dma_cursor = chip.shared_dma(core_id, static_cast<double>(nr) * nr, dma_cursor);
-            const sim::time_t_ c_ready = dma_cursor;
-            for (int rr = 0; rr < nr; ++rr)
-              for (int cc = 0; cc < nr; ++cc)
-                core.pe(rr, cc).mac.set_acc(
-                    parity, sim::at(res.out(row0 + ib * nr + rr, jb * nr + cc),
-                                    std::max(c_ready, b_ready)));
-            for (index_t p = 0; p < kc; ++p) {
-              const int owner = static_cast<int>(p % nr);
-              for (int rr = 0; rr < nr; ++rr) {
-                sim::TimedVal av = core.pe(rr, owner).mem_a.read(
-                    mem_a_addr(ib * nr + rr, p, mc, nr), b_ready);
-                sim::TimedVal a_b = core.broadcast_row(rr, av);
-                for (int cc = 0; cc < nr; ++cc) {
-                  sim::Pe& pe = core.pe(rr, cc);
-                  sim::TimedVal bv = pe.mem_b.read(p, b_ready);
-                  pe.mac.mac_into_acc(parity, a_b, bv);
-                }
-              }
-            }
-            sim::time_t_ drained = 0.0;
-            for (int rr = 0; rr < nr; ++rr)
-              for (int cc = 0; cc < nr; ++cc) {
-                sim::TimedVal v = core.pe(rr, cc).mac.read_acc(parity);
-                res.out(row0 + ib * nr + rr, jb * nr + cc) = v.v;
-                drained = std::max(drained, v.ready);
-              }
+            sched.load_accumulators(
+                parity, std::max(dma_cursor, b_ready),
+                [&](int r, int c) { return res.out(c_row0 + r, col0 + c); });
+            sched.rank1_update(parity, 0, mc, ib * nr, 0, kc, 0, b_ready);
+            const sim::time_t_ drained =
+                sched.drain_accumulators(parity, [&](int r, int c, double v) {
+                  res.out(c_row0 + r, col0 + c) = v;
+                });
             dma_cursor = chip.shared_dma(core_id, static_cast<double>(nr) * nr,
                                          std::max(dma_cursor, drained));
           }

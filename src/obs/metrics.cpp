@@ -1,9 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
-#include <sstream>
 #include <thread>
 
 namespace lac::obs {
@@ -16,26 +12,9 @@ std::size_t Counter::shard_index() {
   return shard;
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
-
-void Histogram::observe(double v) {
-  // Branchless-enough: binary search the ascending bounds for the first
-  // bound >= v; past-the-end is the overflow bucket.
-  const std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* reg = new MetricsRegistry();  // never destroyed:
-  // worker threads may observe metrics during static teardown.
+  // worker threads may bump counters during static teardown.
   return *reg;
 }
 
@@ -45,91 +24,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   if (it == counters_.end())
     it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
   return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = gauges_.find(std::string(name));
-  if (it == gauges_.end())
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(std::string(name));
-  if (it == histograms_.end())
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  return *it->second;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  MutexLock lock(mu_);
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData d;
-    d.bounds = h->bounds();
-    d.buckets.resize(d.bounds.size() + 1);
-    for (std::size_t i = 0; i < d.buckets.size(); ++i) d.buckets[i] = h->bucket(i);
-    d.count = h->count();
-    d.sum = h->sum();
-    snap.histograms[name] = std::move(d);
-  }
-  return snap;
-}
-
-std::string to_json(const MetricsSnapshot& snap, const std::string& indent) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << "{";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n" << indent << "  ";
-  };
-  for (const auto& [name, v] : snap.counters) {
-    sep();
-    os << "\"" << name << "\": " << v;
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    sep();
-    os << "\"" << name << "\": " << v;
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    sep();
-    os << "\"" << name << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
-       << ", \"bounds\": [";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i)
-      os << (i ? ", " : "") << h.bounds[i];
-    os << "], \"buckets\": [";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i)
-      os << (i ? ", " : "") << h.buckets[i];
-    os << "]}";
-  }
-  if (!first) os << "\n" << indent;
-  os << "}";
-  return os.str();
-}
-
-std::uint64_t metrics_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-const std::vector<double>& default_latency_bounds_us() {
-  static const std::vector<double> bounds = {
-      1,    2,    5,     10,    20,    50,     100,    200,     500,
-      1000, 5000, 20000, 50000, 1e5,   5e5,    1e6};
-  return bounds;
 }
 
 }  // namespace lac::obs

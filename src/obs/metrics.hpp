@@ -1,40 +1,35 @@
 #pragma once
-// Fabric telemetry, part 1 of 2: the metrics registry.
+// Fabric telemetry, part 1 of 2: the counter registry.
 //
-// Every perf number the ROADMAP's remaining items need -- where a request
-// waits, how deep the pool queue runs, how often the CostCache hits -- was
-// previously computed ad hoc inside each bench (or not at all). The
-// MetricsRegistry is the one always-on home for those numbers: named
-// counters, gauges, and fixed-bucket histograms, updated lock-free on the
-// hot path and read as a point-in-time snapshot (JSON-serializable into
-// the `telemetry` section every bench now emits).
+// A few event counts are read from outside the layer that bumps them: the
+// benchmark (perfbench/) reads `lac.pool.tasks` and `lac.pool.steals` as
+// per-op deltas, and the pool's steal test reads `lac.pool.steals`. The
+// MetricsRegistry is their one home: named monotonic counters, updated
+// lock-free on the hot path.
 //
 // Naming convention (enforced by tools/lint/lint.py, check `metric-names`):
 // dotted lowercase `lac.<layer>.<name>`, and the final segment carries the
 // unit (`_us`, `_cycles`, ...) or is a recognizable dimensionless count
-// (`hits`, `tasks`, `queue_depth`). The registry does not parse names; the
-// linter and the CI artifact validation hold the line.
+// (`hits`, `tasks`, `steals`). The registry does not parse names; the
+// linter holds the line.
 //
-// Concurrency: update paths are atomics only (counters shard across cache
-// lines so concurrent writers do not ping-pong one location); the registry
-// map itself is guarded by a lac::Mutex (PR 6 capability annotations) and
-// only locked on metric *creation* and snapshot, never per update. Metric
-// references returned by the registry are stable for the registry's
-// lifetime -- hot paths look a metric up once and keep the pointer.
+// Concurrency: add() is atomics only (counters shard across cache lines so
+// concurrent writers do not ping-pong one location); the registry map
+// itself is guarded by an annotated lac::Mutex and only locked on counter
+// *creation*, never per update. Counter references returned by the
+// registry are stable for the registry's lifetime -- hot paths look a
+// counter up once and keep the pointer.
 //
 // Part 2 (obs/trace.hpp) is the span tracer; unlike the tracer, the
-// registry stays compiled and live even under -DLAC_OBS=OFF -- counters
-// are the cheap half of the layer, and the `telemetry` bench sections must
-// not disappear with the tracer.
+// registry stays compiled and live even under -DLAC_OBS=OFF, because the
+// benchmark's counts must not disappear with the tracer.
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/mutex.hpp"
 
@@ -64,68 +59,9 @@ class Counter {
   std::array<Shard, kShards> shards_;
 };
 
-/// Last-writer-wins instantaneous value (queue depth, WFQ virtual time).
-/// add() is a CAS loop -- gauges are updated at queue transitions, not per
-/// arithmetic op, so contention is negligible.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double delta) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
-
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i]
-/// (first matching bound), with one implicit overflow bucket past the last
-/// bound. Bounds are fixed at creation -- no resizing, no allocation, no
-/// lock on observe(); count and sum ride alongside so snapshots can report
-/// means without re-deriving from buckets.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Count in bucket i (i == bounds().size() is the overflow bucket).
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<double> bounds_;  ///< ascending upper bounds, immutable
-  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds size + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Point-in-time copy of every registered metric, safe to read/serialize
-/// while the hot paths keep updating the live registry. Ordered maps so
-/// JSON output is deterministic.
-struct MetricsSnapshot {
-  struct HistogramData {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;  ///< bounds size + 1 (overflow last)
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
-};
-
-/// Named metric set. counter()/gauge()/histogram() get-or-create and
-/// return a reference that stays valid for the registry's lifetime; the
-/// process-wide instance behind every built-in instrumentation point is
-/// global().
+/// Named counter set. counter() gets-or-creates and returns a reference
+/// that stays valid for the registry's lifetime; the process-wide instance
+/// behind every built-in counter is global().
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -136,37 +72,11 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   Counter& counter(std::string_view name) LAC_EXCLUDES(mu_);
-  Gauge& gauge(std::string_view name) LAC_EXCLUDES(mu_);
-  /// `bounds` must be ascending; a second call with the same name returns
-  /// the existing histogram (its original bounds win).
-  Histogram& histogram(std::string_view name, std::vector<double> bounds)
-      LAC_EXCLUDES(mu_);
-
-  MetricsSnapshot snapshot() const LAC_EXCLUDES(mu_);
 
  private:
-  mutable Mutex mu_;
+  Mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_
       LAC_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_
-      LAC_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_
-      LAC_GUARDED_BY(mu_);
 };
-
-/// Snapshot as a JSON object: counters/gauges as `"name": value`,
-/// histograms as `"name": {"count": n, "sum": s, "bounds": [...],
-/// "buckets": [...]}` (the metric name carries the unit; `sum` is in that
-/// unit). `indent` prefixes every line (bench emitters nest the object).
-std::string to_json(const MetricsSnapshot& snap, const std::string& indent = "");
-
-/// The default latency-histogram bounds the built-in instrumentation uses:
-/// roughly logarithmic from 1us to 1s, in microseconds.
-const std::vector<double>& default_latency_bounds_us();
-
-/// Steady-clock nanoseconds for metric timing. Unlike obs::now_ns() (the
-/// tracer's clock, which stubs to 0 under -DLAC_OBS=OFF), this stays live
-/// in every build -- the latency histograms are metrics, not trace data.
-std::uint64_t metrics_now_ns();
 
 }  // namespace lac::obs

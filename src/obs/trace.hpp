@@ -3,9 +3,9 @@
 //
 // Counters (obs/metrics.hpp) say *how much*; spans say *where the time
 // went*. A TraceSession activates recording process-wide; while one is
-// active, every RAII Span (and every record_interval() call at the
-// instrumented seams -- pool dequeue, serving queue-wait, scheduler
-// admission/ready/run, per-kernel execute) appends one event to a
+// active, every RAII Span (pool task, serving execute/hook, scheduler run,
+// per-kernel execute) and every record_interval() call (serving
+// queue-wait, scheduler admission/ready wait) appends one event to a
 // per-thread ring buffer. Stopping the session gathers the rings and
 // exports Chrome trace-event JSON that chrome://tracing and Perfetto open
 // directly, so head-of-line blocking in the pool is a picture, not an

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fabric/serving.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lac::sched {
@@ -89,36 +88,6 @@ void run_hook(const Hook& hook, const Arg& arg) {
   --g_hook_depth;
 }
 
-/// Scheduler-wide metric handles, resolved once (the registry hands out
-/// stable references). The vtime gauge tracks the most recently charged
-/// tenant's virtual time -- with one active tenant it is that tenant's WFQ
-/// clock; with several it samples the serving tenant, which WFQ keeps near
-/// the pack minimum.
-struct SchedMetrics {
-  obs::Histogram& admit_wait_us;
-  obs::Histogram& ready_wait_us;
-  obs::Histogram& run_us;
-  obs::Gauge& vtime_cycles;
-  obs::Counter& admitted_jobs;
-  obs::Counter& completed_jobs;
-  obs::Counter& cancelled_units;
-
-  static SchedMetrics& instance() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    static SchedMetrics* m = new SchedMetrics{
-        reg.histogram("lac.sched.admit_wait_us",
-                      obs::default_latency_bounds_us()),
-        reg.histogram("lac.sched.ready_wait_us",
-                      obs::default_latency_bounds_us()),
-        reg.histogram("lac.sched.run_us", obs::default_latency_bounds_us()),
-        reg.gauge("lac.sched.vtime_cycles"),
-        reg.counter("lac.sched.admitted_jobs"),
-        reg.counter("lac.sched.completed_jobs"),
-        reg.counter("lac.sched.cancelled_units")};
-    return *m;
-  }
-};
-
 }  // namespace
 
 GraphScheduler::GraphScheduler(const fabric::Executor& backend,
@@ -187,19 +156,15 @@ bool GraphScheduler::admit_slot(bool block, TenantId tenant) {
   if (g_hook_depth == 0 && pending_jobs_ >= opts_.queue_capacity) {
     // Timed only when the gate actually blocks: uncontended admission pays
     // no clock read.
-    const std::uint64_t wait_start_ns = obs::metrics_now_ns();
+    const std::uint64_t wait_start_ns = obs::now_ns();
     while (pending_jobs_ >= opts_.queue_capacity) admit_cv_.wait(mu_);
-    const std::uint64_t wait_end_ns = obs::metrics_now_ns();
-    SchedMetrics::instance().admit_wait_us.observe(
-        static_cast<double>(wait_end_ns - wait_start_ns) / 1e3);
     obs::record_interval("sched.admit_wait", "sched", wait_start_ns,
-                         wait_end_ns, 0, units::Cycles{},
+                         obs::now_ns(), 0, units::Cycles{},
                          static_cast<std::int64_t>(tenant));
   }
   ++pending_jobs_;
   ++unresolved_jobs_;
   peak_pending_ = std::max(peak_pending_, pending_jobs_);
-  SchedMetrics::instance().admitted_jobs.add();
   return true;
 }
 
@@ -297,7 +262,7 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
 
 void GraphScheduler::enqueue(std::vector<std::unique_ptr<Unit>> units) {
   if (units.empty()) return;
-  const std::uint64_t ready_ns = obs::metrics_now_ns();
+  const std::uint64_t ready_ns = obs::now_ns();
   MutexLock lock(mu_);
   for (std::unique_ptr<Unit>& unit : units) {
     unit->ready_ns = ready_ns;
@@ -398,13 +363,9 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
     complete_unit(std::move(unit), std::move(failed));
     return;
   }
-  SchedMetrics& metrics = SchedMetrics::instance();
-  const std::int64_t tenant = static_cast<std::int64_t>(unit->job->tenant);
-  const std::uint64_t run_start_ns = obs::metrics_now_ns();
-  metrics.ready_wait_us.observe(
-      static_cast<double>(run_start_ns - unit->ready_ns) / 1e3);
   obs::record_interval("sched.ready_wait", "sched", unit->ready_ns,
-                       run_start_ns, 0, units::Cycles{}, tenant);
+                       obs::now_ns(), 0, units::Cycles{},
+                       static_cast<std::int64_t>(unit->job->tenant));
   fabric::KernelResult res;
   {
     obs::Span span("sched.run", "sched");
@@ -419,8 +380,6 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
     }
     span.set_cycles(res.cycles);
   }
-  metrics.run_us.observe(
-      static_cast<double>(obs::metrics_now_ns() - run_start_ns) / 1e3);
   if (res.ok && !unit->job->single) {
     const auto& commit = unit->job->graph.node(unit->id).commit;
     if (commit) {
@@ -453,7 +412,6 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
     // WFQ charge: service is fabric cycles over the tenant weight. Failed
     // units cost zero cycles and charge nothing, matching the accounting.
     ten.vtime += res.cycles / ten.cfg.weight;
-    SchedMetrics::instance().vtime_cycles.set(ten.vtime.value());
 
     if (job->single) {
       ++ten.jobs_completed;
@@ -491,7 +449,6 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
             job->failed = true;
             ++ten.units_completed;
             ++ten.units_failed;
-            SchedMetrics::instance().cancelled_units.add();
             cascade.push_back(dep);
           } else {
             to_build.push_back(dep);
@@ -508,7 +465,6 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
       // submit, even at capacity) but keep the job "unresolved" until its
       // hook has run and its promise is set -- the drain() contract.
       --pending_jobs_;
-      SchedMetrics::instance().completed_jobs.add();
     }
   }
 

@@ -168,7 +168,7 @@ class GraphScheduler {
       std::function<void(const fabric::KernelResult&)> hook, bool block)
       LAC_EXCLUDES(mu_);
   // Capacity gate; false = full (non-blocking). `tenant` labels the
-  // admission-wait span/histogram when the gate blocks.
+  // admission-wait span when the gate blocks.
   bool admit_slot(bool block, TenantId tenant) LAC_EXCLUDES(mu_);
 
   std::unique_ptr<Unit> build_unit(std::shared_ptr<Job> job, NodeId id);

@@ -1,24 +1,7 @@
 #include "sim/arena.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace lac::sim {
 namespace {
-
-/// Pool-reuse counters, resolved once per process (registry references are
-/// stable) so the acquire path never touches the registry lock.
-struct ArenaMetrics {
-  obs::Counter& core_hits;
-  obs::Counter& core_misses;
-
-  static ArenaMetrics& instance() {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    static ArenaMetrics* m = new ArenaMetrics{
-        reg.counter("lac.sim.arena.core_hits"),
-        reg.counter("lac.sim.arena.core_misses")};
-    return *m;
-  }
-};
 
 /// Full-config equality: a pooled core may only be reused for a config it
 /// was constructed from, so EVERY CoreConfig field participates. A new
@@ -52,16 +35,13 @@ SimArena& SimArena::local() {
 std::unique_ptr<Core> SimArena::acquire(const arch::CoreConfig& cfg,
                                         double bw_words_per_cycle,
                                         int accumulators) {
-  ArenaMetrics& metrics = ArenaMetrics::instance();
   for (PoolEntry& entry : pool_) {
     if (!config_equal(entry.cfg, cfg) || entry.free.empty()) continue;
     std::unique_ptr<Core> core = std::move(entry.free.back());
     entry.free.pop_back();
     core->reset(bw_words_per_cycle, accumulators);
-    metrics.core_hits.add();
     return core;
   }
-  metrics.core_misses.add();
   // lint-allow: hot-alloc (pool miss: first request for this config on
   // this worker; subsequent requests reuse the pooled core)
   return std::make_unique<Core>(cfg, bw_words_per_cycle, accumulators);

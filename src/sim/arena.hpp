@@ -2,7 +2,7 @@
 // Per-worker simulation arena: pooled Core instances and reusable kernel
 // scratch buffers.
 //
-// Profiling the serving path (`lac.fabric.sim.*.execute_us` + pool spans)
+// Profiling the serving path (per-kernel execute times + pool spans)
 // showed the sim backend's throughput under a parallel pool limited by
 // allocator traffic, not simulated work: every request constructed a full
 // nr x nr Core (16 PEs x ~18 KB of zero-initialized local store) plus a
@@ -19,8 +19,7 @@
 //    hot loops.
 //
 // Everything here is thread-local, so there is no locking and no
-// cross-thread state; the only globals are the hit/miss counters
-// (`lac.sim.arena.*`) that make reuse visible in bench telemetry.
+// cross-thread state.
 #include <cstddef>
 #include <memory>
 #include <utility>

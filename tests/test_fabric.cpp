@@ -312,6 +312,28 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   bad.push_back(kernel_traits(KernelKind::ChipGemm).sample_request(7));
   bad.back().chip.core.pe.clock_ghz = nan;
   bad.back().tag = "chip.core.pe.clock_ghz nan";
+  // Chip fields the CHIP_GEMM backends divide or tile by: a zero core
+  // count used to trap, a negative one to abort the sim and return a
+  // negative utilization from the model, a zero, negative or NaN
+  // bandwidth to price an infinite, meaningless or NaN cost, and a
+  // chip.core.nr the tiling was not checked against to run no MACs.
+  const KernelRequest chip_good = kernel_traits(KernelKind::ChipGemm).sample_request(1);
+  for (int cores : {0, -1}) {
+    bad.push_back(chip_good);
+    bad.back().chip.cores = cores;
+    bad.back().tag = "chip.cores " + std::to_string(cores);
+  }
+  for (double bw : {0.0, -1.0, nan}) {
+    bad.push_back(chip_good);
+    bad.back().chip.onchip_bw_words_per_cycle = bw;
+    bad.back().tag = "chip.onchip_bw_words_per_cycle " + std::to_string(bw);
+    bad.push_back(chip_good);
+    bad.back().chip.offchip_bw_words_per_cycle = bw;
+    bad.back().tag = "chip.offchip_bw_words_per_cycle " + std::to_string(bw);
+  }
+  bad.push_back(chip_good);
+  bad.back().chip.core.nr = 8;
+  bad.back().tag = "chip.core.nr 8";
   for (const KernelRequest& req : bad) {
     SCOPED_TRACE(req.tag);
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),

@@ -1,9 +1,9 @@
-// Observability layer tests: metrics registry semantics and concurrency,
-// histogram bucket boundaries, span parent/child identity (same-thread
-// nesting and cross-thread hops through the ThreadPool), trace-session
-// lifecycle (exclusivity, ring overflow accounting, Chrome JSON shape),
-// and the cost pins the layer's "near-zero when idle" claim rests on
-// (no allocation, no recorded events, when no session is active).
+// Observability layer tests: counter registry semantics and concurrency,
+// span parent/child identity (same-thread nesting and cross-thread hops
+// through the ThreadPool), trace-session lifecycle (exclusivity, ring
+// overflow accounting, Chrome JSON shape), and the cost pins the layer's
+// "near-zero when idle" claim rests on (no allocation, no recorded events,
+// when no session is active).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -85,12 +85,6 @@ TEST(Metrics, RegistryGetOrCreateIsStable) {
   obs::Counter& a = reg.counter("lac.test.stable");
   obs::Counter& b = reg.counter("lac.test.stable");
   EXPECT_EQ(&a, &b);
-  obs::Histogram& h1 = reg.histogram("lac.test.stable_hist_us", {1.0, 2.0});
-  obs::Histogram& h2 = reg.histogram("lac.test.stable_hist_us", {5.0});
-  EXPECT_EQ(&h1, &h2);
-  // First registration's bounds win.
-  ASSERT_EQ(h2.bounds().size(), 2u);
-  EXPECT_EQ(h2.bounds()[0], 1.0);
 }
 
 TEST(Metrics, RegistryCreationRaces) {
@@ -112,51 +106,10 @@ TEST(Metrics, RegistryCreationRaces) {
         if (!shared.compare_exchange_strong(expected, &c) && expected != &c)
           mismatches.fetch_add(1);
         reg.counter("lac.test.race_t" + std::to_string(t)).add();
-        reg.gauge("lac.test.race_gauge").set(static_cast<double>(r));
       }
     }));
   for (auto& f : futs) f.get();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(Metrics, HistogramBucketBoundaries) {
-  // bucket i counts v <= bounds[i] (first match); past-the-end overflows.
-  obs::Histogram h({1.0, 2.0, 5.0});
-  h.observe(0.5);  // bucket 0
-  h.observe(1.0);  // bucket 0 (boundary is inclusive)
-  h.observe(1.5);  // bucket 1
-  h.observe(2.0);  // bucket 1
-  h.observe(5.0);  // bucket 2
-  h.observe(7.0);  // overflow
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 17.0);
-}
-
-TEST(Metrics, SnapshotAndJson) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  reg.counter("lac.test.snap_counter").add(3);
-  reg.gauge("lac.test.snap_gauge").set(2.5);
-  reg.histogram("lac.test.snap_hist_us", {10.0}).observe(4.0);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  ASSERT_TRUE(snap.counters.count("lac.test.snap_counter"));
-  EXPECT_GE(snap.counters.at("lac.test.snap_counter"), 3u);
-  ASSERT_TRUE(snap.gauges.count("lac.test.snap_gauge"));
-  EXPECT_DOUBLE_EQ(snap.gauges.at("lac.test.snap_gauge"), 2.5);
-  ASSERT_TRUE(snap.histograms.count("lac.test.snap_hist_us"));
-  const auto& h = snap.histograms.at("lac.test.snap_hist_us");
-  ASSERT_EQ(h.bounds.size(), 1u);
-  ASSERT_EQ(h.buckets.size(), 2u);
-
-  const std::string json = obs::to_json(snap);
-  EXPECT_NE(json.find("\"lac.test.snap_counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
 }
 
 // ---- span tracer -----------------------------------------------------------

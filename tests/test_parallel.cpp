@@ -195,10 +195,14 @@ TEST(ThreadPoolSteal, IdleWorkerStealsFromAStalledShard) {
 TEST(ThreadPoolSteal, StealStressMixedCostsLosesNoJobs) {
   // Submit-racing-drain under stealing: two submitter threads interleave
   // high- and unit-cost jobs across a wide pool while the main thread
-  // drains repeatedly. Every job must run exactly once.
+  // drains repeatedly. Every job must run exactly once, and the
+  // lac.pool.tasks counter (perfbench's pool.tasks_per_op) must count each
+  // one by the time drain() returns.
+  obs::Counter& tasks = obs::MetricsRegistry::global().counter("lac.pool.tasks");
   const int per_thread = test::scaled(600, 60);
   for (int round = 0; round < test::scaled(4, 2); ++round) {
     ThreadPool pool(8);
+    const std::uint64_t tasks_before = tasks.value();
     std::atomic<int> ran{0};
     auto submitter = [&pool, &ran, per_thread] {
       for (int i = 0; i < per_thread; ++i)
@@ -212,6 +216,9 @@ TEST(ThreadPoolSteal, StealStressMixedCostsLosesNoJobs) {
     b.join();
     pool.drain();
     EXPECT_EQ(ran.load(), 2 * per_thread) << "round " << round;
+    EXPECT_EQ(tasks.value() - tasks_before,
+              static_cast<std::uint64_t>(2 * per_thread))
+        << "round " << round;
   }
 }
 

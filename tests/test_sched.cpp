@@ -25,7 +25,6 @@
 #include "fabric/sim_executor.hpp"
 #include "sched/graph_builders.hpp"
 #include "sched/graph_scheduler.hpp"
-#include "sched/workload.hpp"
 #include "test_support.hpp"
 
 namespace lac::sched {
@@ -585,46 +584,6 @@ TEST(GraphScheduler, AffinityBatchingKeepsCostCacheResultsExact) {
   // One distinct signature -> exactly one miss; the batched repeats hit.
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(requests) - 1u);
-}
-
-TEST(Trace, GenerateIsDeterministicAndPacedReplayCompletes) {
-  TraceConfig config;
-  config.seed = 5;
-  config.events = 60;
-  config.arrivals = ArrivalProcess::Bursty;
-  config.burst_size = 6;
-  config.burst_gap_ms = 0.5;
-  config.graph_fraction = 0.15;
-  config.tenants = 2;
-  std::vector<TraceEvent> t1 = generate_trace(config);
-  std::vector<TraceEvent> t2 = generate_trace(config);
-  ASSERT_EQ(t1.size(), 60u);
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    EXPECT_EQ(t1[i].arrival_ms, t2[i].arrival_ms) << i;
-    EXPECT_EQ(t1[i].tenant, t2[i].tenant) << i;
-    EXPECT_EQ(t1[i].is_graph, t2[i].is_graph) << i;
-    EXPECT_EQ(t1[i].kind, t2[i].kind) << i;
-    EXPECT_EQ(t1[i].n, t2[i].n) << i;
-  }
-  // Arrivals are monotone.
-  for (std::size_t i = 1; i < t1.size(); ++i)
-    EXPECT_GE(t1[i].arrival_ms, t1[i - 1].arrival_ms);
-
-  arch::CoreConfig cfg = arch::lac_4x4_dp();
-  ThreadPool pool(4);
-  GraphScheduler scheduler(kModel, {}, &pool);
-  ReplayOptions ropts;
-  ropts.time_scale = 0.0;  // as fast as admission allows
-  ropts.tenants = {{"a", 1.0, 0}, {"b", 2.0, 0}};
-  ReplayReport report = replay(scheduler, t1, cfg, 2.0, ropts);
-  EXPECT_EQ(report.requests, 60u);
-  EXPECT_EQ(report.failures, 0u);
-  EXPECT_GT(report.requests_per_s, 0.0);
-  ASSERT_EQ(report.tenants.size(), 2u);
-  EXPECT_EQ(report.tenants[0].requests + report.tenants[1].requests, 60u);
-  EXPECT_GT(report.fairness_jain, 0.0);
-  EXPECT_LE(report.fairness_jain, 1.0 + 1e-12);
-  if (report.graphs > 0) EXPECT_GT(report.graph_speedup_mean, 0.0);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "fabric/model_executor.hpp"
 #include "fabric/serving.hpp"
 #include "fabric/sim_executor.hpp"
-#include "obs/metrics.hpp"
 #include "test_support.hpp"
 
 namespace lac::fabric {
@@ -308,36 +307,6 @@ TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_LT(cache.hits(), hits_before);
-}
-
-TEST(CostCache, RegistryCountersAgreeWithInstanceCounts) {
-  // The process-global `lac.serving.cache.*` registry counters (what
-  // bench_serving's hit-rate section and the telemetry JSON report) must
-  // move in lockstep with the per-instance hits()/misses() accounting --
-  // a drift between the two would make the telemetry numbers fiction.
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  const std::uint64_t hits_before = reg.counter("lac.serving.cache.hits").value();
-  const std::uint64_t misses_before =
-      reg.counter("lac.serving.cache.misses").value();
-  const std::uint64_t inserts_before =
-      reg.counter("lac.serving.cache.inserts").value();
-
-  CostCache cache;
-  ModelExecutor cached(&cache);
-  std::vector<KernelRequest> reqs = serving_workload(test::scaled(6, 2));
-  ThreadPool pool(4);
-  for (const KernelResult& r : run_async(cached, pool, reqs)) ASSERT_TRUE(r.ok);
-
-  const std::uint64_t hits_delta =
-      reg.counter("lac.serving.cache.hits").value() - hits_before;
-  const std::uint64_t misses_delta =
-      reg.counter("lac.serving.cache.misses").value() - misses_before;
-  const std::uint64_t inserts_delta =
-      reg.counter("lac.serving.cache.inserts").value() - inserts_before;
-  EXPECT_EQ(hits_delta, cache.hits());
-  EXPECT_EQ(misses_delta, cache.misses());
-  EXPECT_EQ(inserts_delta, cache.size());
-  EXPECT_EQ(hits_delta + misses_delta, reqs.size());
 }
 
 TEST(CostCache, ColdKeyRaceCountsOneMissPerEntry) {

@@ -12,9 +12,9 @@ compiles fine today and corrupts an invariant three PRs later:
   registry-complete     Every KernelKind enumerator is registered: a
                         `case` in build_traits(), an entry in kAllKinds,
                         and a sized_request hook in its traits function
-                        (the workload/serving layers build traffic via
-                        sized_request, so a kind without one is invisible
-                        to the workload generators).
+                        (perfbench's mixes and the golden tests build
+                        traffic via sized_request, so a kind without one
+                        is invisible to them).
   bench-schema          Every numeric field a bench emits into a
                         BENCH_*.json must carry a unit suffix (_cycles,
                         _nj, _w, _mm2, _ms, _per_s, ... -- or be a named
@@ -29,15 +29,13 @@ compiles fine today and corrupts an invariant three PRs later:
                         thread-safety annotations see every thread. Waive
                         a deliberate exception with a
                         `lint-allow(raw-thread)` comment on the line.
-  metric-names          Every metric name registered with the PR 9
+  metric-names          Every counter name registered with the
                         MetricsRegistry (any `"lac.…"` string literal in
                         product code) is dotted lowercase
                         `lac.<layer>.<name>` and its final segment either
                         carries a unit (`_us`, `_ns`, `_cycles`, ...) or
                         is a recognizable dimensionless count (`hits`,
-                        `tasks`, `…_jobs`). Literals ending in `.` are
-                        prefixes completed at runtime (backend/kernel
-                        names) and are shape-checked only. Waive with
+                        `tasks`, `…_jobs`). Waive with
                         `lint-allow(metric-name)`.
   hot-alloc             No `new` / `make_unique` / `make_shared` in the
                         sim hot paths (src/sim/, src/kernels/, src/fft/,
@@ -66,18 +64,10 @@ compiles fine today and corrupts an invariant three PRs later:
                         mutex) is allowed. Waive with
                         `lint-allow: blocking-under-lock`.
 
---artifact FILE validates a runtime artifact instead of sources: a
-BENCH_*.json (required `meta` provenance keys; `telemetry` metric names
-obey the metric-names rule; histogram objects carry exactly
-count/sum/bounds/buckets; a serving-style `modes` array carries the full
-per-backend stats schema incl. p50_ms/p99_ms) or a Chrome trace JSON
-(`traceEvents` of "X" events with name/cat/ts/dur/pid/tid). This is how
-CI holds the bench-schema line on fields that only exist at runtime.
-
---serving-gate FILE is the tail-latency/throughput regression gate over a
-committed BENCH_serving.json: sim pool-mode throughput must hold the PR 10
-floor (>= 1.5x the PR 9 baseline of 9034.28 req/s) and sim pool-mode p99
-must stay within 3x of spawn-mode p99 at equal worker width.
+--artifact FILE validates an emitted BENCH_*.json instead of sources: its
+`meta` provenance object must carry every required key. The object is
+streamed in from a helper at runtime, so bench-schema cannot see it in
+the source.
 
 Exit status 0 = clean, 1 = findings (printed one per line as
 file:line: [check] message), 2 = linter could not run.
@@ -262,8 +252,8 @@ def check_registry_complete(tree):
             findings.append(
                 (REGISTRY, 1,
                  f"{fn}() registers KernelKind::{kind} without a "
-                 "sized_request hook -- the workload/serving generators "
-                 "cannot build traffic for it")
+                 "sized_request hook -- perfbench's mixes and the golden "
+                 "tests cannot build traffic for it")
             )
     return findings
 
@@ -307,22 +297,14 @@ UNIT_TOKENS = {
 }
 
 # Dimensionless counts/ratios/config echoes: allowed without a suffix.
-DIMENSIONLESS_KEYS = {
-    "smoke", "n", "nr", "bw", "utilization", "weight", "block",
-    "deterministic_across_pool_widths", "fairness_jain",
-    "sim_pool_p99_over_spawn_p99",  # ratio of two same-unit latencies
-}
-DIMENSIONLESS_TOKENS = {
-    "points", "hits", "misses", "rate", "requests", "tenants", "failures",
-    "width", "widths", "workers", "iterations", "events", "nodes", "graphs",
-    "replays", "chunk", "speedup", "modes", "window",
-}
+DIMENSIONLESS_KEYS = {"smoke", "n", "nr", "bw", "utilization"}
+DIMENSIONLESS_TOKENS = {"points", "hits", "misses", "rate", "width"}
 
 # Keys whose values are runtime-composed JSON objects streamed in from a
 # helper (`<< meta_json(...)`), so the source-level regex cannot see the
-# `{` that proves them non-numeric. Their *contents* are held to the same
-# unit rules by the --artifact validation CI runs on the emitted files.
-RUNTIME_SECTION_KEYS = {"meta", "telemetry"}
+# `{` that proves them non-numeric. The --artifact validation CI runs on
+# the emitted files checks their contents.
+RUNTIME_SECTION_KEYS = {"meta"}
 
 
 def check_bench_schema(tree):
@@ -343,8 +325,7 @@ def check_bench_schema(tree):
             last = key.rsplit("_", 1)[-1]
             if last in UNIT_TOKENS:
                 continue
-            if key in DIMENSIONLESS_KEYS or last in DIMENSIONLESS_TOKENS \
-                    or "speedup" in key:
+            if key in DIMENSIONLESS_KEYS or last in DIMENSIONLESS_TOKENS:
                 continue
             line = line_of(clean, m.start())
             raw = raw_lines[line - 1] if line <= len(raw_lines) else ""
@@ -371,7 +352,7 @@ METRIC_LITERAL = re.compile(r'"(lac\.[^"\\]*)"')
 # the dimension. Everything else numeric must end in a unit suffix.
 METRIC_DIMENSIONLESS_TOKENS = {
     "hits", "misses", "inserts", "requests", "tasks", "jobs", "units",
-    "depth", "events", "drops", "errors", "retries", "count", "steals",
+    "events", "drops", "errors", "retries", "count", "steals",
 }
 
 
@@ -450,17 +431,6 @@ def check_metric_names(tree):
             line = line_of(clean, m.start())
             raw = raw_lines[line - 1] if line <= len(raw_lines) else ""
             if "lint-allow(metric-name)" in raw:
-                continue
-            if literal.endswith("."):
-                # Prefix completed at runtime (backend/kernel name): the
-                # written segments must still be well-shaped.
-                bad = [s for s in literal[:-1].split(".")
-                       if not re.fullmatch(r"[a-z][a-z0-9_]*", s)]
-                if bad:
-                    findings.append(
-                        (rel, line,
-                         f"metric-name prefix `{literal}` has non-lowercase "
-                         f"segment(s) {bad}"))
                 continue
             for msg in metric_name_findings(literal):
                 findings.append((rel, line, msg))
@@ -594,118 +564,20 @@ def check_blocking_under_lock(tree):
 
 
 # ---------------------------------------------------------------------------
-# --artifact: runtime validation of emitted BENCH/trace JSON.
+# --artifact: runtime validation of emitted BENCH JSON.
 
 REQUIRED_META_KEYS = {"git_sha", "build_type", "timestamp", "worker_width"}
-HISTOGRAM_KEYS = {"count", "sum", "bounds", "buckets"}
-REQUIRED_TRACE_EVENT_KEYS = {"name", "cat", "ph", "ts", "dur", "pid", "tid"}
-
-
-def validate_telemetry(rel, telemetry, findings):
-    if not isinstance(telemetry, dict):
-        findings.append((rel, 1, "`telemetry` is not a JSON object"))
-        return
-    for name, value in telemetry.items():
-        for msg in metric_name_findings(name, where="telemetry key"):
-            findings.append((rel, 1, msg))
-        if isinstance(value, dict):  # histogram
-            keys = set(value)
-            if keys != HISTOGRAM_KEYS:
-                findings.append(
-                    (rel, 1,
-                     f"telemetry histogram `{name}` keys {sorted(keys)} != "
-                     f"{sorted(HISTOGRAM_KEYS)}"))
-                continue
-            if len(value["buckets"]) != len(value["bounds"]) + 1:
-                findings.append(
-                    (rel, 1,
-                     f"telemetry histogram `{name}` needs "
-                     "len(buckets) == len(bounds) + 1 (overflow last)"))
-            if sum(value["buckets"]) != value["count"]:
-                findings.append(
-                    (rel, 1,
-                     f"telemetry histogram `{name}` bucket sum "
-                     f"{sum(value['buckets'])} != count {value['count']}"))
-        elif not isinstance(value, (int, float)):
-            findings.append(
-                (rel, 1,
-                 f"telemetry `{name}` must be a number or a histogram "
-                 "object"))
-
-
-# Per-mode stats schema for serving-style benches: every backend/mode
-# entry carries throughput *and* the latency distribution, so the tail
-# regression gate (and any dashboard) never meets a partial record.
-REQUIRED_MODE_KEYS = {"backend", "mode", "requests", "wall_ms",
-                      "requests_per_s", "p50_ms", "p99_ms"}
-
-
-def validate_modes(rel, modes, findings):
-    if not isinstance(modes, list):
-        findings.append((rel, 1, "`modes` is not a JSON array"))
-        return
-    for i, entry in enumerate(modes):
-        if not isinstance(entry, dict):
-            findings.append((rel, 1, f"modes[{i}] is not a JSON object"))
-            continue
-        missing = REQUIRED_MODE_KEYS - set(entry)
-        if missing:
-            findings.append(
-                (rel, 1, f"modes[{i}] is missing {sorted(missing)}"))
-            continue
-        bad = [k for k in REQUIRED_MODE_KEYS - {"backend", "mode"}
-               if not isinstance(entry[k], (int, float))]
-        if bad:
-            findings.append(
-                (rel, 1, f"modes[{i}] non-numeric stats field(s) {sorted(bad)}"))
-
-
-def validate_bench_artifact(rel, data, findings):
-    meta = data.get("meta")
-    if not isinstance(meta, dict):
-        findings.append(
-            (rel, 1, "BENCH json has no `meta` provenance object"))
-    else:
-        missing = REQUIRED_META_KEYS - set(meta)
-        if missing:
-            findings.append(
-                (rel, 1, f"BENCH `meta` is missing {sorted(missing)}"))
-    if "modes" in data:
-        validate_modes(rel, data["modes"], findings)
-    if "telemetry" in data:
-        validate_telemetry(rel, data["telemetry"], findings)
-
-
-def validate_trace_artifact(rel, data, findings):
-    events = data.get("traceEvents")
-    if not isinstance(events, list):
-        findings.append((rel, 1, "trace json has no `traceEvents` array"))
-        return
-    for i, ev in enumerate(events):
-        missing = REQUIRED_TRACE_EVENT_KEYS - set(ev)
-        if missing:
-            findings.append(
-                (rel, 1, f"traceEvents[{i}] is missing {sorted(missing)}"))
-            continue
-        if ev["ph"] != "X":
-            findings.append(
-                (rel, 1,
-                 f"traceEvents[{i}] ph `{ev['ph']}` != \"X\" (the exporter "
-                 "emits complete events only)"))
-        if not all(isinstance(ev[k], (int, float)) and ev[k] >= 0
-                   for k in ("ts", "dur")):
-            findings.append(
-                (rel, 1, f"traceEvents[{i}] ts/dur must be numbers >= 0"))
 
 
 def validate_artifact_data(rel, data):
-    """Findings for one parsed artifact (BENCH or Chrome trace JSON)."""
-    findings = []
-    if "traceEvents" in data:
-        validate_trace_artifact(rel, data, findings)
-    else:
-        validate_bench_artifact(rel, data, findings)
-    return findings
+    """Findings for one parsed BENCH_*.json."""
+    meta = data.get("meta")
+    if not isinstance(meta, dict):
+        return [(rel, 1, "BENCH json has no `meta` provenance object")]
+    missing = REQUIRED_META_KEYS - set(meta)
+    if missing:
+        return [(rel, 1, f"BENCH `meta` is missing {sorted(missing)}")]
+    return []
 
 
 def validate_artifact_file(path):
@@ -716,71 +588,6 @@ def validate_artifact_file(path):
     if not isinstance(data, dict):
         return [(str(path), 1, "artifact root is not a JSON object")]
     return validate_artifact_data(str(path), data)
-
-
-# ---------------------------------------------------------------------------
-# --serving-gate: sim-backend throughput/tail regression pins.
-
-# PR 9 committed baseline (BENCH_serving.json at commit b856bd4): sim
-# backend, pool mode, width 8, RelWithDebInfo, this container class. The
-# PR 10 fast path must hold at least this factor over it, and pool-mode
-# tail latency must stay within this factor of spawn mode.
-SERVING_BASELINE_SIM_POOL_RPS = 9034.28
-SERVING_MIN_SPEEDUP = 1.5
-SERVING_MAX_P99_RATIO = 3.0
-
-
-def gate_serving_data(rel, data):
-    """Regression findings for one parsed BENCH_serving.json."""
-    findings = []
-    modes = data.get("modes")
-    if not isinstance(modes, list):
-        return [(rel, 1, "serving gate needs a `modes` array")]
-
-    def entry(backend, mode):
-        for e in modes:
-            if isinstance(e, dict) and e.get("backend") == backend \
-                    and e.get("mode") == mode:
-                return e
-        return None
-
-    pool = entry("sim", "pool")
-    spawn = entry("sim", "spawn")
-    if pool is None or spawn is None:
-        return [(rel, 1,
-                 "serving gate needs sim backend entries for both `pool` "
-                 "and `spawn` modes")]
-
-    floor = SERVING_BASELINE_SIM_POOL_RPS * SERVING_MIN_SPEEDUP
-    rps = pool.get("requests_per_s", 0.0)
-    if not isinstance(rps, (int, float)) or rps < floor:
-        findings.append(
-            (rel, 1,
-             f"sim pool throughput {rps} req/s below the gate floor "
-             f"{floor:.2f} (= {SERVING_MIN_SPEEDUP}x the PR 9 baseline "
-             f"{SERVING_BASELINE_SIM_POOL_RPS})"))
-
-    p99_pool, p99_spawn = pool.get("p99_ms"), spawn.get("p99_ms")
-    if not all(isinstance(v, (int, float)) and v > 0
-               for v in (p99_pool, p99_spawn)):
-        findings.append((rel, 1, "sim pool/spawn entries need positive p99_ms"))
-    elif p99_pool > SERVING_MAX_P99_RATIO * p99_spawn:
-        findings.append(
-            (rel, 1,
-             f"sim pool p99 {p99_pool} ms exceeds "
-             f"{SERVING_MAX_P99_RATIO}x spawn p99 {p99_spawn} ms -- the "
-             "size-aware dispatch tail pin"))
-    return findings
-
-
-def gate_serving_file(path):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
-        return [(str(path), 1, f"unreadable artifact: {e}")]
-    if not isinstance(data, dict):
-        return [(str(path), 1, "artifact root is not a JSON object")]
-    return gate_serving_data(str(path), data)
 
 
 CHECKS = {
@@ -836,7 +643,7 @@ def self_test(tree):
 
     # bench-schema: a numeric JSON field with no unit suffix.
     def seed_bench_schema(files):
-        files["bench/bench_serving.cpp"] += (
+        files["bench/bench_codesign.cpp"] += (
             "\nstatic void lint_seed(std::ostream& os) {\n"
             "  os << \"\\\"latency\\\": \" << 1.0;  // BENCH_seed.json\n"
             "}\n"
@@ -844,7 +651,7 @@ def self_test(tree):
 
     # raw-thread: a spawned std::thread outside src/common/.
     def seed_thread(files):
-        files["src/sched/workload.cpp"] += (
+        files["src/sched/graph_builders.cpp"] += (
             "\nvoid lint_seed() { std::thread t([] {}); t.join(); }\n"
         )
 
@@ -922,50 +729,13 @@ def self_test(tree):
             print(f"self-test: [{name}] {mutate.__name__} caught: {hits[0]}")
 
     # Artifact-validation seeds: each bad fixture must be caught, and the
-    # good fixtures must be clean.
+    # good fixture must be clean.
     good_meta = {"git_sha": "abc123", "build_type": "Release",
                  "timestamp": "2026-01-01T00:00:00Z", "worker_width": 8}
-    good_hist = {"count": 3, "sum": 4.5, "bounds": [1.0, 2.0],
-                 "buckets": [1, 1, 1]}
     artifact_cases = [
-        ("good bench", {"meta": good_meta,
-                        "telemetry": {"lac.pool.tasks": 7,
-                                      "lac.pool.dequeue_wait_us": good_hist}},
-         False),
-        ("good trace", {"traceEvents": [
-            {"name": "x", "cat": "lac", "ph": "X", "ts": 0, "dur": 1,
-             "pid": 1, "tid": 0}]}, False),
-        ("bench without meta", {"telemetry": {}}, True),
+        ("good bench", {"meta": good_meta, "records": []}, False),
+        ("bench without meta", {"records": []}, True),
         ("meta missing keys", {"meta": {"git_sha": "abc123"}}, True),
-        ("unit-less telemetry key",
-         {"meta": good_meta, "telemetry": {"lac.pool.latency": 1.0}}, True),
-        ("histogram with extra key",
-         {"meta": good_meta,
-          "telemetry": {"lac.pool.dequeue_wait_us":
-                        dict(good_hist, p99=2.0)}}, True),
-        ("histogram bucket/count drift",
-         {"meta": good_meta,
-          "telemetry": {"lac.pool.dequeue_wait_us":
-                        dict(good_hist, count=99)}}, True),
-        ("trace with non-X phase", {"traceEvents": [
-            {"name": "x", "cat": "lac", "ph": "B", "ts": 0, "dur": 1,
-             "pid": 1, "tid": 0}]}, True),
-        ("trace event missing keys", {"traceEvents": [{"name": "x"}]}, True),
-        ("good serving modes",
-         {"meta": good_meta, "modes": [
-             {"backend": "sim", "mode": "pool", "requests": 216,
-              "wall_ms": 10.0, "requests_per_s": 21600.0, "p50_ms": 0.3,
-              "p99_ms": 2.0}]}, False),
-        ("serving mode entry missing p99",
-         {"meta": good_meta, "modes": [
-             {"backend": "sim", "mode": "pool", "requests": 216,
-              "wall_ms": 10.0, "requests_per_s": 21600.0,
-              "p50_ms": 0.3}]}, True),
-        ("serving mode entry non-numeric stat",
-         {"meta": good_meta, "modes": [
-             {"backend": "sim", "mode": "pool", "requests": 216,
-              "wall_ms": 10.0, "requests_per_s": "fast", "p50_ms": 0.3,
-              "p99_ms": 2.0}]}, True),
     ]
     for label, data, expect_findings in artifact_cases:
         hits = validate_artifact_data(label, data)
@@ -976,34 +746,6 @@ def self_test(tree):
                 f"{hits or 'clean'}")
         else:
             print(f"self-test: [artifact] {label}: "
-                  f"{'caught: ' + str(hits[0]) if hits else 'clean'}")
-
-    # Serving-gate fixtures: floor and ratio pins must each trip.
-    def serving_fixture(rps, p99_pool, p99_spawn):
-        return {"modes": [
-            {"backend": "sim", "mode": "spawn", "requests_per_s": 9000.0,
-             "p99_ms": p99_spawn},
-            {"backend": "sim", "mode": "pool", "requests_per_s": rps,
-             "p99_ms": p99_pool}]}
-
-    floor = SERVING_BASELINE_SIM_POOL_RPS * SERVING_MIN_SPEEDUP
-    gate_cases = [
-        ("gate pass", serving_fixture(floor + 1.0, 2.9, 1.0), False),
-        ("gate throughput floor", serving_fixture(floor - 1.0, 2.9, 1.0), True),
-        ("gate p99 ratio", serving_fixture(floor + 1.0, 3.1, 1.0), True),
-        ("gate missing sim entries", {"modes": [
-            {"backend": "model", "mode": "pool", "requests_per_s": 1e6,
-             "p99_ms": 0.1}]}, True),
-    ]
-    for label, data, expect_findings in gate_cases:
-        hits = gate_serving_data(label, data)
-        if bool(hits) != expect_findings:
-            failures.append(
-                f"self-test: [serving-gate] `{label}` expected "
-                f"{'findings' if expect_findings else 'clean'}, got "
-                f"{hits or 'clean'}")
-        else:
-            print(f"self-test: [serving-gate] {label}: "
                   f"{'caught: ' + str(hits[0]) if hits else 'clean'}")
 
     # And the pristine tree must be clean, or the seeds prove nothing.
@@ -1021,21 +763,9 @@ def main():
     ap.add_argument("--self-test", action="store_true",
                     help="verify every check catches a seeded violation")
     ap.add_argument("--artifact", action="append", metavar="FILE",
-                    help="validate an emitted BENCH_*.json or trace JSON "
-                         "instead of linting sources (repeatable)")
-    ap.add_argument("--serving-gate", metavar="FILE",
-                    help="run the sim-backend throughput/tail regression "
-                         "gate over a BENCH_serving.json")
+                    help="validate an emitted BENCH_*.json instead of "
+                         "linting sources (repeatable)")
     args = ap.parse_args()
-
-    if args.serving_gate:
-        findings = [f"{rel}:{line}: [serving-gate] {msg}"
-                    for rel, line, msg in gate_serving_file(args.serving_gate)]
-        for f in findings:
-            print(f)
-        print(f"lint --serving-gate: {len(findings)} finding(s)"
-              + (" -- FAIL" if findings else " -- OK"))
-        return 1 if findings else 0
 
     if args.artifact:
         findings = []
