@@ -593,8 +593,9 @@ KernelTraits chip_gemm_traits() {
     return units::Cycles(std::max(first_stage + onchip, offchip_total));
   };
   t.model_utilization = [](const KernelRequest& req, units::Cycles cycles) {
-    const double pes = static_cast<double>(req.chip.cores) * req.core.nr *
-                       req.core.nr;
+    // Both backends tile by chip.core, whatever req.core says.
+    const double pes = static_cast<double>(req.chip.cores) * req.chip.core.nr *
+                       req.chip.core.nr;
     return cycles.value() > 0
                ? useful_macs(req).value() / (cycles.value() * pes)
                : 0.0;

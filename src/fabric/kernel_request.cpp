@@ -290,6 +290,8 @@ std::string validate(const KernelRequest& req) {
   if (!std::isfinite(req.bw_words_per_cycle) || req.bw_words_per_cycle <= 0.0)
     return "bw_words_per_cycle must be finite and > 0, got " +
            std::to_string(req.bw_words_per_cycle);
+  // Every kind's shape checks take remainders by the core size.
+  if (req.core.nr < 1) return "core.nr must be >= 1, got " + std::to_string(req.core.nr);
   // The energy models divide by the clock and scale by the node: a clock
   // that is not positive and finite, or an unknown node, would be priced
   // as NaN, negative or silently at the wrong operating point.

@@ -1,5 +1,7 @@
 #include "fabric/sim_executor.hpp"
 
+#include <string>
+
 #include "fabric/kernel_registry.hpp"
 #include "obs/trace.hpp"
 
@@ -37,7 +39,14 @@ KernelResult SimExecutor::execute(const KernelRequest& req) const {
   // leakage over the exact cycle count for the static part.
   const KernelTraits& traits = kernel_traits(req.kind);
   obs::Span span(traits.name, "sim");
-  if (std::string err = traits.sim_run(req, res); !err.empty()) {
+  std::string err = traits.sim_run(req, res);
+  // A schedule that does not fit the PE memories touched no memory outside
+  // them (sim::LocalStore counts such accesses instead), but its values
+  // and timing are meaningless.
+  if (err.empty() && res.stats.overruns > 0)
+    err = std::string(traits.name) + " does not fit the PE local stores: " +
+          std::to_string(res.stats.overruns) + " accesses past MEM-A or MEM-B";
+  if (!err.empty()) {
     res.error = std::move(err);
     void_accounting(res);
     return res;

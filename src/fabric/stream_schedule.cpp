@@ -49,7 +49,161 @@ const Rank1Plan& rank1_plan(int nr, index_t rows, index_t row0, index_t p_begin,
     for (int r = 0; r < nr; ++r)
       plan.a_addr.push_back(mem_a_addr(row0 + r, p, rows, nr));
   }
+  if (!plan.a_addr.empty()) {
+    const auto [lo, hi] = std::minmax_element(plan.a_addr.begin(), plan.a_addr.end());
+    plan.a_lo = *lo;
+    plan.a_hi = *hi;
+  }
   return cache.emplace(key, std::move(plan)).first->second;
+}
+
+// ---- closing a rank-1 sweep's rows in bulk ----------------------------------
+//
+// Write B for row r's bus next-free time, A_c for the MEM-A port next-free
+// time of PE (r, c), and for a lead PE P_c for its MEM-B port's and T_c for
+// its issue port's, with L the bus latency. The row is *regular* before a
+// step when
+//   (1) B >= max(gate, every A_c) + 1, and
+//   (2) for every lead, its accumulator's chain-free time equals T_c bit
+//       for bit, T_c >= B + L and T_c >= max(gate, P_c) + 1.
+// Then the step's MEM-A read starts at max(gate, A_owner) and is ready by
+// B (the read latency is the + 1), so the broadcast takes slot B and
+// arrives at B + L; each lead's MEM-B read is ready by T_c, so its MAC
+// issues at T_c. Afterwards B, every T_c and every chain-free time have
+// grown by exactly 1, the owner's max(gate, A_c) by one MEM-A slot and
+// each max(gate, P_c) by one MEM-B slot, both at most 1 (a slot on the
+// grid is 1, 1/2 or 1/4 of a cycle), so (1) and (2) hold again. By
+// induction every remaining step issues one cycle after the one before
+// and no read binds, and the remaining R steps leave exactly what one run
+// per resource leaves: each owner's MEM-A port takes its reads from
+// max(gate, A_c), the bus R slots from B, each lead's MEM-B port R reads
+// from max(gate, P_c) and its MAC R chained issues from T_c. The runs
+// multiply and add where the steps only add, so every time they touch --
+// the gate, L, the pipeline depth, both slot durations and every next-free
+// and busy time -- must lie on the grid of sim::on_grid, where those sums
+// and products are exact in any grouping; the two FMA clones then cannot
+// round them differently either.
+
+/// A row closes only with at least this many steps left: below that,
+/// stepping them costs less than the regularity check and the close (e.g.
+/// CHIP_GEMM's nr-step sweeps).
+constexpr index_t kMinCloseRun = 8;
+
+/// One rank-1 sweep, as StreamSchedule::rank1_update received it.
+struct Rank1Sweep {
+  const Rank1Plan& plan;
+  int parity;
+  index_t a_base;
+  index_t slot;
+  index_t steps;
+  sim::time_t_ gate;
+  bool negate;
+};
+
+/// Whether the sweep can close rows at all: enough steps, a gate and bus
+/// latency on the exact grid, and an address range inside both stores (the
+/// close reads words raw; out of range, the stepping loop's counted
+/// accesses report the overrun).
+inline bool sweep_closable(const sim::Core& core, const Rank1Sweep& w) {
+  const sim::Pe& pe = core.pe(0, 0);
+  return w.steps >= kMinCloseRun && w.steps < (index_t{1} << 38) &&
+         sim::on_grid(w.gate) && sim::on_grid(core.config().bus_latency) &&
+         pe.mem_a.contains(w.a_base + w.plan.a_lo, w.plan.a_hi - w.plan.a_lo + 1) &&
+         pe.mem_b.contains(w.slot, w.steps);
+}
+
+enum class RowCheck {
+  kIrregular,  ///< (1) or (2) fails: step, check again next step
+  kOffGrid,    ///< regular, but a time the close sums is off the grid
+  kRegular,    ///< close the row
+};
+
+/// Check row r before a step: conditions (1) and (2) above, then whether
+/// everything its close touches is on the exact grid. `row_lead[c]` is the
+/// column PE (r, c) follows.
+RowCheck check_row(const sim::Core& core, const Rank1Sweep& w, int r, const int* row_lead) {
+  const int nr = core.nr();
+  const sim::Resource& bus = core.row_bus(r);
+  sim::time_t_ a_free = w.gate;
+  for (int c = 0; c < nr; ++c) a_free = std::max(a_free, core.pe(r, c).mem_a.port_free());
+  const sim::time_t_ b = bus.next_free();
+  if (!(b >= a_free + 1.0)) return RowCheck::kIrregular;
+  for (int c = 0; c < nr; ++c) {
+    if (row_lead[c] != c) continue;
+    const sim::Pe& pe = core.pe(r, c);
+    const sim::time_t_ t = pe.mac.issue_port_free();
+    if (!sim::same_bits(pe.mac.chain_free(w.parity), t) ||
+        !(t >= b + core.config().bus_latency) ||
+        !(t >= std::max(w.gate, pe.mem_b.port_free()) + 1.0))
+      return RowCheck::kIrregular;
+  }
+  if (!bus.on_grid()) return RowCheck::kOffGrid;
+  for (int c = 0; c < nr; ++c) {
+    const sim::Pe& pe = core.pe(r, c);
+    if (!pe.mem_a.port_on_grid()) return RowCheck::kOffGrid;
+    if (row_lead[c] == c && !(pe.mem_b.port_on_grid() && pe.mac.on_grid()))
+      return RowCheck::kOffGrid;
+  }
+  return RowCheck::kRegular;
+}
+
+/// Close regular row r's steps [s, steps): values first, with the stepping
+/// loop's fused multiply-adds per PE in step order, then one run per
+/// resource. Followers take their timing from their lead at sweep exit.
+LAC_FMA_CLONES void close_row(sim::Core& core, const Rank1Sweep& w, int r,
+                              const int* row_lead, index_t s) {
+  const int nr = core.nr();
+  const index_t steps = w.steps;
+  const index_t run = steps - s;
+  const Rank1Plan& plan = w.plan;
+  const auto a_at = [&](index_t st) {
+    const double v =
+        core.pe(r, plan.owner[static_cast<std::size_t>(st)])
+            .mem_a.words()[w.a_base + plan.a_addr[static_cast<std::size_t>(st * nr + r)]];
+    return w.negate ? -v : v;
+  };
+  const auto b_at = [&](int c) { return core.pe(r, c).mem_b.words() + w.slot; };
+  const auto acc_at = [&](int c) { return core.pe(r, c).mac.read_acc(w.parity).v; };
+  const auto finish = [&](int c, double value) {
+    sim::Pe& pe = core.pe(r, c);
+    if (row_lead[c] == c) {
+      pe.mem_b.read_run(w.gate, run);
+      pe.mac.chain_run(w.parity, run, value);
+    } else {
+      pe.mac.set_value(w.parity, value);
+    }
+  };
+  // Four PEs share a pass so their dependency chains overlap.
+  int c = 0;
+  for (; c + 4 <= nr; c += 4) {
+    const double *b0 = b_at(c), *b1 = b_at(c + 1), *b2 = b_at(c + 2), *b3 = b_at(c + 3);
+    double x0 = acc_at(c), x1 = acc_at(c + 1), x2 = acc_at(c + 2), x3 = acc_at(c + 3);
+    for (index_t st = s; st < steps; ++st) {
+      const double a = a_at(st);
+      x0 = std::fma(a, b0[st], x0);
+      x1 = std::fma(a, b1[st], x1);
+      x2 = std::fma(a, b2[st], x2);
+      x3 = std::fma(a, b3[st], x3);
+    }
+    finish(c, x0);
+    finish(c + 1, x1);
+    finish(c + 2, x2);
+    finish(c + 3, x3);
+  }
+  for (; c < nr; ++c) {
+    const double* b = b_at(c);
+    double x = acc_at(c);
+    for (index_t st = s; st < steps; ++st) x = std::fma(a_at(st), b[st], x);
+    finish(c, x);
+  }
+  // MEM-A reads per owner column (owners cycle from plan.owner[s]), then
+  // the broadcasts.
+  const int first_owner = plan.owner[static_cast<std::size_t>(s)];
+  for (int o = 0; o < nr; ++o) {
+    const index_t reads = run / nr + ((o - first_owner + nr) % nr < run % nr ? 1 : 0);
+    if (reads > 0) core.pe(r, o).mem_a.read_run(w.gate, reads);
+  }
+  core.broadcast_row_run(r, run);
 }
 
 }  // namespace
@@ -113,27 +267,58 @@ LAC_FMA_CLONES void StreamSchedule::rank1_update(int parity, index_t a_base,
   // geometry, so repeat shapes skip the address derivation entirely.
   const Rank1Plan& plan = rank1_plan(nr, rows, row0, p_begin, p_end);
   const index_t steps = p_end - p_begin;
+  const Rank1Sweep sweep{plan, parity, a_base, slot, steps, gate, negate};
   // Lock-step leads: every PE of a row reads the same MEM-B slot at the
   // same gate and MACs the same broadcast, so a PE whose timing matches an
   // earlier PE of its row at entry follows it through the whole sweep.
-  // lead[r * nr + c] is the column PE (r, c) follows, c itself for a lead.
-  sim::Scratch<int> lead(static_cast<std::size_t>(nr) * nr);
-  for (int r = 0; r < nr; ++r)
+  // lead[r * nr + c] is the column PE (r, c) follows, c itself for a lead;
+  // lead[nr * nr + r] is row r's state: rows are checked before each step
+  // and closed once regular (check_row, close_row). A row regular but off
+  // the exact grid, a row with fewer than kMinCloseRun steps left and
+  // every row of a sweep that cannot close step to the end unchecked
+  // (stepping is exact anywhere, and a time off the grid seldom returns
+  // to it).
+  enum : int { kClosed, kCheck, kStep };
+  const int initial = sweep_closable(core_, sweep) ? kCheck : kStep;
+  sim::Scratch<int> lead(static_cast<std::size_t>(nr) * nr + nr);
+  for (int r = 0; r < nr; ++r) {
     for (int c = 0; c < nr; ++c) {
       int l = 0;
       while (l < c && !core_.pe(r, c).lockstep_with(core_.pe(r, l), parity)) ++l;
       lead[static_cast<std::size_t>(r * nr + c)] = l;
     }
-  for (index_t s = 0; s < steps; ++s) {
+    lead[static_cast<std::size_t>(nr * nr + r)] = initial;
+  }
+  // Step-major, rows interleaved as the hardware runs them.
+  int open_rows = nr;
+  for (index_t s = 0; s < steps && open_rows > 0; ++s) {
     const int owner = plan.owner[static_cast<std::size_t>(s)];
     for (int r = 0; r < nr; ++r) {
+      int& state = lead[static_cast<std::size_t>(nr * nr + r)];
+      if (state == kClosed) continue;
+      const int* row_lead = &lead[static_cast<std::size_t>(r * nr)];
+      if (state == kCheck) {
+        if (steps - s < kMinCloseRun) {
+          state = kStep;
+        } else if (const RowCheck check = check_row(core_, sweep, r, row_lead);
+                   check == RowCheck::kRegular) {
+          close_row(core_, sweep, r, row_lead, s);
+          state = kClosed;
+          --open_rows;
+          continue;
+        } else if (check == RowCheck::kOffGrid) {
+          state = kStep;
+        }
+      }
+      // One step: the owner's timed MEM-A read and broadcast, then each
+      // lead's timed MEM-B read and chained MAC; followers compute values.
       sim::TimedVal av = core_.pe(r, owner).mem_a.read(
           a_base + plan.a_addr[static_cast<std::size_t>(s * nr + r)], gate);
       if (negate) av.v = -av.v;
       const sim::TimedVal a_bcast = core_.broadcast_row(r, av);
       for (int c = 0; c < nr; ++c) {
         sim::Pe& pe = core_.pe(r, c);
-        if (lead[static_cast<std::size_t>(r * nr + c)] == c) {
+        if (row_lead[c] == c) {
           sim::TimedVal bv = pe.mem_b.read(slot + s, gate);
           pe.mac.mac_into_acc(parity, a_bcast, bv);
         } else {

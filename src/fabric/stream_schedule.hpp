@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "sim/arena.hpp"
 #include "sim/core.hpp"
 
 namespace lac::fabric {
@@ -35,6 +36,8 @@ inline index_t mem_a_addr(index_t i, index_t p, index_t rows, int nr) {
 struct Rank1Plan {
   std::vector<int> owner;       ///< owner column of step s (= (p_begin+s) % nr)
   std::vector<index_t> a_addr;  ///< a_base-relative address, [s * nr + r]
+  index_t a_lo = 0;             ///< least a_addr entry
+  index_t a_hi = -1;            ///< greatest a_addr entry (< a_lo: no steps)
 };
 
 class StreamSchedule {
@@ -81,11 +84,13 @@ class StreamSchedule {
   template <typename ValueFn>
   void stage_panel_b(index_t slot_base, index_t kc, const ValueFn& value) {
     const int nr = core_.nr();
-    for (index_t p = 0; p < kc; ++p)
-      for (int c = 0; c < nr; ++c) {
-        const double v = value(p, c);
-        for (int r = 0; r < nr; ++r) core_.pe(r, c).mem_b.poke(slot_base + p, v);
-      }
+    // One column at a time, written to each of its PEs as one range.
+    sim::Scratch<double> column(static_cast<std::size_t>(std::max<index_t>(kc, 0)));
+    for (int c = 0; c < nr; ++c) {
+      for (index_t p = 0; p < kc; ++p) column[static_cast<std::size_t>(p)] = value(p, c);
+      for (int r = 0; r < nr; ++r)
+        core_.pe(r, c).mem_b.poke_range(slot_base, column.vec().data(), kc);
+    }
   }
 
   // ---- accumulator-blocked output ---------------------------------------
@@ -119,6 +124,17 @@ class StreamSchedule {
   /// of the operand staged at `a_base` with `rows` total rows) on the row
   /// buses, and every PE pairs it with replicated MEM-B word
   /// slot + (p - p_begin). Reads are gated at `gate`; `negate` subtracts.
+  ///
+  /// Each step times the owner's MEM-A read and the broadcast, then one
+  /// MEM-B read and chained MAC per group of lock-step PEs of the row.
+  /// Rows share no resource, so each row is closed on its own once it is
+  /// regular -- every later step then takes the next bus cycle and the next
+  /// MAC cycle and no read binds: its remaining steps' values come from the
+  /// same std::fma calls in the same order, their timing from one bulk
+  /// update per resource (the argument is in stream_schedule.cpp). Rows
+  /// with fewer than 8 steps left and rows off the quarter-cycle grid (e.g.
+  /// at 3 words/cycle or with a 3-port MEM-B) step to the end. Outputs,
+  /// cycles and Stats are those of stepping every PE, bit for bit.
   void rank1_update(int parity, index_t a_base, index_t rows, index_t row0,
                     index_t p_begin, index_t p_end, index_t slot,
                     sim::time_t_ gate, bool negate = false);

@@ -1,5 +1,6 @@
 #include "kernels/trsm_kernel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -131,7 +132,11 @@ KernelResult trsm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
   sched.stage_resident_lower(l);
 
   // X rows computed so far, staged per block row in MEM-B (replicated) so
-  // the GEMM updates can stream them as the "B" operand.
+  // the GEMM updates can stream them as the "B" operand: as many nr-word
+  // panels per sweep as MEM-B holds (at least one; a MEM-B below nr words
+  // overruns and fails the run in-band).
+  const index_t panels_per_sweep =
+      std::max<index_t>(1, core.pe(0, 0).mem_b.size() / nr);
   KernelResult res;
   res.out = to_matrix<double>(b);
   sim::time_t_ finish = sched.cursor();
@@ -154,15 +159,23 @@ KernelResult trsm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
       sched.load_accumulators(parity, c_in_done, [&](int r, int c) {
         return res.out(i * nr + r, jb * nr + c);
       });
-      for (index_t lb = 0; lb < i; ++lb) {
-        // X_lb panel must be on chip: stream it into MEM-B (charged once
-        // per (i, jb, lb) use; the blocked algorithm re-reads streamed X).
-        sched.stage_panel_b(0, nr, [&](index_t pp, int c) {
-          return res.out(lb * nr + pp, jb * nr + c);
+      // One negated sweep over p in [0, i * nr), X_lb at MEM-B slot
+      // lb * nr -- split into sweeps of panels_per_sweep panels when MEM-B
+      // holds fewer than i * nr words. A sweep per panel would time the
+      // same: the sweeps share the gate and every resource, and nothing
+      // between them touches one (pokes are untimed, the DMA uses only the
+      // memory interface). Long sweeps let rank1_update close their rows.
+      for (index_t lb0 = 0; lb0 < i; lb0 += panels_per_sweep) {
+        const index_t lb1 = std::min(i, lb0 + panels_per_sweep);
+        // X_lb0..X_lb1-1 must be on chip: stream them into MEM-B, charged
+        // panel by panel once per (i, jb, lb) use (the blocked algorithm
+        // re-reads streamed X).
+        sched.stage_panel_b(0, (lb1 - lb0) * nr, [&](index_t p, int c) {
+          return res.out(lb0 * nr + p, jb * nr + c);
         });
-        sched.dma(static_cast<double>(nr) * nr);
-        sched.rank1_update(parity, 0, n, i * nr, lb * nr, (lb + 1) * nr, 0,
-                           c_in_done, /*negate=*/true);
+        for (index_t lb = lb0; lb < lb1; ++lb) sched.dma(static_cast<double>(nr) * nr);
+        sched.rank1_update(parity, 0, n, i * nr, lb0 * nr, lb1 * nr, 0, c_in_done,
+                           /*negate=*/true);
       }
       // (2) Triangular solve of the updated diagonal row panel.
       const sim::time_t_ upd_ready =

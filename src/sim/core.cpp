@@ -90,6 +90,7 @@ Stats Core::stats() const {
     s.mem_b_writes += pe.mem_b.writes();
     s.rf_reads += pe.rf.reads();
     s.rf_writes += pe.rf.writes();
+    s.overruns += pe.mem_a.overruns() + pe.mem_b.overruns();
   }
   s.row_bus_xfers = row_xfers_;
   s.col_bus_xfers = col_xfers_;

@@ -78,6 +78,21 @@ class Core {
     ++row_xfers_;
     return {v.v, start + cfg_.bus_latency};
   }
+  /// Close `count` > 0 row-bus broadcasts that each take the slot right
+  /// after the previous one (the caller has shown no value arrives late):
+  /// the state `count` calls of broadcast_row leave, exact when the bus is
+  /// on the grid (see Resource::acquire_run).
+  void broadcast_row_run(int row, index_t count) {
+    assert(row >= 0 && row < cfg_.nr);
+    Resource& bus = row_bus_[static_cast<std::size_t>(row)];
+    bus.acquire_run(bus.next_free(), count, 1.0);
+    row_xfers_ += count;
+  }
+  /// Row bus `row`'s timing, for schedules that reason about when it frees.
+  const Resource& row_bus(int row) const {
+    assert(row >= 0 && row < cfg_.nr);
+    return row_bus_[static_cast<std::size_t>(row)];
+  }
   TimedVal broadcast_col(int col, TimedVal v) {
     assert(col >= 0 && col < cfg_.nr);
     const time_t_ start = col_bus_[static_cast<std::size_t>(col)].acquire(v.ready, 1.0);

@@ -15,9 +15,20 @@
 // MEM-B slot, so PEs whose port and accumulator timing start bit-identical
 // stay bit-identical. fabric::StreamSchedule::rank1_update times one lead
 // per such group and lets the others follow (Pe::lockstep_with /
-// Pe::follow); only the values are computed per PE. Cycles, Stats and
-// outputs are byte-identical to timing every PE (tests/test_sim_golden.cpp
-// pins them).
+// Pe::follow); only the values are computed per PE.
+//
+// Static scheduling also fixes a sweep's timeline once it settles: when a
+// row is *regular* -- its bus frees at least one cycle (the MEM-A read
+// latency) after every MEM-A read of the row could start, and each lead's
+// chained MAC issues when its port frees, no earlier than the broadcast
+// and its MEM-B read arrive -- every later step takes one bus cycle and
+// one MAC cycle and no read binds. rank1_update then closes the row's
+// remaining steps with one bulk update per resource (Resource::acquire_run
+// and the *_run helpers built on it). Bulk and per-step sums agree bit for
+// bit because every time involved lies on the quarter-cycle grid below
+// 2^40 (on_grid() is checked before each close), where double addition is
+// exact in any grouping. Cycles, Stats and outputs are byte-identical to timing every
+// PE at every step (tests/test_sim_golden.cpp pins them).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -38,6 +49,16 @@ struct TimedVal {
 
 inline TimedVal at(double v, time_t_ ready) { return {v, ready}; }
 
+/// True when `t` is a multiple of 1/4 in [0, 2^38). Sums of such times,
+/// and their products with counts below 2^38, are multiples of 1/4 below
+/// 2^40: exact doubles, so a bulk update of a timeline equals the step-by-
+/// step one bit for bit. NaN and infinities are off the grid.
+inline bool on_grid(time_t_ t) {
+  if (!(t >= 0.0 && t < 0x1p38)) return false;
+  const double quarters = t * 4.0;  // exact: a power-of-two scale
+  return static_cast<double>(static_cast<std::int64_t>(quarters)) == quarters;
+}
+
 /// Bit-pattern equality: unlike `==`, tells -0.0 from 0.0.
 inline bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -57,8 +78,28 @@ class Resource {
     return start;
   }
 
+  /// `count` > 0 back-to-back acquires of `duration` each, the first no
+  /// earlier than `earliest`: the state `count` calls of acquire(earliest,
+  /// duration) leave, since each later call starts where the one before it
+  /// ended. Bit-identical to them when on_grid() holds, `earliest` and
+  /// `duration` are on the grid and `count` < 2^38: count * duration is
+  /// then exact, so the sums round as the step-by-step ones do, and a
+  /// compiler that contracts `start + count * duration` into a fused
+  /// multiply-add (as GCC may in a LAC_FMA_CLONES clone) rounds the same
+  /// too. Returns the first start.
+  time_t_ acquire_run(time_t_ earliest, std::int64_t count, time_t_ duration) {
+    const time_t_ start = std::max(earliest, next_free_);
+    const time_t_ span = static_cast<double>(count) * duration;
+    next_free_ = start + span;
+    busy_ += span;
+    ops_ += count;
+    return start;
+  }
+
   time_t_ next_free() const { return next_free_; }
   time_t_ busy_cycles() const { return busy_; }
+  /// Next-free and busy time both on the exact grid (see on_grid).
+  bool on_grid() const { return sim::on_grid(next_free_) && sim::on_grid(busy_); }
   std::int64_t ops() const { return ops_; }
   void reset() { next_free_ = 0.0; busy_ = 0.0; ops_ = 0; }
   /// Fast-forward the resource (e.g. after a barrier).
@@ -99,6 +140,9 @@ struct Stats {
   std::int64_t col_bus_xfers = 0;
   std::int64_t sfu_ops = 0;
   std::int64_t dma_words = 0;      ///< words moved over the memory interface
+  /// Local-store accesses outside the store, counted instead of performed:
+  /// a schedule that does not fit the PE memories. Any makes the run fail.
+  std::int64_t overruns = 0;
 
   std::int64_t flops() const { return 2 * mac_ops + mul_ops; }
 
@@ -109,6 +153,7 @@ struct Stats {
     rf_reads += o.rf_reads; rf_writes += o.rf_writes;
     row_bus_xfers += o.row_bus_xfers; col_bus_xfers += o.col_bus_xfers;
     sfu_ops += o.sfu_ops; dma_words += o.dma_words;
+    overruns += o.overruns;
     return *this;
   }
 };

@@ -164,6 +164,35 @@ class MacPipeline {
     return issue_.same_timing(o.issue_) && same_bits(a.ready, b.ready) &&
            same_bits(a.chain_free, b.chain_free);
   }
+  /// When the next chained MAC into `idx` may issue (see mac_into_acc).
+  time_t_ chain_free(int idx) const {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    return accs_[static_cast<std::size_t>(idx)].chain_free;
+  }
+  /// Issue port state and pipeline depth on the exact grid (sim::on_grid).
+  bool on_grid() const { return sim::on_grid(depth_) && issue_.on_grid(); }
+  /// Close `count` > 0 chained MACs into accumulator `idx` that issue back
+  /// to back from the issue port's next-free time (the caller has shown no
+  /// operand binds), leaving `value`, which the caller computed with the
+  /// same std::fma calls in the same order: the state `count` calls of
+  /// mac_into_acc leave. Exact under on_grid() (count * 1 cycle and the
+  /// sums stay on the grid), so both FMA clones agree.
+  void chain_run(int idx, index_t count, double value) {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()) && count > 0);
+    Acc& acc = accs_[static_cast<std::size_t>(idx)];
+    const time_t_ first = issue_.acquire_run(issue_.next_free(), count, 1.0);
+    const time_t_ last = first + static_cast<double>(count - 1);
+    acc.value = value;
+    acc.ready = last + depth_;
+    acc.chain_free = last + 1.0;
+    mac_ops_ += count;
+  }
+  /// Overwrite accumulator `idx`'s value, leaving its timing: the value
+  /// half of chain_run, for a PE whose timing a lock-step lead carries.
+  void set_value(int idx, double value) {
+    assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
+    accs_[static_cast<std::size_t>(idx)].value = value;
+  }
   /// Account `macs` chained MACs into accumulator `idx` that `lead` timed
   /// from the same state: take its issue-port and accumulator timing.
   void follow(const MacPipeline& lead, int idx, index_t macs) {

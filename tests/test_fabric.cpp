@@ -261,6 +261,38 @@ TEST(FabricParity, ChipGemm) {
       make_chip_gemm(chip, 16, 16, a.view(), b.view(), c.view()), ref);
 }
 
+TEST(FabricExecutor, ChipGemmModelUtilizationCountsChipCores) {
+  // Both backends tile CHIP_GEMM by chip.core; req.core plays no part.
+  const KernelRequest req =
+      kernel_traits(KernelKind::ChipGemm).sized_request(arch::lac_8x8_dp(), 2.0, 32, 3);
+  KernelRequest other = req;
+  other.core = arch::lac_4x4_dp();
+  const KernelResult want = kModel.execute(req);
+  const KernelResult got = kModel.execute(other);
+  ASSERT_TRUE(want.ok && got.ok) << want.error << got.error;
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.cycles.value(), want.cycles.value());
+}
+
+TEST(FabricExecutor, OversizedSimRequestFailsInBand) {
+  // n = 192 and 256 overflow the 4x4 core's MEM-A and MEM-B. The local
+  // stores count the overrun instead of writing past their words (which
+  // crashed the process), and the sim fails the request with zero cost.
+  // The model has no capacity term and still prices them.
+  for (index_t n : {192, 256}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const KernelRequest req =
+        kernel_traits(KernelKind::Gemm).sized_request(arch::lac_4x4_dp(), 2.0, n, 7);
+    const KernelResult res = kSim.execute(req);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("local stores"), std::string::npos) << res.error;
+    EXPECT_EQ(res.cycles.value(), 0.0);
+    EXPECT_EQ(res.stats.mac_ops, 0);
+    EXPECT_EQ(res.stats.overruns, 0);
+    EXPECT_TRUE(kModel.execute(req).ok);
+  }
+}
+
 TEST(FabricExecutor, NonSpdCholeskyFailsInBandOnBothBackends) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   MatrixD a = random_matrix(16, 16, 40);  // not symmetric positive definite
@@ -334,6 +366,17 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   bad.push_back(chip_good);
   bad.back().chip.core.nr = 8;
   bad.back().tag = "chip.core.nr 8";
+  // A core size below 1: zero used to trap in the shape checks (a
+  // remainder by nr), and -1 to come back ok from the model and abort the
+  // sim.
+  for (int nr : {0, -1}) {
+    bad.push_back(kernel_traits(KernelKind::Gemm).sized_request(cfg, 2.0, 16, 1));
+    bad.back().core.nr = nr;
+    bad.back().tag = "GEMM core.nr " + std::to_string(nr);
+  }
+  bad.push_back(kernel_traits(KernelKind::Vnorm).sized_request(cfg, 2.0, 16, 1));
+  bad.back().core.nr = 0;
+  bad.back().tag = "VNORM core.nr 0";
   for (const KernelRequest& req : bad) {
     SCOPED_TRACE(req.tag);
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),

@@ -147,5 +147,53 @@ TEST(SimGolden, EveryKindMatchesPinnedDigests) {
       << table;
 }
 
+/// Long rank-1 sweeps, where the bulk close of a regular row
+/// (StreamSchedule::rank1_update) covers almost every step: n = 128 on the
+/// 4x4 core at an on-grid (2) and an off-grid (3 words/cycle) bandwidth,
+/// and TRSM on a 16-word MEM-B, whose update no longer fits one sweep, and
+/// on a 4-word MEM-B, which holds one panel per sweep.
+/// Pinned from the per-step simulator, before any sweep was closed in bulk.
+struct LongSweep {
+  KernelKind kind;
+  double bw;
+  index_t n;
+  double mem_b_kbytes;  ///< 0 keeps the preset's
+  std::uint64_t digest;
+};
+
+constexpr LongSweep kLongSweeps[] = {
+    {KernelKind::Gemm, 2.0, 128, 0.0, 0xce9d3be7fcd7f811ull},
+    {KernelKind::Gemm, 3.0, 128, 0.0, 0x5f25da30aa9c1a72ull},
+    {KernelKind::Syrk, 2.0, 128, 0.0, 0x09593506cd6f642cull},
+    {KernelKind::Syrk, 3.0, 128, 0.0, 0x09829b7e560312dcull},
+    {KernelKind::Syr2k, 2.0, 128, 0.0, 0xea2f70a55642833bull},
+    {KernelKind::Syr2k, 3.0, 128, 0.0, 0xf249639164bbe4d6ull},
+    {KernelKind::Trsm, 2.0, 128, 0.0, 0x4b17e3f3c7658371ull},
+    {KernelKind::Trsm, 3.0, 128, 0.0, 0xf11a9e112287c67eull},
+    {KernelKind::ChipGemm, 2.0, 128, 0.0, 0xd765cb5906fea94dull},
+    {KernelKind::ChipGemm, 3.0, 128, 0.0, 0xd765cb5906fea94dull},
+    {KernelKind::Trsm, 2.0, 64, 0.125, 0x80ef9ee0ee3b1ba0ull},
+    {KernelKind::Trsm, 2.0, 32, 0.03125, 0x9d75bfeaa7b6bc8bull},
+};
+
+TEST(SimGolden, LongSweepsMatchParent) {
+  const SimExecutor sim;
+  for (const LongSweep& w : kLongSweeps) {
+    arch::CoreConfig cfg = arch::lac_4x4_dp();
+    if (w.mem_b_kbytes > 0.0) cfg.pe.mem_b_kbytes = w.mem_b_kbytes;
+    SCOPED_TRACE(std::string(to_string(w.kind)) + " bw " + std::to_string(w.bw) +
+                 " n " + std::to_string(w.n) + " mem_b_kbytes " +
+                 std::to_string(w.mem_b_kbytes));
+    const KernelResult res =
+        sim.execute(kernel_traits(w.kind).sized_request(cfg, w.bw, w.n, 2013));
+    EXPECT_TRUE(res.ok) << res.error;
+    Digest d;
+    add_result(d, res);
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016" PRIx64 "ull", d.value());
+    EXPECT_EQ(d.value(), w.digest) << "simulator output changed; digest " << got;
+  }
+}
+
 }  // namespace
 }  // namespace lac::fabric

@@ -1,14 +1,19 @@
 // StreamSchedule::rank1_update times one lead per group of lock-step PEs
-// in a row and lets the rest follow (sim/engine.hpp). This test keeps the
-// per-PE sweep -- every PE's MEM-B read and MAC timed on its own -- as the
-// reference, knocks chosen PEs out of step so rows hold from one lead to
-// nr, and requires the two to agree bit for bit on everything observable.
+// in a row and lets the rest follow, and closes a row's remaining steps in
+// bulk once the row is regular (sim/engine.hpp). This test keeps the
+// per-PE, per-step sweep -- every PE's MEM-B read and MAC timed on its own
+// -- as the reference, knocks chosen PEs out of step so rows hold from one
+// lead to nr, varies every time the close sums (ports, bus latency, gates
+// on and off the quarter-cycle grid, rows that turn regular late), and
+// requires the two to agree bit for bit on everything observable,
+// NaN and signed-zero values included.
 #include "fabric/stream_schedule.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "arch/presets.hpp"
@@ -59,9 +64,20 @@ void reference_rank1(Core& core, const Sweep& w) {
 /// alone and class k > 0 gets one of four knocks, so groups differ in
 /// MEM-B port time, issue port and accumulator time, accumulator ready
 /// time only, or issue-port busy time only (same next-free time).
-void prepare(Core& core, int parity, std::uint64_t seed) {
+///
+/// `late` sets each row up so that one condition of a regular row decides
+/// when it closes (r % 5): the bus and every MAC run ahead of the gate, so
+/// the row is regular at once and the gate binds its reads; the bus runs
+/// far ahead of the MACs; the bus and one MEM-A port run past the gate, so
+/// the row turns regular only after some steps; one lead's MEM-B port runs
+/// past its MAC; one lead's accumulator chain runs past its issue port.
+/// `special` puts a NaN into one broadcast word of each even row (negating
+/// it flips its sign bit) and gives one PE of each odd row an all -0.0
+/// MEM-B stream and accumulator, so every sum it makes is a signed zero.
+void prepare(Core& core, const Sweep& w, std::uint64_t seed, bool late, bool special) {
   Rng rng(seed);
   const int nr = core.nr();
+  const int parity = w.parity;
   for (int r = 0; r < nr; ++r)
     for (int c = 0; c < nr; ++c) {
       Pe& pe = core.pe(r, c);
@@ -90,6 +106,56 @@ void prepare(Core& core, int parity, std::uint64_t seed) {
           break;
       }
     }
+  const index_t steps = w.p_end - w.p_begin;
+  for (int r = 0; r < nr; ++r) {
+    if (late) {
+      const sim::time_t_ g = w.gate;
+      const auto chain_all = [&](sim::time_t_ t) {
+        for (int c = 0; c < nr; ++c)
+          core.pe(r, c).mac.mac_into_acc(parity, at(0.5, t), at(0.25, 0.0));
+      };
+      switch (r % 5) {
+        case 0:
+          core.broadcast_row(r, at(0.0, g + 1.0 + r));
+          chain_all(g + 8.0 + r);
+          break;
+        case 1:
+          core.broadcast_row(r, at(0.0, g + 20.0 + r));
+          break;
+        case 2:
+          core.broadcast_row(r, at(0.0, g + 2.0 + r));
+          core.pe(r, (r + 1) % nr).mem_a.read(0, g + 6.0 + 2.0 * r);
+          break;
+        case 3:
+          core.broadcast_row(r, at(0.0, g + 1.0));
+          chain_all(g + 8.0);
+          core.pe(r, 0).mem_b.read(0, g + 30.0);
+          break;
+        case 4: {
+          core.broadcast_row(r, at(0.0, g + 1.0));
+          chain_all(g + 8.0);
+          Pe& pe = core.pe(r, nr - 1);
+          pe.mac.set_acc(parity, at(pe.mac.read_acc(parity).v, g + 50.0));
+          break;
+        }
+      }
+    }
+    if (!special) continue;
+    if (r % 2 == 0) {
+      const index_t p = w.p_begin + steps / 2;
+      core.pe(r, static_cast<int>(p % nr))
+          .mem_a.poke(w.a_base + mem_a_addr(w.row0 + r, p, w.rows, nr),
+                      r % 4 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                 : -std::numeric_limits<double>::quiet_NaN());
+    } else {
+      Pe& pe = core.pe(r, (r + 2) % nr);
+      for (index_t s = 0; s < steps; ++s) pe.mem_b.poke(w.slot + s, -0.0);
+      pe.mac.set_acc(parity, at(-0.0, pe.mac.read_acc(parity).ready));
+      const index_t p = w.p_begin + steps / 3;
+      core.pe(r, static_cast<int>(p % nr))
+          .mem_a.poke(w.a_base + mem_a_addr(w.row0 + r, p, w.rows, nr), -0.0);
+    }
+  }
 }
 
 void expect_same_stats(const sim::Stats& a, const sim::Stats& b) {
@@ -106,6 +172,7 @@ void expect_same_stats(const sim::Stats& a, const sim::Stats& b) {
   EXPECT_EQ(a.col_bus_xfers, b.col_bus_xfers);
   EXPECT_EQ(a.sfu_ops, b.sfu_ops);
   EXPECT_EQ(a.dma_words, b.dma_words);
+  EXPECT_EQ(a.overruns, b.overruns);
 }
 
 void expect_same_cores(Core& got, Core& want, int parity) {
@@ -138,36 +205,51 @@ void expect_same_cores(Core& got, Core& want, int parity) {
 
 TEST(StreamSchedule, Rank1SweepMatchesPerPeReference) {
   std::uint64_t seed = 1;
-  for (int nr : {4, 8})
-    for (int ports = 1; ports <= 3; ++ports)
-      for (sim::time_t_ gate : {0.0, 7.0 / 3.0, 40.0})
-        for (index_t steps : {4, 17, 64})
-          for (int parity : {0, 1})
-            for (bool negate : {false, true}) {
-              arch::CoreConfig cfg = nr == 4 ? arch::lac_4x4_dp() : arch::lac_8x8_dp();
-              cfg.pe.mem_b_ports = ports;
-              SCOPED_TRACE("nr " + std::to_string(nr) + " ports " + std::to_string(ports) +
-                           " gate " + std::to_string(gate) + " steps " +
-                           std::to_string(steps) + " parity " + std::to_string(parity) +
-                           " negate " + std::to_string(negate));
-              Core got(cfg, 2.0, 2);
-              Core want(cfg, 2.0, 2);
-              prepare(got, parity, seed);
-              prepare(want, parity, seed);
-              ++seed;
-              Sweep w;
-              w.parity = parity;
-              w.rows = 2 * nr;
-              w.row0 = nr;
-              w.p_end = w.p_begin + steps;
-              w.gate = gate;
-              w.negate = negate;
-              StreamSchedule(got).rank1_update(w.parity, w.a_base, w.rows, w.row0,
-                                               w.p_begin, w.p_end, w.slot, w.gate,
-                                               w.negate);
-              reference_rank1(want, w);
-              expect_same_cores(got, want, parity);
-            }
+  for (int nr : {4, 6, 8})  // 6: the close's four-PE passes leave two over
+    for (int ports_b = 1; ports_b <= 3; ++ports_b)
+      for (int ports_a : {1, 2})
+        for (int latency : {1, 2})
+          for (sim::time_t_ gate : {0.0, 7.0 / 3.0, 40.0})
+            for (index_t steps : {4, 17, 64})
+              for (int parity : {0, 1})
+                for (bool negate : {false, true})
+                  for (int variant = 0; variant < 3; ++variant) {
+                    const bool late = variant == 1;
+                    const bool special = variant == 2;
+                    arch::CoreConfig cfg = nr == 8 ? arch::lac_8x8_dp() : arch::lac_4x4_dp();
+                    cfg.nr = nr;
+                    cfg.pe.mem_b_ports = ports_b;
+                    cfg.pe.mem_a_ports = ports_a;
+                    cfg.bus_latency = latency;
+                    // 128 words each: room for prepare(), cheap to build.
+                    cfg.pe.mem_a_kbytes = 1.0;
+                    cfg.pe.mem_b_kbytes = 1.0;
+                    SCOPED_TRACE("nr " + std::to_string(nr) + " MEM-B ports " +
+                                 std::to_string(ports_b) + " MEM-A ports " +
+                                 std::to_string(ports_a) + " bus latency " +
+                                 std::to_string(latency) + " gate " + std::to_string(gate) +
+                                 " steps " + std::to_string(steps) + " parity " +
+                                 std::to_string(parity) + " negate " +
+                                 std::to_string(negate) + " late " + std::to_string(late) +
+                                 " special " + std::to_string(special));
+                    Sweep w;
+                    w.parity = parity;
+                    w.rows = 2 * nr;
+                    w.row0 = nr;
+                    w.p_end = w.p_begin + steps;
+                    w.gate = gate;
+                    w.negate = negate;
+                    Core got(cfg, 2.0, 2);
+                    Core want(cfg, 2.0, 2);
+                    prepare(got, w, seed, late, special);
+                    prepare(want, w, seed, late, special);
+                    ++seed;
+                    StreamSchedule(got).rank1_update(w.parity, w.a_base, w.rows, w.row0,
+                                                     w.p_begin, w.p_end, w.slot, w.gate,
+                                                     w.negate);
+                    reference_rank1(want, w);
+                    expect_same_cores(got, want, parity);
+                  }
 }
 
 }  // namespace
