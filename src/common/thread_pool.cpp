@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace lac {
 namespace {
@@ -130,12 +129,7 @@ bool ThreadPool::pop_from(unsigned shard_idx, QueuedJob& out) {
 }
 
 void ThreadPool::run_job(QueuedJob&& job) {
-  {
-    // Parent scope for any spans the job opens (serving.execute,
-    // sched.run, ...); one relaxed load when no session is active.
-    obs::Span span("pool.task", "pool");
-    job.fn();
-  }
+  job.fn();
   // Count the task before releasing it, so drain() returns only after
   // every task it waited for is counted.
   PoolMetrics::instance().tasks.add();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "fabric/kernel_registry.hpp"
 
@@ -9,6 +10,32 @@ namespace lac::fabric {
 namespace {
 
 SharedMatrix own(ConstViewD v) { return SharedMatrix(to_matrix<double>(v)); }
+
+/// The PE and core fields both backends read, named under `prefix`. A port
+/// count or pipeline depth below 1 prices infinite cycles or NaN energy, a
+/// store size that is not finite and positive throws out of the sim's
+/// local-store allocation, and a negative latency returns negative cycles.
+std::string validate_core(const arch::CoreConfig& core, const char* prefix) {
+  const arch::PeConfig& pe = core.pe;
+  for (const auto& [name, v] : {std::pair{"pe.mem_a_ports", pe.mem_a_ports},
+                                {"pe.mem_b_ports", pe.mem_b_ports},
+                                {"pe.pipeline_stages", pe.pipeline_stages}})
+    if (v < 1)
+      return std::string(prefix) + name + " must be >= 1, got " + std::to_string(v);
+  for (const auto& [name, kb] : {std::pair{"pe.mem_a_kbytes", pe.mem_a_kbytes},
+                                 {"pe.mem_b_kbytes", pe.mem_b_kbytes}})
+    if (!std::isfinite(kb) || kb <= 0.0)
+      return std::string(prefix) + name + " must be finite and > 0, got " +
+             std::to_string(kb);
+  for (const auto& [name, v] : {std::pair{"bus_latency", core.bus_latency},
+                                {"sfu_latency_recip", core.sfu_latency_recip},
+                                {"sfu_latency_rsqrt", core.sfu_latency_rsqrt},
+                                {"sfu_latency_sqrt", core.sfu_latency_sqrt},
+                                {"sw_emulation_cycles", core.sw_emulation_cycles}})
+    if (v < 0)
+      return std::string(prefix) + name + " must be >= 0, got " + std::to_string(v);
+  return {};
+}
 
 }  // namespace
 
@@ -298,6 +325,9 @@ std::string validate(const KernelRequest& req) {
   for (const double ghz : {req.core.pe.clock_ghz, req.chip.core.pe.clock_ghz})
     if (!std::isfinite(ghz) || ghz <= 0.0)
       return "core clock_ghz must be finite and > 0, got " + std::to_string(ghz);
+  for (const auto& [prefix, core] : {std::pair{"core.", &req.core},
+                                     {"chip.core.", &req.chip.core}})
+    if (std::string err = validate_core(*core, prefix); !err.empty()) return err;
   if (!std::isfinite(req.tech.clock_ghz) || req.tech.clock_ghz < 0.0)
     return "tech.clock_ghz must be finite and >= 0 (0 = core clock), got " +
            std::to_string(req.tech.clock_ghz);

@@ -230,9 +230,9 @@ KernelResult make_failed(std::string tag, std::string backend,
 KernelResult make_failed(const KernelRequest& req, std::string backend,
                          std::string error);
 
-/// Bandwidth, clock, tech-node and shape/blocking sanity check; returns an
-/// empty string when valid. Shapes go through the kernel registry's
-/// per-kind validators.
+/// Bandwidth, clock, tech-node, PE/core field and shape/blocking sanity
+/// check; returns an empty string when valid. Shapes go through the kernel
+/// registry's per-kind validators.
 std::string validate(const KernelRequest& req);
 
 }  // namespace lac::fabric

@@ -2,7 +2,6 @@
 
 #include "fabric/kernel_registry.hpp"
 #include "fabric/serving.hpp"
-#include "obs/trace.hpp"
 
 namespace lac::fabric {
 
@@ -32,7 +31,6 @@ KernelResult ModelExecutor::execute(const KernelRequest& req) const {
   // golden models the simulator is tested against); in-band failures leave
   // every cost field at its zero default.
   const KernelTraits& traits = kernel_traits(req.kind);
-  obs::Span span(traits.name, "model");
   if (std::string err = traits.reference_run(req, res); !err.empty()) {
     res.error = std::move(err);
     return res;
@@ -54,7 +52,6 @@ KernelResult ModelExecutor::execute(const KernelRequest& req) const {
     attach_cost(res, req, cost.energy);
   }
   res.ok = true;
-  span.set_cycles(res.cycles);
   return res;
 }
 

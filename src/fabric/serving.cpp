@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "fabric/model_executor.hpp"
-#include "obs/trace.hpp"
 
 namespace lac::fabric {
 namespace {
@@ -164,30 +163,14 @@ std::future<KernelResult> AsyncExecutor::submit(KernelRequest req) const {
 std::future<KernelResult> AsyncExecutor::submit(
     KernelRequest req, std::function<void(const KernelResult&)> on_complete) const {
   const Executor& backend = backend_;
-  // Captured on the submitting thread: the queue-wait interval starts here,
-  // and the submitter's span id parents the worker-side spans so a
-  // request's queue-wait/execute/hook phases chain across the thread hop.
-  const std::uint64_t submit_ns = obs::now_ns();
-  const std::uint64_t parent = obs::Span::current_id();
   // Size-aware dispatch: the model cycle estimate is a monotone proxy for
   // backend runtime (sim wall time scales with simulated cycles), which is
   // all the pool's placement needs.
   const double hint = hints_ ? hints_->estimate(req).cycles.value() : 0.0;
-  return pool_.submit_hinted(hint, [&backend, submit_ns, parent,
-                                    req = std::move(req),
+  return pool_.submit_hinted(hint, [&backend, req = std::move(req),
                                     hook = std::move(on_complete)] {
-    obs::record_interval("serving.queue_wait", "serving", submit_ns,
-                         obs::now_ns(), parent);
-    KernelResult res;
-    {
-      obs::Span span("serving.execute", "serving", parent);
-      res = backend.execute(req);
-      span.set_cycles(res.cycles);
-    }
-    if (hook) {
-      obs::Span span("serving.hook", "serving", parent);
-      hook(res);
-    }
+    KernelResult res = backend.execute(req);
+    if (hook) hook(res);
     return res;
   });
 }

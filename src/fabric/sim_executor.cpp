@@ -3,7 +3,6 @@
 #include <string>
 
 #include "fabric/kernel_registry.hpp"
-#include "obs/trace.hpp"
 
 namespace lac::fabric {
 namespace {
@@ -38,7 +37,6 @@ KernelResult SimExecutor::execute(const KernelRequest& req) const {
   // request's TechContext: per-event energies for the dynamic part,
   // leakage over the exact cycle count for the static part.
   const KernelTraits& traits = kernel_traits(req.kind);
-  obs::Span span(traits.name, "sim");
   std::string err = traits.sim_run(req, res);
   // A schedule that does not fit the PE memories touched no memory outside
   // them (sim::LocalStore counts such accesses instead), but its values
@@ -53,7 +51,6 @@ KernelResult SimExecutor::execute(const KernelRequest& req) const {
   }
   attach_cost(res, req, traits.sim_energy(req, res.stats, res.cycles));
   res.ok = true;
-  span.set_cycles(res.cycles);
   return res;
 }
 

@@ -51,7 +51,6 @@ class StreamSchedule {
 
   // ---- in-order DMA cursor ----------------------------------------------
   sim::time_t_ cursor() const { return cursor_; }
-  void set_cursor(sim::time_t_ t) { cursor_ = t; }
   /// Stream `words` over the memory interface behind everything already
   /// queued; advances and returns the cursor (= completion time).
   sim::time_t_ dma(double words);

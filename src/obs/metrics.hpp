@@ -1,5 +1,5 @@
 #pragma once
-// Fabric telemetry, part 1 of 2: the counter registry.
+// Fabric telemetry: the counter registry.
 //
 // A few event counts are read from outside the layer that bumps them: the
 // benchmark (perfbench/) reads `lac.pool.tasks` and `lac.pool.steals` as
@@ -20,9 +20,8 @@
 // registry are stable for the registry's lifetime -- hot paths look a
 // counter up once and keep the pointer.
 //
-// Part 2 (obs/trace.hpp) is the span tracer; unlike the tracer, the
-// registry stays compiled and live even under -DLAC_OBS=OFF, because the
-// benchmark's counts must not disappear with the tracer.
+// The registry counts; it does not time. Where an op's wall time goes is
+// perfbench's traced ledger, measured from outside the library.
 #include <array>
 #include <atomic>
 #include <cstdint>

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fabric/serving.hpp"
-#include "obs/trace.hpp"
 
 namespace lac::sched {
 
@@ -41,7 +40,6 @@ struct GraphScheduler::Unit {
   fabric::KernelRequest req;
   std::optional<fabric::CostKey> key;  // affinity batching; unset at batch_limit <= 1
   std::string make_error;  // deferred `make` closure threw; fail in-band
-  std::uint64_t ready_ns = 0;  // enqueue timestamp (ready -> run wait)
 };
 
 struct GraphScheduler::Tenant {
@@ -144,7 +142,7 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::try_submit(
   return admit_single(tenant, std::move(req), std::move(on_complete), false);
 }
 
-bool GraphScheduler::admit_slot(bool block, TenantId tenant) {
+bool GraphScheduler::admit_slot(bool block) {
   MutexLock lock(mu_);
   // try_submit's refusal applies everywhere -- it never blocks, so it is
   // always deadlock-free and backpressure stays observable from hooks.
@@ -153,15 +151,8 @@ bool GraphScheduler::admit_slot(bool block, TenantId tenant) {
   // hook occupies a pool worker, and the capacity it would wait for may
   // need that very worker to free (self-deadlock). Such hook-chained jobs
   // are admitted over capacity instead, visible in peak_pending().
-  if (g_hook_depth == 0 && pending_jobs_ >= opts_.queue_capacity) {
-    // Timed only when the gate actually blocks: uncontended admission pays
-    // no clock read.
-    const std::uint64_t wait_start_ns = obs::now_ns();
+  if (g_hook_depth == 0)
     while (pending_jobs_ >= opts_.queue_capacity) admit_cv_.wait(mu_);
-    obs::record_interval("sched.admit_wait", "sched", wait_start_ns,
-                         obs::now_ns(), 0, units::Cycles{},
-                         static_cast<std::int64_t>(tenant));
-  }
   ++pending_jobs_;
   ++unresolved_jobs_;
   peak_pending_ = std::max(peak_pending_, pending_jobs_);
@@ -198,7 +189,7 @@ std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
   for (NodeId id = 0; id < n; ++id)
     job->missing[id] = job->graph.node(id).deps.size();
 
-  if (!admit_slot(block, tenant)) return std::nullopt;
+  if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<GraphResult> fut = job->gpromise.get_future();
   {
@@ -222,7 +213,7 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   job->single = true;
   job->khook = std::move(hook);
 
-  if (!admit_slot(block, tenant)) return std::nullopt;
+  if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<fabric::KernelResult> fut = job->kpromise.get_future();
   {
@@ -262,10 +253,8 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
 
 void GraphScheduler::enqueue(std::vector<std::unique_ptr<Unit>> units) {
   if (units.empty()) return;
-  const std::uint64_t ready_ns = obs::now_ns();
   MutexLock lock(mu_);
   for (std::unique_ptr<Unit>& unit : units) {
-    unit->ready_ns = ready_ns;
     Tenant& ten = *tenants_[unit->job->tenant];
     if (ten.ready.empty() && ten.inflight == 0) {
       // A tenant going from idle to busy resumes at the lead of the active
@@ -363,22 +352,14 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
     complete_unit(std::move(unit), std::move(failed));
     return;
   }
-  obs::record_interval("sched.ready_wait", "sched", unit->ready_ns,
-                       obs::now_ns(), 0, units::Cycles{},
-                       static_cast<std::int64_t>(unit->job->tenant));
   fabric::KernelResult res;
-  {
-    obs::Span span("sched.run", "sched");
-    span.set_tenant(unit->job->tenant);
-    try {
-      res = backend_.execute(unit->req);
-    } catch (const std::exception& e) {
-      res = fabric::make_failed(unit->req, backend_.name(),
-                                std::string("backend exception: ") + e.what());
-    } catch (...) {
-      res = fabric::make_failed(unit->req, backend_.name(), "backend exception");
-    }
-    span.set_cycles(res.cycles);
+  try {
+    res = backend_.execute(unit->req);
+  } catch (const std::exception& e) {
+    res = fabric::make_failed(unit->req, backend_.name(),
+                              std::string("backend exception: ") + e.what());
+  } catch (...) {
+    res = fabric::make_failed(unit->req, backend_.name(), "backend exception");
   }
   if (res.ok && !unit->job->single) {
     const auto& commit = unit->job->graph.node(unit->id).commit;

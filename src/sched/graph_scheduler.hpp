@@ -167,9 +167,10 @@ class GraphScheduler {
       TenantId tenant, fabric::KernelRequest req,
       std::function<void(const fabric::KernelResult&)> hook, bool block)
       LAC_EXCLUDES(mu_);
-  // Capacity gate; false = full (non-blocking). `tenant` labels the
-  // admission-wait span when the gate blocks.
-  bool admit_slot(bool block, TenantId tenant) LAC_EXCLUDES(mu_);
+  // Capacity gate; false = full (non-blocking). A blocking caller waits
+  // for a slot, except from a completion hook, which is admitted over
+  // capacity instead.
+  bool admit_slot(bool block) LAC_EXCLUDES(mu_);
 
   std::unique_ptr<Unit> build_unit(std::shared_ptr<Job> job, NodeId id);
   void enqueue(std::vector<std::unique_ptr<Unit>> units) LAC_EXCLUDES(mu_);

@@ -102,8 +102,6 @@ class Resource {
   bool on_grid() const { return sim::on_grid(next_free_) && sim::on_grid(busy_); }
   std::int64_t ops() const { return ops_; }
   void reset() { next_free_ = 0.0; busy_ = 0.0; ops_ = 0; }
-  /// Fast-forward the resource (e.g. after a barrier).
-  void advance_to(time_t_ t) { next_free_ = std::max(next_free_, t); }
 
   /// Next-free and busy time equal to `o`'s bit for bit (not `==`): the
   /// same acquire sequence then yields the same starts and busy time.

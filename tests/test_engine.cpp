@@ -24,11 +24,9 @@ TEST(Resource, DurationBasedOccupancy) {
   EXPECT_DOUBLE_EQ(dma.next_free(), 7.5);
 }
 
-TEST(Resource, ResetAndAdvance) {
+TEST(Resource, Reset) {
   Resource r;
   r.acquire(0.0, 3.0);
-  r.advance_to(10.0);
-  EXPECT_DOUBLE_EQ(r.next_free(), 10.0);
   r.reset();
   EXPECT_DOUBLE_EQ(r.next_free(), 0.0);
   EXPECT_EQ(r.ops(), 0);

@@ -9,6 +9,7 @@
 #include <complex>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -377,14 +378,46 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   bad.push_back(kernel_traits(KernelKind::Vnorm).sized_request(cfg, 2.0, 16, 1));
   bad.back().core.nr = 0;
   bad.back().tag = "VNORM core.nr 0";
+  // PE and core fields the backends read, one at a time on every kind
+  // (CHIP_GEMM through chip.core). Zero ports used to price infinite
+  // cycles or NaN energy, a NaN or negative store size to throw out of the
+  // sim, and a negative SFU latency to price TRSM at negative cycles.
+  using CoreFault = std::pair<const char*, void (*)(arch::CoreConfig&)>;
+  const CoreFault core_faults[] = {
+      {"pe.mem_a_ports 0", [](arch::CoreConfig& c) { c.pe.mem_a_ports = 0; }},
+      {"pe.mem_b_ports 0", [](arch::CoreConfig& c) { c.pe.mem_b_ports = 0; }},
+      {"pe.mem_a_kbytes -4", [](arch::CoreConfig& c) { c.pe.mem_a_kbytes = -4.0; }},
+      {"pe.mem_a_kbytes 0", [](arch::CoreConfig& c) { c.pe.mem_a_kbytes = 0.0; }},
+      {"pe.mem_a_kbytes inf", [](arch::CoreConfig& c) {
+         c.pe.mem_a_kbytes = std::numeric_limits<double>::infinity();
+       }},
+      {"pe.mem_b_kbytes nan", [](arch::CoreConfig& c) {
+         c.pe.mem_b_kbytes = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"pe.pipeline_stages 0", [](arch::CoreConfig& c) { c.pe.pipeline_stages = 0; }},
+      {"pe.pipeline_stages -3", [](arch::CoreConfig& c) { c.pe.pipeline_stages = -3; }},
+      {"bus_latency -1", [](arch::CoreConfig& c) { c.bus_latency = -1; }},
+      {"sfu_latency_recip -20", [](arch::CoreConfig& c) { c.sfu_latency_recip = -20; }},
+      {"sfu_latency_rsqrt -1", [](arch::CoreConfig& c) { c.sfu_latency_rsqrt = -1; }},
+      {"sfu_latency_sqrt -1", [](arch::CoreConfig& c) { c.sfu_latency_sqrt = -1; }},
+      {"sw_emulation_cycles -1", [](arch::CoreConfig& c) { c.sw_emulation_cycles = -1; }},
+  };
+  for (KernelKind kind : registered_kernel_kinds())
+    for (const auto& [field, fault] : core_faults) {
+      bad.push_back(kernel_traits(kind).sample_request(1));
+      fault(kind == KernelKind::ChipGemm ? bad.back().chip.core : bad.back().core);
+      bad.back().tag = std::string(to_string(kind)) + " " + field;
+    }
   for (const KernelRequest& req : bad) {
     SCOPED_TRACE(req.tag);
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                                static_cast<const Executor*>(&kModel)}) {
-      KernelResult res = ex->execute(req);
+      KernelResult res;
+      EXPECT_NO_THROW(res = ex->execute(req)) << ex->name();
       EXPECT_FALSE(res.ok) << res.backend << " bw " << req.bw_words_per_cycle;
       EXPECT_FALSE(res.error.empty()) << res.backend;
       EXPECT_EQ(res.cycles.value(), 0.0) << res.backend;
+      EXPECT_EQ(res.energy_nj.value(), 0.0) << res.backend;
     }
   }
 }

@@ -1,66 +1,19 @@
-// Observability layer tests: counter registry semantics and concurrency,
-// span parent/child identity (same-thread nesting and cross-thread hops
-// through the ThreadPool), trace-session lifecycle (exclusivity, ring
-// overflow accounting, Chrome JSON shape), and the cost pins the layer's
-// "near-zero when idle" claim rests on (no allocation, no recorded events,
-// when no session is active).
+// Observability layer tests: counter registry semantics and concurrency
+// (sharded adds from many threads, stable get-or-create handles, racing
+// counter creation).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "test_support.hpp"
 
 namespace {
 
 using namespace lac;
-
-// ---- TU-global allocation counter (zero-allocation pin) --------------------
-// Replacing the global operator new in this TU makes every allocation in
-// the test binary countable; the pin below samples the counter around a
-// burst of idle-tracer work and asserts a zero delta.
-std::atomic<std::size_t> g_alloc_count{0};
-
-}  // namespace
-
-// GCC inlines these replacement operators and then mis-pairs the malloc
-// in `new` with the free in `delete[]` (and vice versa) at call sites --
-// a known -Wmismatched-new-delete false positive for replaced globals.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
-
-const obs::TraceEvent* find_event(const std::vector<obs::TraceEvent>& events,
-                                  const std::string& name) {
-  for (const obs::TraceEvent& e : events)
-    if (name == e.name) return &e;
-  return nullptr;
-}
 
 // ---- metrics registry ------------------------------------------------------
 
@@ -110,135 +63,6 @@ TEST(Metrics, RegistryCreationRaces) {
     }));
   for (auto& f : futs) f.get();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// ---- span tracer -----------------------------------------------------------
-
-#if LAC_OBS_ENABLED
-
-TEST(Trace, SpanNestingRecordsParentChain) {
-  obs::TraceSession session;
-  std::uint64_t outer_id = 0, inner_id = 0;
-  {
-    obs::Span outer("test.outer", "test");
-    outer_id = outer.id();
-    EXPECT_EQ(obs::Span::current_id(), outer_id);
-    {
-      obs::Span inner("test.inner", "test");
-      inner_id = inner.id();
-      EXPECT_EQ(obs::Span::current_id(), inner_id);
-    }
-    EXPECT_EQ(obs::Span::current_id(), outer_id);
-  }
-  session.stop();
-  const auto& events = session.events();
-  const obs::TraceEvent* outer_ev = find_event(events, "test.outer");
-  const obs::TraceEvent* inner_ev = find_event(events, "test.inner");
-  ASSERT_NE(outer_ev, nullptr);
-  ASSERT_NE(inner_ev, nullptr);
-  EXPECT_EQ(outer_ev->id, outer_id);
-  EXPECT_EQ(inner_ev->parent, outer_id);
-  EXPECT_EQ(outer_ev->parent, 0u);
-  // The inner interval sits within the outer one.
-  EXPECT_GE(inner_ev->start_ns, outer_ev->start_ns);
-  EXPECT_LE(inner_ev->start_ns + inner_ev->dur_ns,
-            outer_ev->start_ns + outer_ev->dur_ns);
-}
-
-TEST(Trace, CrossThreadParentThroughPool) {
-  ThreadPool pool(1);
-  obs::TraceSession session;
-  std::uint64_t submit_id = 0;
-  {
-    obs::Span submit_span("test.submit", "test");
-    submit_id = submit_span.id();
-    ASSERT_NE(submit_id, 0u);
-    // The explicit-parent constructor is the cross-thread chain: the
-    // submitting span's id rides into the worker-side span (the same
-    // pattern AsyncExecutor uses).
-    pool.submit([parent = submit_id] {
-      obs::Span child("test.worker_child", "test", parent);
-    }).get();
-  }
-  // The worker's own pool.task span closes *after* the future resolves;
-  // with one worker, a barrier job orders that close before stop().
-  pool.submit([] {}).get();
-  session.stop();
-  const obs::TraceEvent* child = find_event(session.events(), "test.worker_child");
-  ASSERT_NE(child, nullptr);
-  EXPECT_EQ(child->parent, submit_id);
-  // The worker-side pool.task span recorded on the same (worker) thread.
-  const obs::TraceEvent* task = find_event(session.events(), "pool.task");
-  ASSERT_NE(task, nullptr);
-  EXPECT_EQ(task->tid, child->tid);
-}
-
-TEST(Trace, OneSessionAtATime) {
-  obs::TraceSession session;
-  EXPECT_TRUE(obs::tracing_active());
-  EXPECT_THROW(obs::TraceSession second, std::logic_error);
-  session.stop();
-  EXPECT_FALSE(obs::tracing_active());
-  // After stop, a fresh session is fine again.
-  obs::TraceSession third;
-}
-
-TEST(Trace, RingOverflowIsCountedNotSilent) {
-  obs::TraceSessionOptions opts;
-  opts.ring_capacity = 64;  // the enforced minimum
-  obs::TraceSession session(opts);
-  const std::uint64_t base = obs::now_ns();
-  for (int i = 0; i < 200; ++i)
-    obs::record_interval("test.flood", "test", base + i, base + i + 1);
-  session.stop();
-  EXPECT_EQ(session.events().size(), 64u);
-  EXPECT_EQ(session.dropped(), 200u - 64u);
-  // Oldest events were the ones overwritten.
-  EXPECT_EQ(session.events().front().start_ns, base + (200 - 64));
-}
-
-TEST(Trace, ChromeTraceJsonShape) {
-  obs::TraceSession session;
-  {
-    obs::Span span("test.export", "test");
-    span.set_cycles(units::Cycles(123.0));
-    span.set_tenant(2);
-  }
-  std::ostringstream os;
-  session.write_chrome_trace(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"test.export\""), std::string::npos);
-  EXPECT_NE(json.find("\"cycles\": 123"), std::string::npos);
-  EXPECT_NE(json.find("\"tenant\": 2"), std::string::npos);
-}
-
-#endif  // LAC_OBS_ENABLED
-
-TEST(Trace, InactiveSessionRecordsNothingAndAllocatesNothing) {
-  ASSERT_FALSE(obs::tracing_active());
-  // Warm every lazy path first (thread-local shard index, metric handles),
-  // then pin: with no active session, spans and record_interval must not
-  // allocate -- the "near-zero cost when idle" contract.
-  {
-    obs::Span warm("test.warm", "test");
-    obs::record_interval("test.warm", "test", 0, 1);
-  }
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    obs::Span span("test.idle", "test");
-    span.set_cycles(units::Cycles(1.0));
-    obs::record_interval("test.idle", "test", 0, 1);
-  }
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u);
-#if LAC_OBS_ENABLED
-  // Nothing was buffered either: a session started now sees none of it.
-  obs::TraceSession session;
-  session.stop();
-  EXPECT_EQ(find_event(session.events(), "test.idle"), nullptr);
-#endif
 }
 
 }  // namespace
