@@ -112,22 +112,22 @@ inline bool sweep_closable(const sim::Core& core, const Rank1Sweep& w) {
          pe.mem_b.contains(w.slot, w.steps);
 }
 
-enum class RowCheck {
-  kIrregular,  ///< (1) or (2) fails: step, check again next step
+enum class Regularity {
+  kIrregular,  ///< a condition fails: step, check again next step
   kOffGrid,    ///< regular, but a time the close sums is off the grid
-  kRegular,    ///< close the row
+  kRegular,    ///< close the rest
 };
 
 /// Check row r before a step: conditions (1) and (2) above, then whether
 /// everything its close touches is on the exact grid. `row_lead[c]` is the
 /// column PE (r, c) follows.
-RowCheck check_row(const sim::Core& core, const Rank1Sweep& w, int r, const int* row_lead) {
+Regularity check_row(const sim::Core& core, const Rank1Sweep& w, int r, const int* row_lead) {
   const int nr = core.nr();
   const sim::Resource& bus = core.row_bus(r);
   sim::time_t_ a_free = w.gate;
   for (int c = 0; c < nr; ++c) a_free = std::max(a_free, core.pe(r, c).mem_a.port_free());
   const sim::time_t_ b = bus.next_free();
-  if (!(b >= a_free + 1.0)) return RowCheck::kIrregular;
+  if (!(b >= a_free + 1.0)) return Regularity::kIrregular;
   for (int c = 0; c < nr; ++c) {
     if (row_lead[c] != c) continue;
     const sim::Pe& pe = core.pe(r, c);
@@ -135,16 +135,16 @@ RowCheck check_row(const sim::Core& core, const Rank1Sweep& w, int r, const int*
     if (!sim::same_bits(pe.mac.chain_free(w.parity), t) ||
         !(t >= b + core.config().bus_latency) ||
         !(t >= std::max(w.gate, pe.mem_b.port_free()) + 1.0))
-      return RowCheck::kIrregular;
+      return Regularity::kIrregular;
   }
-  if (!bus.on_grid()) return RowCheck::kOffGrid;
+  if (!bus.on_grid()) return Regularity::kOffGrid;
   for (int c = 0; c < nr; ++c) {
     const sim::Pe& pe = core.pe(r, c);
-    if (!pe.mem_a.port_on_grid()) return RowCheck::kOffGrid;
+    if (!pe.mem_a.port_on_grid()) return Regularity::kOffGrid;
     if (row_lead[c] == c && !(pe.mem_b.port_on_grid() && pe.mac.on_grid()))
-      return RowCheck::kOffGrid;
+      return Regularity::kOffGrid;
   }
-  return RowCheck::kRegular;
+  return Regularity::kRegular;
 }
 
 /// Close regular row r's steps [s, steps): values first, with the stepping
@@ -156,11 +156,13 @@ LAC_FMA_CLONES void close_row(sim::Core& core, const Rank1Sweep& w, int r,
   const index_t steps = w.steps;
   const index_t run = steps - s;
   const Rank1Plan& plan = w.plan;
+  // MEM-A negated through sim::negated: a negation the compiler can see
+  // in an std::fma operand may fold into the FMA clone's arithmetic.
   const auto a_at = [&](index_t st) {
     const double v =
         core.pe(r, plan.owner[static_cast<std::size_t>(st)])
             .mem_a.words()[w.a_base + plan.a_addr[static_cast<std::size_t>(st * nr + r)]];
-    return w.negate ? -v : v;
+    return w.negate ? sim::negated(v) : v;
   };
   const auto b_at = [&](int c) { return core.pe(r, c).mem_b.words() + w.slot; };
   const auto acc_at = [&](int c) { return core.pe(r, c).mac.read_acc(w.parity).v; };
@@ -204,6 +206,172 @@ LAC_FMA_CLONES void close_row(sim::Core& core, const Rank1Sweep& w, int r,
     if (reads > 0) core.pe(r, o).mem_a.read_run(w.gate, reads);
   }
   core.broadcast_row_run(r, run);
+}
+
+// ---- closing a transpose capture in bulk ------------------------------------
+//
+// Each capture step reads word (row0 + r, p) of owner column p % nr for
+// every row r and broadcasts it on row bus r, re-broadcasts row c's word
+// down column bus c, writes it to MEM-B on every PE of column c and, with a
+// MAC, chains row r's word times column c's into PE (r, c)'s accumulator.
+// Write R_r and C_c for the row and column buses' next-free times, A for a
+// MEM-A port's, P for a MEM-B port's, T for a MAC issue port's and F for
+// its accumulator's chain-free time, with L the bus latency. The mesh is
+// *regular* before a step when
+//   (1) every R_r >= max(gate, every A of row r) + 1,
+//   (2) every C_c >= R_c + L,
+//   (3) every P of column c <= C_c + L, or the MEM-B slot is a whole cycle,
+//   (4) with a MAC, every F equals its T bit for bit, T >= R_r + L and
+//       T >= C_c + L.
+// Then the owner's read is ready by R_r, so row r's broadcast takes slot
+// R_r and arrives at R_r + L; column c's takes C_c and arrives at C_c + L;
+// each MEM-B write starts at max(C_c + L, P) and each MAC issues at T.
+// Afterwards every R_r, C_c, T and F has grown by exactly 1, the owner's
+// max(gate, A) by one MEM-A slot (at most 1), and each P is C_c + L plus a
+// slot (at most 1) or, with a whole-cycle slot, one cycle later, so (1) to
+// (4) hold again. By induction the remaining S steps leave what one run
+// per resource leaves: each owner's MEM-A reads back to back from
+// max(gate, A), S slots per bus from R_r and C_c, each MEM-B port's S
+// writes one cycle apart from max(C_c + L, P), and each MAC's S chained
+// issues from T. As for rank-1 rows, every time those runs sum must lie on
+// the grid of sim::on_grid.
+
+/// One transpose capture, as StreamSchedule::capture_transpose received it.
+struct Capture {
+  index_t a_base;
+  index_t rows;
+  index_t row0;
+  index_t steps;
+  index_t slot;
+  sim::time_t_ gate;
+  int mac_parity;  ///< StreamSchedule::kCaptureOnly: no MAC
+};
+
+/// Whether the capture can close at all: enough steps, a gate and bus
+/// latency on the exact grid, and every word it reads and writes inside
+/// the stores (the close reads MEM-A raw; mem_a_addr grows with both of
+/// its indices, so the first and last words bound the range).
+bool capture_closable(const sim::Core& core, const Capture& w) {
+  const sim::Pe& pe = core.pe(0, 0);
+  const int nr = core.nr();
+  const index_t lo = w.a_base + mem_a_addr(w.row0, 0, w.rows, nr);
+  const index_t hi = w.a_base + mem_a_addr(w.row0 + nr - 1, w.steps - 1, w.rows, nr);
+  return w.steps >= kMinCloseRun && w.steps < (index_t{1} << 38) && sim::on_grid(w.gate) &&
+         sim::on_grid(core.config().bus_latency) && pe.mem_a.contains(lo, hi - lo + 1) &&
+         pe.mem_b.contains(w.slot, w.steps);
+}
+
+/// Check the mesh before a capture step: conditions (1) to (4) above, then
+/// whether every time the close sums is on the exact grid.
+Regularity check_capture(const sim::Core& core, const Capture& w) {
+  const int nr = core.nr();
+  const sim::time_t_ latency = core.config().bus_latency;
+  for (int r = 0; r < nr; ++r) {
+    sim::time_t_ a_free = w.gate;
+    for (int c = 0; c < nr; ++c) a_free = std::max(a_free, core.pe(r, c).mem_a.port_free());
+    if (!(core.row_bus(r).next_free() >= a_free + 1.0)) return Regularity::kIrregular;
+  }
+  for (int c = 0; c < nr; ++c) {
+    if (!(core.col_bus(c).next_free() >= core.row_bus(c).next_free() + latency))
+      return Regularity::kIrregular;
+    const sim::time_t_ col_in = core.col_bus(c).next_free() + latency;
+    for (int r = 0; r < nr; ++r) {
+      const sim::Pe& pe = core.pe(r, c);
+      if (!(pe.mem_b.port_free() <= col_in || pe.mem_b.ports() == 1))
+        return Regularity::kIrregular;
+      if (w.mac_parity == StreamSchedule::kCaptureOnly) continue;
+      const sim::time_t_ t = pe.mac.issue_port_free();
+      if (!sim::same_bits(pe.mac.chain_free(w.mac_parity), t) || !(t >= col_in) ||
+          !(t >= core.row_bus(r).next_free() + latency))
+        return Regularity::kIrregular;
+    }
+  }
+  for (int i = 0; i < nr; ++i) {
+    if (!core.row_bus(i).on_grid() || !core.col_bus(i).on_grid()) return Regularity::kOffGrid;
+    for (int c = 0; c < nr; ++c) {
+      const sim::Pe& pe = core.pe(i, c);
+      if (!pe.mem_a.port_on_grid() || !pe.mem_b.port_on_grid() ||
+          (w.mac_parity != StreamSchedule::kCaptureOnly && !pe.mac.on_grid()))
+        return Regularity::kOffGrid;
+    }
+  }
+  return Regularity::kRegular;
+}
+
+/// Close a regular capture's steps [s, steps): gather each row's words,
+/// write column c's words to every PE of column c, compute each MAC's
+/// value with the stepping loop's fused multiply-adds in step order, then
+/// one run per resource.
+LAC_FMA_CLONES void close_capture(sim::Core& core, const Capture& w, index_t s) {
+  const int nr = core.nr();
+  const index_t run = w.steps - s;
+  const std::size_t urun = static_cast<std::size_t>(run);
+  // words[r * run + k]: row r's word of step s + k, at mem_a_addr(row0 + r,
+  // s + k, rows, nr) on the owner: the column block advances every nr steps.
+  sim::Scratch<double> words(static_cast<std::size_t>(nr) * urun);
+  for (int r = 0; r < nr; ++r) {
+    double* out = &words[static_cast<std::size_t>(r) * urun];
+    index_t addr = w.a_base + mem_a_addr(w.row0 + r, s, w.rows, nr);
+    int owner = static_cast<int>(s % nr);
+    for (index_t k = 0; k < run; ++k) {
+      out[k] = core.pe(r, owner).mem_a.words()[addr];
+      if (++owner == nr) {
+        owner = 0;
+        addr += w.rows / nr;
+      }
+    }
+  }
+  const auto row_words = [&](int r) { return &words[static_cast<std::size_t>(r) * urun]; };
+  if (w.mac_parity != StreamSchedule::kCaptureOnly) {
+    // Four PEs of a row share a pass so their dependency chains overlap.
+    for (int r = 0; r < nr; ++r) {
+      const double* a = row_words(r);
+      const auto acc_at = [&](int c) { return core.pe(r, c).mac.read_acc(w.mac_parity).v; };
+      const auto finish = [&](int c, double value) {
+        core.pe(r, c).mac.chain_run(w.mac_parity, run, value);
+      };
+      int c = 0;
+      for (; c + 4 <= nr; c += 4) {
+        const double *b0 = row_words(c), *b1 = row_words(c + 1), *b2 = row_words(c + 2),
+                     *b3 = row_words(c + 3);
+        double x0 = acc_at(c), x1 = acc_at(c + 1), x2 = acc_at(c + 2), x3 = acc_at(c + 3);
+        for (index_t k = 0; k < run; ++k) {
+          x0 = std::fma(a[k], b0[k], x0);
+          x1 = std::fma(a[k], b1[k], x1);
+          x2 = std::fma(a[k], b2[k], x2);
+          x3 = std::fma(a[k], b3[k], x3);
+        }
+        finish(c, x0);
+        finish(c + 1, x1);
+        finish(c + 2, x2);
+        finish(c + 3, x3);
+      }
+      for (; c < nr; ++c) {
+        const double* b = row_words(c);
+        double x = acc_at(c);
+        for (index_t k = 0; k < run; ++k) x = std::fma(a[k], b[k], x);
+        finish(c, x);
+      }
+    }
+  }
+  const sim::time_t_ latency = core.config().bus_latency;
+  for (int c = 0; c < nr; ++c) {
+    const sim::time_t_ col_in = core.col_bus(c).next_free() + latency;
+    for (int r = 0; r < nr; ++r)
+      core.pe(r, c).mem_b.write_run(w.slot + s, row_words(c), run, col_in, 1.0);
+  }
+  // MEM-A reads per owner column (owners cycle from column s % nr), then
+  // the broadcasts.
+  const int first_owner = static_cast<int>(s % nr);
+  for (int o = 0; o < nr; ++o) {
+    const index_t reads = run / nr + ((o - first_owner + nr) % nr < run % nr ? 1 : 0);
+    if (reads == 0) continue;
+    for (int r = 0; r < nr; ++r) core.pe(r, o).mem_a.read_run(w.gate, reads);
+  }
+  for (int i = 0; i < nr; ++i) {
+    core.broadcast_row_run(i, run);
+    core.broadcast_col_run(i, run);
+  }
 }
 
 }  // namespace
@@ -300,13 +468,13 @@ LAC_FMA_CLONES void StreamSchedule::rank1_update(int parity, index_t a_base,
       if (state == kCheck) {
         if (steps - s < kMinCloseRun) {
           state = kStep;
-        } else if (const RowCheck check = check_row(core_, sweep, r, row_lead);
-                   check == RowCheck::kRegular) {
+        } else if (const Regularity check = check_row(core_, sweep, r, row_lead);
+                   check == Regularity::kRegular) {
           close_row(core_, sweep, r, row_lead, s);
           state = kClosed;
           --open_rows;
           continue;
-        } else if (check == RowCheck::kOffGrid) {
+        } else if (check == Regularity::kOffGrid) {
           state = kStep;
         }
       }
@@ -332,6 +500,46 @@ LAC_FMA_CLONES void StreamSchedule::rank1_update(int parity, index_t a_base,
       const int l = lead[static_cast<std::size_t>(r * nr + c)];
       if (l != c) core_.pe(r, c).follow(core_.pe(r, l), parity, steps);
     }
+}
+
+LAC_FMA_CLONES void StreamSchedule::capture_transpose(index_t a_base, index_t rows,
+                                                      index_t row0, index_t steps,
+                                                      index_t slot, sim::time_t_ gate,
+                                                      int mac_parity) {
+  const int nr = core_.nr();
+  const Capture capture{a_base, rows, row0, steps, slot, gate, mac_parity};
+  // Checked before each step until regular (then closed) or regular off
+  // the grid (then stepped to the end, as rank1_update steps such rows).
+  bool check = capture_closable(core_, capture);
+  sim::Scratch<sim::TimedVal> row_val(static_cast<std::size_t>(nr));
+  for (index_t p = 0; p < steps; ++p) {
+    if (check) {
+      if (steps - p < kMinCloseRun) {
+        check = false;
+      } else if (const Regularity reg = check_capture(core_, capture);
+                 reg == Regularity::kRegular) {
+        close_capture(core_, capture, p);
+        return;
+      } else if (reg == Regularity::kOffGrid) {
+        check = false;
+      }
+    }
+    const int owner = static_cast<int>(p % nr);
+    for (int r = 0; r < nr; ++r) {
+      const sim::TimedVal av =
+          core_.pe(r, owner).mem_a.read(a_base + mem_a_addr(row0 + r, p, rows, nr), gate);
+      row_val[static_cast<std::size_t>(r)] = core_.broadcast_row(r, av);
+    }
+    for (int c = 0; c < nr; ++c) {
+      const sim::TimedVal tv = core_.broadcast_col(c, row_val[static_cast<std::size_t>(c)]);
+      for (int r = 0; r < nr; ++r) {
+        sim::Pe& pe = core_.pe(r, c);
+        pe.mem_b.write(slot + p, tv.v, tv.ready);
+        if (mac_parity != kCaptureOnly)
+          pe.mac.mac_into_acc(mac_parity, row_val[static_cast<std::size_t>(r)], tv);
+      }
+    }
+  }
 }
 
 }  // namespace lac::fabric

@@ -138,6 +138,27 @@ class StreamSchedule {
                     index_t p_begin, index_t p_end, index_t slot,
                     sim::time_t_ gate, bool negate = false);
 
+  // ---- on-the-fly transpose (§5.2) --------------------------------------
+  /// `capture_transpose`'s `mac_parity` when the capture chains no MAC.
+  static constexpr int kCaptureOnly = -1;
+  /// Capture the transpose of row panel rows row0..row0+nr-1 of the
+  /// resident operand staged at `a_base` (`rows` rows) into MEM-B: for each
+  /// p in [0, steps) the owner column p % nr reads element (row0 + r, p)
+  /// for every row r (gated at `gate`) and broadcasts it on row bus r, the
+  /// diagonal PE (c, c) re-broadcasts it down column bus c, and every PE of
+  /// column c writes it to MEM-B word slot + p (the replicated transposed
+  /// panel). With `mac_parity` >= 0 (SYRK's diagonal block) every PE (r, c)
+  /// also chains row r's word times column c's into that accumulator.
+  ///
+  /// Steps until the whole mesh is regular -- every later step then takes
+  /// the next slot on every bus and the next MAC cycle, and no read binds
+  /// -- and closes the remaining steps as rank1_update closes a row: values
+  /// from the same std::fma calls in the same order, timing from one bulk
+  /// update per resource (argument in stream_schedule.cpp). Outputs,
+  /// MEM-B words, cycles and Stats are those of stepping, bit for bit.
+  void capture_transpose(index_t a_base, index_t rows, index_t row0, index_t steps,
+                         index_t slot, sim::time_t_ gate, int mac_parity = kCaptureOnly);
+
  private:
   sim::Core& core_;
   sim::time_t_ cursor_;

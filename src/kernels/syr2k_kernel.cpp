@@ -37,28 +37,10 @@ KernelResult syr2k_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
   int parity = 0;
   sim::time_t_ finish = sched.cursor();
 
-  // Transpose-capture of the diagonal panel of `base` into MEM-B `slot`.
-  auto capture_transpose = [&](index_t i, index_t base, index_t slot,
-                               sim::time_t_ gate) {
-    for (index_t p = 0; p < kc; ++p) {
-      const int owner = static_cast<int>(p % nr);
-      for (int r = 0; r < nr; ++r) {
-        sim::TimedVal av = core.pe(r, owner).mem_a.read(
-            base + mem_a_addr(i * nr + r, p, mc, nr), gate);
-        sim::TimedVal rv = core.broadcast_row(r, av);
-        if (r < nr) {
-          sim::TimedVal tv = core.broadcast_col(r, rv);
-          for (int rr = 0; rr < nr; ++rr)
-            core.pe(rr, r).mem_b.write(slot + p, tv.v, tv.ready);
-        }
-      }
-    }
-  };
-
   for (index_t i = 0; i < mb; ++i) {
     // Capture A1^T (slot 0) and B1^T (slot kc).
-    capture_transpose(i, 0, 0, sched.cursor());
-    capture_transpose(i, b_base, kc, sched.cursor());
+    sched.capture_transpose(0, mc, i * nr, kc, 0, sched.cursor());
+    sched.capture_transpose(b_base, mc, i * nr, kc, kc, sched.cursor());
 
     for (index_t l = i; l < mb; ++l) {
       const sim::time_t_ c_in_done = sched.dma(static_cast<double>(nr) * nr);

@@ -8,46 +8,6 @@
 namespace lac::kernels {
 
 using fabric::StreamSchedule;
-using fabric::mem_a_addr;
-
-namespace {
-
-/// Diagonal-step of the blocked algorithm: run the transpose-overlapped
-/// rank-1 loop for the row panel `ib` of A (global rows ib*nr..ib*nr+nr-1),
-/// updating accumulators `parity`, and capture the transposed panel into
-/// MEM-B slot `slot` (replicated per PE column). Returns last issue time.
-sim::time_t_ syrk_diag_step(sim::Core& core, ConstViewD a, index_t ib, int parity,
-                            index_t slot_base, sim::time_t_ gate) {
-  const int nr = core.nr();
-  const index_t mc = a.rows();
-  const index_t kc = a.cols();
-  sim::time_t_ last = gate;
-  // Hoisted out of the p loop: all nr entries are rewritten per iteration.
-  sim::Scratch<sim::TimedVal> row_val(static_cast<std::size_t>(nr));
-  for (index_t p = 0; p < kc; ++p) {
-    const int owner = static_cast<int>(p % nr);
-    // Row broadcast of a_p (elements of the diagonal row panel).
-    for (int r = 0; r < nr; ++r) {
-      sim::TimedVal av = core.pe(r, owner).mem_a.read(
-          mem_a_addr(ib * nr + r, p, mc, nr), gate);
-      row_val[static_cast<std::size_t>(r)] = core.broadcast_row(r, av);
-    }
-    // Transpose: diagonal PE c re-broadcasts element c down column c; all
-    // PEs of the column capture it into MEM-B (replicated A^T panel).
-    for (int c = 0; c < nr; ++c) {
-      sim::TimedVal tv = core.broadcast_col(c, row_val[static_cast<std::size_t>(c)]);
-      for (int r = 0; r < nr; ++r) {
-        sim::Pe& pe = core.pe(r, c);
-        pe.mem_b.write(slot_base + p, tv.v, tv.ready);
-        pe.mac.mac_into_acc(parity, row_val[static_cast<std::size_t>(r)], tv);
-      }
-      last = std::max(last, tv.ready);
-    }
-  }
-  return last;
-}
-
-}  // namespace
 
 KernelResult syrk_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstViewD c_in) {
   const int nr = cfg.nr;
@@ -58,7 +18,8 @@ KernelResult syrk_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstViewD c_
   sched.stage_resident(a);
   sched.load_accumulators(0, 0.0, [&](int r, int c) { return c_in(r, c); });
 
-  syrk_diag_step(core, a, 0, 0, 0, 0.0);
+  // The transpose-overlapped rank-1 loop (Fig 5.2), capturing A^T into MEM-B.
+  sched.capture_transpose(0, nr, 0, a.cols(), 0, 0.0, 0);
 
   KernelResult res;
   res.out = MatrixD(nr, nr);
@@ -94,7 +55,7 @@ KernelResult syrk_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
     sched.load_accumulators(parity, c_diag_in, [&](int r, int c) {
       return res.out(i * nr + r, i * nr + c);
     });
-    syrk_diag_step(core, a, i, parity, 0, c_diag_in);
+    sched.capture_transpose(0, mc, i * nr, kc, 0, c_diag_in, parity);
     const sim::time_t_ diag_ready =
         sched.drain_accumulators(parity, [&](int r, int c, double v) {
           if (r >= c) res.out(i * nr + r, i * nr + c) = v;  // lower only

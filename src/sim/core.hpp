@@ -78,14 +78,14 @@ class Core {
     ++row_xfers_;
     return {v.v, start + cfg_.bus_latency};
   }
-  /// Close `count` > 0 row-bus broadcasts that each take the slot right
-  /// after the previous one (the caller has shown no value arrives late):
-  /// the state `count` calls of broadcast_row leave, exact when the bus is
-  /// on the grid (see Resource::acquire_run).
-  void broadcast_row_run(int row, index_t count) {
+  /// Close `count` > 0 broadcasts on row bus `row` whose k-th word is
+  /// ready at e_k: with `earliest` the greatest e_k - k (0 when the caller
+  /// has shown every word is ready by its slot, so they run back to back),
+  /// the state `count` calls of broadcast_row leave, exact when the bus and
+  /// `earliest` are on the grid (see Resource::acquire_run).
+  void broadcast_row_run(int row, index_t count, time_t_ earliest = 0.0) {
     assert(row >= 0 && row < cfg_.nr);
-    Resource& bus = row_bus_[static_cast<std::size_t>(row)];
-    bus.acquire_run(bus.next_free(), count, 1.0);
+    row_bus_[static_cast<std::size_t>(row)].acquire_run(earliest, count, 1.0);
     row_xfers_ += count;
   }
   /// Row bus `row`'s timing, for schedules that reason about when it frees.
@@ -98,6 +98,17 @@ class Core {
     const time_t_ start = col_bus_[static_cast<std::size_t>(col)].acquire(v.ready, 1.0);
     ++col_xfers_;
     return {v.v, start + cfg_.bus_latency};
+  }
+  /// broadcast_row_run for column bus `col`.
+  void broadcast_col_run(int col, index_t count, time_t_ earliest = 0.0) {
+    assert(col >= 0 && col < cfg_.nr);
+    col_bus_[static_cast<std::size_t>(col)].acquire_run(earliest, count, 1.0);
+    col_xfers_ += count;
+  }
+  /// Column bus `col`'s timing.
+  const Resource& col_bus(int col) const {
+    assert(col >= 0 && col < cfg_.nr);
+    return col_bus_[static_cast<std::size_t>(col)];
   }
 
   /// ---- memory interface -------------------------------------------------

@@ -29,6 +29,16 @@
 // 2^40 (on_grid() is checked before each close), where double addition is
 // exact in any grouping. Cycles, Stats and outputs are byte-identical to timing every
 // PE at every step (tests/test_sim_golden.cpp pins them).
+//
+// Two more loops close the same way. SYRK's and SYR2K's transpose capture
+// (StreamSchedule::capture_transpose) closes when the whole mesh is
+// regular: every bus, MEM-B port and MAC then advances one cycle per step,
+// and the MEM-B writes land one cycle apart (Resource::acquire_spaced).
+// The on-core Cholesky's trailing update (kernels::chol_trailing_update)
+// is a chain of dependent FMAs per PE and block; each PE closes once no
+// broadcast or element it has left can arrive after the back-to-back
+// chains would need it, its chains then issue `depth` cycles apart
+// (MacPipeline::fma_chains_run), and the buses close after the last PE.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -86,7 +96,12 @@ class Resource {
   /// then exact, so the sums round as the step-by-step ones do, and a
   /// compiler that contracts `start + count * duration` into a fused
   /// multiply-add (as GCC may in a LAC_FMA_CLONES clone) rounds the same
-  /// too. Returns the first start.
+  /// too. Returns the first start. It is also the state `count` acquires
+  /// leave whose k-th (from 0) may start no earlier than its own e_k, when
+  /// `earliest` is the greatest e_k - k * duration: each starts at the later
+  /// of the previous end and its e_k, so the last ends at the greatest of
+  /// next_free() + count * duration and every e_k + (count - k) * duration,
+  /// which is max(earliest, next_free()) + count * duration.
   time_t_ acquire_run(time_t_ earliest, std::int64_t count, time_t_ duration) {
     const time_t_ start = std::max(earliest, next_free_);
     const time_t_ span = static_cast<double>(count) * duration;
@@ -94,6 +109,17 @@ class Resource {
     busy_ += span;
     ops_ += count;
     return start;
+  }
+  /// `count` > 0 acquires of `duration` each that the caller has shown
+  /// start no earlier than the one before ends, the first no earlier than
+  /// next_free() and the last at `last_start`: the next-free and busy time
+  /// they leave, for runs whose starts are spaced out (LocalStore::write_run,
+  /// MacPipeline::fma_chains_run). Bit-identical to the acquire calls under
+  /// the conditions of acquire_run.
+  void acquire_spaced(time_t_ last_start, std::int64_t count, time_t_ duration) {
+    next_free_ = last_start + duration;
+    busy_ += static_cast<double>(count) * duration;
+    ops_ += count;
   }
 
   time_t_ next_free() const { return next_free_; }

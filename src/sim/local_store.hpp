@@ -57,6 +57,20 @@ class LocalStore {
     port_.acquire_run(earliest, count, slot_);
     reads_ += count;
   }
+  /// Close `count` > 0 writes of src[0..count) to [first, first + count),
+  /// the k-th no earlier than `earliest` + k * `period`, where `period` is
+  /// at least a slot and the caller has shown the port frees by `earliest`
+  /// or the slot is the whole period: each then starts `period` after the
+  /// one before, from max(earliest, port_free()), and this leaves what
+  /// `count` write() calls leave (exact on the grid, see
+  /// Resource::acquire_run).
+  void write_run(index_t first, const double* src, index_t count, time_t_ earliest,
+                 time_t_ period) {
+    const time_t_ start = std::max(earliest, port_.next_free());
+    port_.acquire_spaced(start + static_cast<double>(count - 1) * period, count, slot_);
+    poke_range(first, src, count);
+    writes_ += count;
+  }
 
   /// Untimed accessors for DMA fills (timing charged on the DMA engine).
   double peek(index_t addr) {

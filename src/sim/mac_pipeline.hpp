@@ -21,7 +21,16 @@
 /// into it -- may contain no `a * b + c` other than an explicit std::fma.
 /// GCC contracts such an expression into a fused multiply-add in the FMA
 /// clone only, so the two clones would round differently and the
-/// simulator's output would depend on the host CPU.
+/// simulator's output would depend on the host CPU. (Times on the exact
+/// grid of sim::on_grid are exempt: there every grouping rounds alike.)
+/// Nor may an std::fma operand be negated where the compiler can see it:
+/// GCC folds std::fma(-a, b, c) into a negated multiply-add, which returns
+/// a NaN `a` without flipping its sign; negate through sim::negated
+/// instead. Where two different NaNs meet in one std::fma, which one the
+/// result carries follows the operand order of the instruction the
+/// compiler picks, so such outputs are not pinned. Every helper holding an
+/// std::fma must inline into the clone, or it stays a libm call there
+/// (tools/check_fma_clones.py checks the built library).
 ///
 /// ThreadSanitizer builds go without clones: the loader runs the clone
 /// resolver before the TSan runtime is up, and the instrumented resolver
@@ -42,6 +51,18 @@
 #endif
 
 namespace lac::sim {
+
+/// -v, with the negation hidden from the optimizer: GCC folds
+/// std::fma(-a, b, c) into a negated multiply-add, which returns a NaN `a`
+/// without the sign flip, so an std::fma operand in a LAC_FMA_CLONES
+/// function negates through this (the barrier emits no instruction).
+inline double negated(double v) {
+  v = -v;
+#if defined(__x86_64__) && defined(__GNUC__)
+  __asm__("" : "+x"(v));
+#endif
+  return v;
+}
 
 class MacPipeline {
  public:
@@ -186,6 +207,32 @@ class MacPipeline {
     acc.ready = last + depth_;
     acc.chain_free = last + 1.0;
     mac_ops_ += count;
+  }
+  /// Close `chains` > 0 chains of `len` > 0 general fma() calls issued from
+  /// the issue port's next-free time with no operand late: each FMA of a
+  /// chain consumes the one before it, so issues `depth` cycles after it,
+  /// and the next chain issues one cycle after a chain's last FMA. Leaves
+  /// the port as those fma() calls leave it (the caller computes their
+  /// values with the same std::fma calls), exact under on_grid(); returns
+  /// the first issue time, from which chain_ready() times each result.
+  time_t_ fma_chains_run(index_t chains, int len) {
+    assert(chains > 0 && len > 0);
+    const time_t_ first = issue_.next_free();
+    const index_t count = chains * len;
+    issue_.acquire_spaced(first + static_cast<double>(chains - 1) * chain_period(len) +
+                              static_cast<double>(len - 1) * depth_,
+                          count, 1.0);
+    mac_ops_ += count;
+    return first;
+  }
+  /// Cycles from the first issue of one chain of an fma_chains_run(.., len)
+  /// to the first issue of the next.
+  time_t_ chain_period(int len) const { return (len - 1) * depth_ + 1.0; }
+  /// When the first chain of an fma_chains_run(.., len) that issued first
+  /// at `first` has its result ready (its last issue plus the pipeline
+  /// depth); each later chain's is one chain_period(len) after.
+  time_t_ chain_ready(time_t_ first, int len) const {
+    return first + len * depth_;
   }
   /// Overwrite accumulator `idx`'s value, leaving its timing: the value
   /// half of chain_run, for a PE whose timing a lock-step lead carries.

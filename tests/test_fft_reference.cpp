@@ -39,8 +39,11 @@ TEST(ReferenceFft, SingleToneLandsInOneBin) {
   }
   auto y = fft_radix4(x);
   EXPECT_NEAR(std::abs(y[5]), static_cast<double>(n), 1e-9);
-  for (index_t b = 0; b < n; ++b)
-    if (b != 5) EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(b)]), 0.0, 1e-9);
+  for (index_t b = 0; b < n; ++b) {
+    if (b != 5) {
+      EXPECT_NEAR(std::abs(y[static_cast<std::size_t>(b)]), 0.0, 1e-9);
+    }
+  }
 }
 
 class Radix4VsDft : public ::testing::TestWithParam<index_t> {};

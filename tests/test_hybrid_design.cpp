@@ -47,8 +47,12 @@ TEST(HybridDesign, AreaBreakdownSumsToTotal) {
 
 TEST(HybridDesign, PowerOrderingActualVsMax) {
   for (const auto& d : pe_designs()) {
-    if (d.gemm_power_mw > 0) EXPECT_LE(d.gemm_power_mw, d.max_power_mw);
-    if (d.fft_power_mw > 0) EXPECT_LE(d.fft_power_mw, d.max_power_mw);
+    if (d.gemm_power_mw > 0) {
+      EXPECT_LE(d.gemm_power_mw, d.max_power_mw);
+    }
+    if (d.fft_power_mw > 0) {
+      EXPECT_LE(d.fft_power_mw, d.max_power_mw);
+    }
   }
 }
 

@@ -195,5 +195,88 @@ TEST(SimGolden, LongSweepsMatchParent) {
   }
 }
 
+/// The loops that close in bulk outside rank-1 sweeps: SYRK's and SYR2K's
+/// transpose capture (StreamSchedule::capture_transpose) and CHOL's trailing
+/// update (kernels::chol_trailing_update), on core sizes, bandwidths,
+/// pipeline depths, bus latencies, SFU options and MEM-B port counts the
+/// other tables leave out, and CHOL at n = 128 and 192, where most of its
+/// steps close. Pinned from the simulator that stepped both loops.
+struct ClosedLoop {
+  KernelKind kind;
+  int nr;
+  double bw;
+  index_t n;
+  int stages;       ///< pe.pipeline_stages
+  int bus_latency;
+  arch::SfuOption sfu;
+  int mem_b_ports;
+  std::uint64_t digest;
+};
+
+constexpr arch::SfuOption kIso = arch::SfuOption::IsolatedUnit;
+
+constexpr ClosedLoop kClosedLoops[] = {
+    {KernelKind::Cholesky, 4, 0.5, 128, 5, 1, kIso, 2, 0xbb0f6289948feab6ull},
+    {KernelKind::Cholesky, 4, 2.0, 128, 5, 1, kIso, 2, 0x6c994a4c390f6777ull},
+    {KernelKind::Cholesky, 4, 3.0, 128, 5, 1, kIso, 2, 0x09acb53cfd865c18ull},
+    {KernelKind::Cholesky, 4, 2.0, 192, 5, 1, kIso, 2, 0xd1f1904ab3ac1d4dull},
+    {KernelKind::Cholesky, 4, 2.0, 64, 1, 1, kIso, 2, 0xa4344f7992853eceull},
+    {KernelKind::Cholesky, 4, 2.0, 64, 7, 1, kIso, 2, 0x57fd0c7e9727809bull},
+    {KernelKind::Cholesky, 4, 2.0, 64, 5, 2, kIso, 2, 0x48a2f9f531b17feaull},
+    {KernelKind::Cholesky, 4, 2.0, 64, 5, 1, arch::SfuOption::Software, 2, 0xc7794148be61e3ceull},
+    {KernelKind::Cholesky, 4, 2.0, 64, 5, 1, arch::SfuOption::DiagonalPEs, 2,
+     0x14f780732dc306c6ull},
+    {KernelKind::Cholesky, 2, 2.0, 24, 5, 1, kIso, 2, 0x9e980a741535e3adull},
+    {KernelKind::Cholesky, 3, 2.0, 36, 5, 1, kIso, 2, 0x7de48f71e1a5b35cull},
+    {KernelKind::Cholesky, 6, 2.0, 72, 5, 1, kIso, 2, 0xf9e09e71366af169ull},
+    {KernelKind::Syrk, 2, 2.0, 24, 5, 1, kIso, 2, 0x5c14611e48a70876ull},
+    {KernelKind::Syrk, 3, 0.5, 36, 5, 1, kIso, 2, 0x47d167777fecde88ull},
+    {KernelKind::Syrk, 3, 2.0, 36, 5, 1, kIso, 2, 0x6a578050f880f9feull},
+    {KernelKind::Syrk, 3, 3.0, 36, 5, 1, kIso, 2, 0x9e0f27a0381b3cb7ull},
+    {KernelKind::Syrk, 5, 2.0, 60, 5, 1, kIso, 2, 0x2c139f6943fe1d19ull},
+    {KernelKind::Syrk, 6, 2.0, 72, 5, 1, kIso, 2, 0xee4b0cd89b58012dull},
+    {KernelKind::Syrk, 4, 2.0, 64, 1, 1, kIso, 2, 0x8d4146d33575c954ull},
+    {KernelKind::Syrk, 4, 2.0, 64, 7, 1, kIso, 2, 0x8cf662f70758deaaull},
+    {KernelKind::Syrk, 4, 2.0, 64, 5, 2, kIso, 2, 0x438dd5b2beff969full},
+    {KernelKind::Syrk, 4, 2.0, 64, 5, 1, kIso, 1, 0x9226fa66c9f37fbcull},
+    {KernelKind::Syrk, 4, 2.0, 64, 5, 1, kIso, 3, 0x9226fa66c9f37fbcull},
+    {KernelKind::Syr2k, 2, 2.0, 24, 5, 1, kIso, 2, 0x879da324afd68a6cull},
+    {KernelKind::Syr2k, 3, 0.5, 36, 5, 1, kIso, 2, 0x213211ad7fbdace9ull},
+    {KernelKind::Syr2k, 3, 2.0, 36, 5, 1, kIso, 2, 0x80503d5ca6617a90ull},
+    {KernelKind::Syr2k, 3, 3.0, 36, 5, 1, kIso, 2, 0x3c5e41736f6cb393ull},
+    {KernelKind::Syr2k, 5, 2.0, 60, 5, 1, kIso, 2, 0x7d61b4382eccc596ull},
+    {KernelKind::Syr2k, 6, 2.0, 72, 5, 1, kIso, 2, 0x50420adc915ca00dull},
+    {KernelKind::Syr2k, 4, 2.0, 64, 1, 1, kIso, 2, 0x86c58254441fa588ull},
+    {KernelKind::Syr2k, 4, 2.0, 64, 7, 1, kIso, 2, 0xd2c141cae0087c59ull},
+    {KernelKind::Syr2k, 4, 2.0, 64, 5, 2, kIso, 2, 0x99e29e1c65adf5b1ull},
+    {KernelKind::Syr2k, 4, 2.0, 64, 5, 1, kIso, 1, 0xb324debfaf02f2ddull},
+    {KernelKind::Syr2k, 4, 2.0, 64, 5, 1, kIso, 3, 0x91f08fb4c6ef2ad5ull},
+};
+
+TEST(SimGolden, ClosedLoopsMatchParent) {
+  const SimExecutor sim;
+  std::string table;
+  bool all_match = true;
+  for (const ClosedLoop& w : kClosedLoops) {
+    arch::CoreConfig cfg = arch::lac_4x4_dp();
+    cfg.nr = w.nr;
+    cfg.pe.pipeline_stages = w.stages;
+    cfg.bus_latency = w.bus_latency;
+    cfg.sfu = w.sfu;
+    cfg.pe.mem_b_ports = w.mem_b_ports;
+    const KernelResult res =
+        sim.execute(kernel_traits(w.kind).sized_request(cfg, w.bw, w.n, 2013));
+    EXPECT_TRUE(res.ok) << to_string(w.kind) << " n " << w.n << ": " << res.error;
+    Digest d;
+    add_result(d, res);
+    if (d.value() != w.digest) all_match = false;
+    char row[64];
+    std::snprintf(row, sizeof row, "0x%016" PRIx64 "ull", d.value());
+    table += std::string(to_string(w.kind)) + " nr " + std::to_string(w.nr) + " bw " +
+             std::to_string(w.bw) + " n " + std::to_string(w.n) + ": " + row + "\n";
+  }
+  EXPECT_TRUE(all_match) << "simulator output changed; digests in table order:\n" << table;
+}
+
 }  // namespace
 }  // namespace lac::fabric
