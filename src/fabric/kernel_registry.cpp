@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,14 +93,15 @@ bool multiple_of_nr(const KernelRequest& req, index_t v) {
 KernelTraits gemm_traits() {
   KernelTraits t = core_base(KernelKind::Gemm, "GEMM");
   t.validate = [](const KernelRequest& req) -> std::string {
-    std::ostringstream err;
     if (!multiple_of_nr(req, req.a.rows()) || !multiple_of_nr(req, req.b.cols()) ||
         req.a.cols() <= 0 || req.b.rows() != req.a.cols() ||
         req.c.rows() != req.a.rows() || req.c.cols() != req.b.cols())
-      err << "GEMM shapes: C(" << req.c.rows() << "x" << req.c.cols() << ") += A("
-          << req.a.rows() << "x" << req.a.cols() << ") * B(" << req.b.rows()
-          << "x" << req.b.cols() << "), m and n multiples of nr";
-    return err.str();
+      return "GEMM shapes: C(" + std::to_string(req.c.rows()) + "x" +
+             std::to_string(req.c.cols()) + ") += A(" + std::to_string(req.a.rows()) +
+             "x" + std::to_string(req.a.cols()) + ") * B(" +
+             std::to_string(req.b.rows()) + "x" + std::to_string(req.b.cols()) +
+             "), m and n multiples of nr";
+    return "";
   };
   t.useful_macs = [](const KernelRequest& req) {
     return units::Flops(static_cast<double>(req.a.rows()) * req.a.cols() *
@@ -727,18 +727,16 @@ sim::Stats fft_predicted_stats(const KernelRequest& req) {
 KernelTraits fft_traits() {
   KernelTraits t = core_base(KernelKind::Fft, "FFT");
   t.validate = [](const KernelRequest& req) -> std::string {
-    std::ostringstream err;
     if (req.core.nr != 4)
-      err << "FFT: the radix-4 schedule maps one butterfly per PE on a 4x4 core";
-    else if (req.fft_radix != 4 || req.fft_n != 64)
-      err << "FFT: only 64-point radix-4 core transforms are scheduled";
-    else if (req.fft_variant == FftVariant::FourStep &&
-             req.xc.size() != 4096)
-      err << "FFT four-step: signal must be exactly 4096 points (64x64 grid)";
-    else if (req.xc.empty() || req.xc.size() % 64 != 0)
-      err << "FFT: operand must be a positive multiple of 64 points, got "
-          << req.xc.size();
-    return err.str();
+      return "FFT: the radix-4 schedule maps one butterfly per PE on a 4x4 core";
+    if (req.fft_radix != 4 || req.fft_n != 64)
+      return "FFT: only 64-point radix-4 core transforms are scheduled";
+    if (req.fft_variant == FftVariant::FourStep && req.xc.size() != 4096)
+      return "FFT four-step: signal must be exactly 4096 points (64x64 grid)";
+    if (req.xc.empty() || req.xc.size() % 64 != 0)
+      return "FFT: operand must be a positive multiple of 64 points, got " +
+             std::to_string(req.xc.size());
+    return "";
   };
   // Useful work counts the FMA slots of the Fig B.1 butterfly schedule (28
   // per butterfly, 48 butterflies per 64-point frame) -- the numerator of

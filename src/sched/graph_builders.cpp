@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace lac::sched {
 namespace {
@@ -25,6 +26,13 @@ void dep(KernelGraph& g, NodeId from, NodeId to) {
   if (from != kNone) g.add_edge(from, to);
 }
 
+/// Tile (i, j, m x n) of the working matrix as a fresh immutable payload:
+/// the one copy a node's request makes of the shared state.
+fabric::SharedMatrix snapshot(const MatrixD& w, index_t i, index_t j, index_t m,
+                              index_t n) {
+  return to_matrix<double>(w.block(i, j, m, n));
+}
+
 }  // namespace
 
 FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
@@ -40,6 +48,10 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
   fg.work = std::make_shared<MatrixD>(to_matrix<double>(a));
   std::shared_ptr<MatrixD> w = fg.work;
   KernelGraph& g = fg.graph;
+  // Node count from the header; a node has at most three edges (GEMM's).
+  const std::size_t t = static_cast<std::size_t>(nt);
+  const std::size_t nodes = t + t * (t - 1) + t * (t - 1) * (t - 2) / 6;
+  g.reserve(nodes, 3 * nodes);
 
   // Last writer of each (row, col) tile of the lower triangle; every
   // conflicting access is ordered through this map, which is what makes
@@ -55,7 +67,7 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
     // POTRF: Cholesky of the diagonal tile on the fabric.
     const NodeId potrf = g.add_node(
         [w, cfg, bw, kb, block] {
-          return fabric::make_cholesky(cfg, bw, w->block(kb, kb, block, block));
+          return fabric::make_cholesky(cfg, bw, snapshot(*w, kb, kb, block, block));
         },
         tile_name("potrf", k, k, k),
         [w, kb, block](const fabric::KernelResult& r) {
@@ -71,9 +83,8 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
       const index_t ib = i * block;
       const NodeId trsm = g.add_node(
           [w, cfg, bw, ib, kb, block] {
-            MatrixD bt = transpose(w->block(ib, kb, block, block));
-            return fabric::make_trsm(cfg, bw, w->block(kb, kb, block, block),
-                                     bt.view());
+            return fabric::make_trsm(cfg, bw, snapshot(*w, kb, kb, block, block),
+                                     transpose(w->block(ib, kb, block, block)));
           },
           tile_name("trsm", i, k, k),
           [w, ib, kb, block](const fabric::KernelResult& r) {
@@ -99,8 +110,8 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
           // time), exactly the serial driver's trick.
           upd = g.add_node(
               [w, cfg, bw, ib, kb, block] {
-                return fabric::make_syrk(cfg, bw, w->block(ib, kb, block, block),
-                                         w->block(ib, ib, block, block));
+                return fabric::make_syrk(cfg, bw, snapshot(*w, ib, kb, block, block),
+                                         snapshot(*w, ib, ib, block, block));
               },
               tile_name("syrk", i, j, k),
               [w, ib, block](const fabric::KernelResult& r) {
@@ -116,9 +127,9 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
                 for (index_t c = 0; c < block; ++c)
                   for (index_t rr = 0; rr < block; ++rr)
                     neg(rr, c) = -(*w)(ib + rr, kb + c);
-                MatrixD bt = transpose(w->block(jb, kb, block, block));
-                return fabric::make_gemm(cfg, bw, neg.view(), bt.view(),
-                                         w->block(ib, jb, block, block));
+                return fabric::make_gemm(cfg, bw, std::move(neg),
+                                         transpose(w->block(jb, kb, block, block)),
+                                         snapshot(*w, ib, jb, block, block));
               },
               tile_name("gemm", i, j, k),
               [w, ib, jb, block](const fabric::KernelResult& r) {
@@ -154,6 +165,13 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
   std::shared_ptr<MatrixD> w = fg.work;
   std::shared_ptr<std::vector<index_t>> piv = fg.pivots;
   KernelGraph& g = fg.graph;
+  // One panel per step, and per column tile of every step but the last a
+  // TRSM and a GEMM; each tile adds three edges (panel -> TRSM -> GEMM ->
+  // next panel).
+  std::size_t tiles = 0;
+  for (index_t j = 0; j + nr < n; j += nr)
+    tiles += static_cast<std::size_t>((n - j - nr + block - 1) / block);
+  g.reserve(static_cast<std::size_t>(n / nr) + 2 * tiles, 3 * tiles);
 
   // The pivot application in a panel's commit swaps rows across the whole
   // matrix, so each panel is a synchronization point: it depends on every
@@ -163,7 +181,7 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
     const index_t rows = m - j;
     const NodeId panel = g.add_node(
         [w, cfg, j, rows, nr] {
-          return fabric::make_lu(cfg, w->block(j, j, rows, nr));
+          return fabric::make_lu(cfg, snapshot(*w, j, j, rows, nr));
         },
         tile_name("lu_panel", j / nr, j / nr, j / nr),
         [w, piv, j, rows, nr, n](const fabric::KernelResult& r) {
@@ -198,8 +216,8 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
               for (index_t i = c + 1; i < nr; ++i) l11(i, c) = (*w)(j + i, j + c);
               l11(c, c) = 1.0;
             }
-            return fabric::make_trsm(cfg, bw, l11.view(),
-                                     w->block(j, c0, nr, width));
+            return fabric::make_trsm(cfg, bw, std::move(l11),
+                                     snapshot(*w, j, c0, nr, width));
           },
           tile_name("lu_trsm", j / nr, c0 / nr, j / nr),
           [w, j, c0, width, nr](const fabric::KernelResult& r) {
@@ -218,9 +236,9 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
             for (index_t c = 0; c < nr; ++c)
               for (index_t i = 0; i < below; ++i)
                 l21(i, c) = -(*w)(j + nr + i, j + c);
-            return fabric::make_gemm(cfg, bw, l21.view(),
-                                     w->block(j, c0, nr, width),
-                                     w->block(j + nr, c0, below, width));
+            return fabric::make_gemm(cfg, bw, std::move(l21),
+                                     snapshot(*w, j, c0, nr, width),
+                                     snapshot(*w, j + nr, c0, below, width));
           },
           tile_name("lu_gemm", (j + nr) / nr, c0 / nr, j / nr),
           [w, j, c0, width, below, nr](const fabric::KernelResult& r) {
@@ -260,12 +278,20 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
   const index_t ntiles = (n + block - 1) / block;
   std::vector<NodeId> lastw(static_cast<std::size_t>(ntiles), kNone);
   auto tile_of = [&](index_t col) { return col / block; };
+  // One panel per step, and per trailing chunk of every step but the last
+  // a w and a rank-1 node per reflector; a node has at most two edges.
+  std::size_t chunks = 0;
+  for (index_t j = 0; j + nr < n; j += nr)
+    chunks += static_cast<std::size_t>(ntiles - tile_of(j + nr));
+  const std::size_t nodes =
+      static_cast<std::size_t>(n / nr) + 2 * static_cast<std::size_t>(nr) * chunks;
+  g.reserve(nodes, 2 * nodes);
 
   for (index_t j = 0; j < n; j += nr) {
     const index_t rows = m - j;
     const NodeId panel = g.add_node(
         [w, cfg, j, rows, nr] {
-          return fabric::make_qr(cfg, w->block(j, j, rows, nr));
+          return fabric::make_qr(cfg, snapshot(*w, j, j, rows, nr));
         },
         tile_name("qr_panel", j / nr, j / nr, j / nr),
         [w, taus, j, rows, nr](const fabric::KernelResult& r) {
@@ -299,9 +325,9 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
               ut(0, 0) = 1.0 / tau;
               for (index_t i = 1; i < tail; ++i)
                 ut(0, i) = (*w)(j + s + i, j + s) / tau;
-              return fabric::make_gemm(cfg, bw, ut.view(),
-                                       w->block(j + s, c0, tail, width),
-                                       MatrixD(nr, width, 0.0).view());
+              return fabric::make_gemm(cfg, bw, std::move(ut),
+                                       snapshot(*w, j + s, c0, tail, width),
+                                       MatrixD(nr, width, 0.0));
             },
             tile_name("qr_w", j / nr, c0 / nr, s),
             [wbuf, width](const fabric::KernelResult& r) {
@@ -327,7 +353,8 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
               for (index_t c = 0; c < width; ++c)
                 for (index_t i = 0; i < tail; ++i)
                   c_pad(i, c) = (*w)(j + s + i, c0 + c);
-              return fabric::make_gemm(cfg, bw, up.view(), wp.view(), c_pad.view());
+              return fabric::make_gemm(cfg, bw, std::move(up), std::move(wp),
+                                       std::move(c_pad));
             },
             tile_name("qr_rank1", j / nr, c0 / nr, s),
             [w, j, s, c0, width, tail](const fabric::KernelResult& r) {

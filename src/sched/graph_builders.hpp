@@ -12,6 +12,10 @@
 // Every builder copies the input into a shared working matrix that the
 // node closures read and commit into. Conflicting accesses are fully
 // ordered by edges, so the factor is byte-identical for any worker count.
+// A node's `make` copies each tile it reads once, straight into an
+// immutable request payload, and builds its other operands (transposes,
+// negated panels, padded reflectors) in place of a second copy; its
+// `commit` writes the output back, after which the scheduler frees it.
 #include <memory>
 #include <vector>
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <complex>
 #include <limits>
 #include <utility>
 
@@ -42,6 +44,18 @@ struct GraphScheduler::Unit {
   std::string make_error;  // deferred `make` closure threw; fail in-band
 };
 
+/// A dispatch loop's buffers, kept for every unit it runs: the batch it
+/// took, the units its completions released (enqueued with its next take),
+/// complete_unit's node lists, and the jobs it resolved since its last
+/// take (unresolved_jobs_ drops by that count in the same critical section).
+struct GraphScheduler::Worker {
+  std::vector<std::unique_ptr<Unit>> batch;
+  std::vector<std::unique_ptr<Unit>> released;
+  std::vector<NodeId> cascade;
+  std::vector<NodeId> to_build;
+  std::size_t resolved = 0;
+};
+
 struct GraphScheduler::Tenant {
   TenantConfig cfg;
   std::deque<std::unique_ptr<Unit>> ready;
@@ -63,6 +77,15 @@ fabric::KernelResult cancelled_result(const std::string& backend,
   return fabric::make_failed(
       node_name, backend,
       "cancelled: downstream of failed node (" + upstream_error + ")");
+}
+
+/// Frees a committed node's outputs on the worker that allocated them: the
+/// commit copied what its dependents read into the shared working state.
+void drop_outputs(fabric::KernelResult& res) {
+  res.out = MatrixD();
+  res.pivots = std::vector<index_t>();
+  res.taus = std::vector<double>();
+  res.spectrum = std::vector<std::complex<double>>();
 }
 
 /// Nonzero while the current thread is inside a completion hook. Submits
@@ -107,7 +130,9 @@ GraphScheduler::~GraphScheduler() {
 
 TenantId GraphScheduler::add_tenant(TenantConfig cfg) {
   MutexLock lock(mu_);
-  if (cfg.weight <= 0.0) cfg.weight = 1.0;
+  // A NaN or infinite weight would turn every WFQ charge, and through the
+  // idle-resume anchor every other tenant's virtual time, into NaN or inf.
+  if (!(std::isfinite(cfg.weight) && cfg.weight > 0.0)) cfg.weight = 1.0;
   tenants_.push_back(std::make_unique<Tenant>());
   tenants_.back()->cfg = std::move(cfg);
   return tenants_.size() - 1;
@@ -186,21 +211,19 @@ std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
   job->missing.resize(n);
   job->upstream_failed.assign(n, 0);
   job->remaining = n;
-  for (NodeId id = 0; id < n; ++id)
-    job->missing[id] = job->graph.node(id).deps.size();
+  for (NodeId id = 0; id < n; ++id) job->missing[id] = job->graph.dep_count(id);
 
   if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<GraphResult> fut = job->gpromise.get_future();
-  {
-    MutexLock lock(mu_);
-    ++tenants_[tenant]->jobs_submitted;
-  }
 
   std::vector<std::unique_ptr<Unit>> units;
   for (NodeId id = 0; id < n; ++id)
     if (job->missing[id] == 0) units.push_back(build_unit(job, id));
-  enqueue(std::move(units));
+  MutexLock lock(mu_);
+  ++tenants_[tenant]->jobs_submitted;
+  enqueue_locked(units);
+  pump_locked();
   return fut;
 }
 
@@ -216,10 +239,6 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<fabric::KernelResult> fut = job->kpromise.get_future();
-  {
-    MutexLock lock(mu_);
-    ++tenants_[tenant]->jobs_submitted;
-  }
 
   auto unit = std::make_unique<Unit>();
   unit->job = std::move(job);
@@ -228,7 +247,10 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   if (opts_.batch_limit > 1) unit->key.emplace(unit->req);
   std::vector<std::unique_ptr<Unit>> units;
   units.push_back(std::move(unit));
-  enqueue(std::move(units));
+  MutexLock lock(mu_);
+  ++tenants_[tenant]->jobs_submitted;
+  enqueue_locked(units);
+  pump_locked();
   return fut;
 }
 
@@ -251,9 +273,7 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
   return unit;
 }
 
-void GraphScheduler::enqueue(std::vector<std::unique_ptr<Unit>> units) {
-  if (units.empty()) return;
-  MutexLock lock(mu_);
+void GraphScheduler::enqueue_locked(std::vector<std::unique_ptr<Unit>>& units) {
   for (std::unique_ptr<Unit>& unit : units) {
     Tenant& ten = *tenants_[unit->job->tenant];
     if (ten.ready.empty() && ten.inflight == 0) {
@@ -273,7 +293,7 @@ void GraphScheduler::enqueue(std::vector<std::unique_ptr<Unit>> units) {
     }
     ten.ready.push_back(std::move(unit));
   }
-  pump_locked();
+  units.clear();
 }
 
 void GraphScheduler::pump_locked() {
@@ -289,8 +309,7 @@ void GraphScheduler::pump_locked() {
   }
 }
 
-std::vector<std::unique_ptr<GraphScheduler::Unit>>
-GraphScheduler::take_batch_locked() {
+void GraphScheduler::take_batch_locked(std::vector<std::unique_ptr<Unit>>& batch) {
   // Pick the serving tenant: highest priority class first, then least
   // weighted service (virtual time), then lowest tenant id -- a strict,
   // deterministic order.
@@ -301,8 +320,7 @@ GraphScheduler::take_batch_locked() {
         (t->cfg.priority == best->cfg.priority && t->vtime < best->vtime))
       best = t.get();
   }
-  std::vector<std::unique_ptr<Unit>> batch;
-  if (!best) return batch;
+  if (!best) return;
   batch.push_back(std::move(best->ready.front()));
   best->ready.pop_front();
   ++best->inflight;
@@ -322,26 +340,36 @@ GraphScheduler::take_batch_locked() {
       }
     }
   }
-  return batch;
 }
 
 void GraphScheduler::worker() {
+  Worker self;
   for (;;) {
-    std::vector<std::unique_ptr<Unit>> batch;
     {
+      // One critical section per batch: settle the jobs the last batch
+      // resolved, enqueue the units it released, take the next batch and
+      // post loops for what is left.
       MutexLock lock(mu_);
-      batch = take_batch_locked();
-      if (batch.empty()) {
+      unresolved_jobs_ -= self.resolved;
+      enqueue_locked(self.released);
+      take_batch_locked(self.batch);
+      pump_locked();
+      if (self.batch.empty()) {
+        // Notified under the lock: once inflight_ reaches zero the
+        // destructor may return as soon as the lock is free.
         --inflight_;
         drain_cv_.notify_all();
         return;
       }
+      if (self.resolved != 0) drain_cv_.notify_all();
     }
-    for (std::unique_ptr<Unit>& unit : batch) run_unit(std::move(unit));
+    self.resolved = 0;
+    for (std::unique_ptr<Unit>& unit : self.batch) run_unit(std::move(unit), self);
+    self.batch.clear();
   }
 }
 
-void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
+void GraphScheduler::run_unit(std::unique_ptr<Unit> unit, Worker& self) {
   if (!unit->make_error.empty()) {
     // The request was never built; attribute the failure to the node name
     // so it stays identifiable in roll-ups (make_error only arises for
@@ -349,7 +377,7 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
     fabric::KernelResult failed = fabric::make_failed(
         unit->job->single ? unit->req.tag : unit->job->graph.node(unit->id).name,
         backend_.name(), unit->make_error);
-    complete_unit(std::move(unit), std::move(failed));
+    complete_unit(std::move(unit), std::move(failed), self);
     return;
   }
   fabric::KernelResult res;
@@ -366,6 +394,7 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
     if (commit) {
       try {
         commit(res);
+        drop_outputs(res);
       } catch (const std::exception& e) {
         res = fabric::make_failed(unit->req, backend_.name(),
                                   std::string("commit failed: ") + e.what());
@@ -374,13 +403,14 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit) {
       }
     }
   }
-  complete_unit(std::move(unit), std::move(res));
+  complete_unit(std::move(unit), std::move(res), self);
 }
 
 void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
-                                   fabric::KernelResult res) {
+                                   fabric::KernelResult res, Worker& self) {
   std::shared_ptr<Job> job = unit->job;
-  std::vector<NodeId> to_build;
+  std::vector<NodeId>& to_build = self.to_build;
+  to_build.clear();
   bool job_finished = false;
   {
     MutexLock lock(mu_);
@@ -414,12 +444,13 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
 
       // Release dependents; cancel (recursively) anything downstream of a
       // failure the moment its last dependency resolves.
-      std::vector<NodeId> cascade{unit->id};
+      std::vector<NodeId>& cascade = self.cascade;
+      cascade.assign(1, unit->id);
       while (!cascade.empty()) {
         const NodeId done = cascade.back();
         cascade.pop_back();
         const bool done_failed = !job->results[done].ok;
-        for (NodeId dep : job->graph.node(done).dependents) {
+        for (NodeId dep : job->graph.dependents(done)) {
           if (done_failed) job->upstream_failed[dep] = 1;
           if (--job->missing[dep] != 0) continue;
           if (job->upstream_failed[dep]) {
@@ -457,21 +488,12 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
     } else {
       finalize_job(job);
     }
-    {
-      MutexLock lock(mu_);
-      --unresolved_jobs_;
-    }
-    drain_cv_.notify_all();
+    ++self.resolved;
   }
-  if (!to_build.empty()) {
-    // Build the released requests outside the lock: the deferred closures
-    // may deep-copy tiles, and every dependency's commit happens-before
-    // this point (same thread, or through the mutex).
-    std::vector<std::unique_ptr<Unit>> units;
-    units.reserve(to_build.size());
-    for (NodeId id : to_build) units.push_back(build_unit(job, id));
-    enqueue(std::move(units));
-  }
+  // Build the released requests outside the lock: the deferred closures
+  // copy tiles, and every dependency's commit happens-before this point
+  // (same thread, or through the mutex). The worker loop enqueues them.
+  for (NodeId id : to_build) self.released.push_back(build_unit(job, id));
 }
 
 void GraphScheduler::finalize_job(const std::shared_ptr<Job>& job) {

@@ -68,6 +68,13 @@ struct SchedulerOptions {
 
 /// Completed-graph roll-up: per-node results plus the PR 3 cost totals and
 /// the graph-parallel figures of merit.
+///
+/// A node whose `commit` succeeded has already written its output into the
+/// graph's working state, so its result keeps `ok`, `error`, the costs and
+/// `stats` but not its payloads: the worker that ran it frees `out`,
+/// `pivots`, `taus` and `spectrum` right after the commit. A node without a
+/// commit (an immediate node, say) keeps them, as does a single request's
+/// result.
 struct GraphResult {
   bool ok = false;
   std::string error;                        ///< first failure ("node: why")
@@ -158,6 +165,7 @@ class GraphScheduler {
   struct Job;
   struct Unit;
   struct Tenant;
+  struct Worker;
 
   std::optional<std::future<GraphResult>> admit_graph(
       TenantId tenant, KernelGraph graph,
@@ -173,13 +181,17 @@ class GraphScheduler {
   bool admit_slot(bool block) LAC_EXCLUDES(mu_);
 
   std::unique_ptr<Unit> build_unit(std::shared_ptr<Job> job, NodeId id);
-  void enqueue(std::vector<std::unique_ptr<Unit>> units) LAC_EXCLUDES(mu_);
+  /// Moves `units` into their tenants' ready queues and empties it.
+  void enqueue_locked(std::vector<std::unique_ptr<Unit>>& units)
+      LAC_REQUIRES(mu_);
   void pump_locked() LAC_REQUIRES(mu_);
-  std::vector<std::unique_ptr<Unit>> take_batch_locked() LAC_REQUIRES(mu_);
+  /// Appends the next batch to `batch` (nothing when no unit is ready).
+  void take_batch_locked(std::vector<std::unique_ptr<Unit>>& batch)
+      LAC_REQUIRES(mu_);
   void worker() LAC_EXCLUDES(mu_);
-  void run_unit(std::unique_ptr<Unit> unit) LAC_EXCLUDES(mu_);
-  void complete_unit(std::unique_ptr<Unit> unit, fabric::KernelResult res)
-      LAC_EXCLUDES(mu_);
+  void run_unit(std::unique_ptr<Unit> unit, Worker& self) LAC_EXCLUDES(mu_);
+  void complete_unit(std::unique_ptr<Unit> unit, fabric::KernelResult res,
+                     Worker& self) LAC_EXCLUDES(mu_);
   void finalize_job(const std::shared_ptr<Job>& job);
 
   const fabric::Executor& backend_;

@@ -14,11 +14,8 @@ NodeId KernelGraph::add_node(fabric::KernelRequest req, std::string name) {
 NodeId KernelGraph::add_node(std::function<fabric::KernelRequest()> make,
                              std::string name,
                              std::function<void(const fabric::KernelResult&)> commit) {
-  GraphNode node;
-  node.name = std::move(name);
-  node.make = std::move(make);
-  node.commit = std::move(commit);
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(GraphNode{std::move(name), std::move(make), std::move(commit)});
+  indexed_ = false;
   return nodes_.size() - 1;
 }
 
@@ -35,27 +32,47 @@ void KernelGraph::add_edge(NodeId from, NodeId to) {
     }
     return;
   }
-  std::vector<NodeId>& deps = nodes_[to].deps;
-  if (std::find(deps.begin(), deps.end(), from) != deps.end()) return;
-  deps.push_back(from);
-  nodes_[from].dependents.push_back(to);
+  edges_.emplace_back(from, to);
+  indexed_ = false;
+}
+
+void KernelGraph::reserve(std::size_t nodes, std::size_t edges) {
+  nodes_.reserve(nodes);
+  edges_.reserve(edges);
+}
+
+void KernelGraph::index() const {
+  if (indexed_) return;
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  const std::size_t n = nodes_.size();
+  dep_count_.assign(n, 0);
+  succ_begin_.assign(n + 1, 0);
+  succ_.resize(edges_.size());
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const auto [from, to] = edges_[e];
+    ++dep_count_[to];
+    ++succ_begin_[from + 1];
+    succ_[e] = to;  // sorted by `from`, so this is already the CSR order
+  }
+  for (std::size_t id = 0; id < n; ++id) succ_begin_[id + 1] += succ_begin_[id];
+  indexed_ = true;
+}
+
+std::size_t KernelGraph::dep_count(NodeId id) const {
+  index();
+  return dep_count_[id];
+}
+
+std::span<const NodeId> KernelGraph::dependents(NodeId id) const {
+  index();
+  return std::span<const NodeId>(succ_).subspan(succ_begin_[id],
+                                                succ_begin_[id + 1] - succ_begin_[id]);
 }
 
 std::string KernelGraph::validate() const {
   if (!malformed_.empty()) return malformed_;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    for (NodeId dep : nodes_[id].deps) {
-      if (dep >= nodes_.size()) {
-        std::ostringstream os;
-        os << "node " << id << " depends on out-of-range node " << dep;
-        return os.str();
-      }
-      if (dep == id) {
-        std::ostringstream os;
-        os << "node " << id << " depends on itself";
-        return os.str();
-      }
-    }
     if (!nodes_[id].make) {
       std::ostringstream os;
       os << "node " << id << " has no request builder";
@@ -68,8 +85,8 @@ std::string KernelGraph::validate() const {
 }
 
 std::vector<NodeId> KernelGraph::topo_order() const {
-  std::vector<std::size_t> missing(nodes_.size(), 0);
-  for (NodeId id = 0; id < nodes_.size(); ++id) missing[id] = nodes_[id].deps.size();
+  index();
+  std::vector<std::size_t> missing = dep_count_;
   // Min-heap on node id: the ready set pops in ascending id order, making
   // the order (and everything derived from it) deterministic.
   std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>> ready;
@@ -81,7 +98,7 @@ std::vector<NodeId> KernelGraph::topo_order() const {
     const NodeId id = ready.top();
     ready.pop();
     order.push_back(id);
-    for (NodeId dep : nodes_[id].dependents)
+    for (NodeId dep : dependents(id))
       if (--missing[dep] == 0) ready.push(dep);
   }
   return order;  // shorter than size() iff cyclic
@@ -98,7 +115,7 @@ units::Cycles list_makespan(const KernelGraph& graph,
 
   std::vector<std::size_t> missing(n, 0);
   std::vector<double> release(n, 0.0);
-  for (NodeId id = 0; id < n; ++id) missing[id] = graph.node(id).deps.size();
+  for (NodeId id = 0; id < n; ++id) missing[id] = graph.dep_count(id);
 
   // Ready nodes ordered by (release time, id); virtual workers by free time.
   using Entry = std::pair<double, NodeId>;
@@ -120,7 +137,7 @@ units::Cycles list_makespan(const KernelGraph& graph,
     avail.push(end);
     makespan = std::max(makespan, end);
     ++scheduled;
-    for (NodeId dep : graph.node(id).dependents) {
+    for (NodeId dep : graph.dependents(id)) {
       release[dep] = std::max(release[dep], end);
       if (--missing[dep] == 0) ready.push({release[dep], dep});
     }

@@ -19,7 +19,9 @@
 //     result back into the shared working state before dependents release.
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -40,10 +42,16 @@ struct GraphNode {
   /// the factor). Runs on the executing worker before any dependent is
   /// released; empty for side-effect-free nodes.
   std::function<void(const fabric::KernelResult&)> commit;
-  std::vector<NodeId> deps;        ///< predecessors (must complete first)
-  std::vector<NodeId> dependents;  ///< successors (derived from deps)
 };
 
+/// The edges live in one flat list until the graph is indexed: the first
+/// of validate(), topo_order(), dep_count(), dependents() or list_makespan()
+/// after the last add_node/add_edge sorts the list, drops duplicate edges
+/// and builds every node's dependency count and a CSR array of its
+/// dependents. The scheduler's admission runs validate() before any unit
+/// is enqueued, so an admitted graph is indexed once and its workers only
+/// read the index. Like any lazily built state, do not make the first of
+/// those calls on one graph from two threads at once.
 class KernelGraph {
  public:
   /// Immediate node: the request is fixed at build time.
@@ -54,25 +62,44 @@ class KernelGraph {
                   std::string name = {},
                   std::function<void(const fabric::KernelResult&)> commit = {});
   /// Data edge: `from` must complete (and commit) before `to` runs.
-  /// Duplicate edges are coalesced; out-of-range or self edges are
-  /// remembered and reported by validate() instead of silently dropped.
+  /// Duplicate edges are coalesced when the graph is indexed; out-of-range
+  /// or self edges are remembered and reported by validate() instead of
+  /// silently dropped.
   void add_edge(NodeId from, NodeId to);
+  /// Room for `nodes` nodes and `edges` add_edge calls.
+  void reserve(std::size_t nodes, std::size_t edges);
 
   std::size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
   const GraphNode& node(NodeId id) const { return nodes_[id]; }
   GraphNode& node(NodeId id) { return nodes_[id]; }
 
-  /// Well-formedness: ids in range, no self-edges, acyclic. Returns an
-  /// empty string when valid.
+  /// Well-formedness: ids in range, no self-edges, every node has a
+  /// request builder, acyclic. Returns an empty string when valid. Indexes
+  /// the edges.
   std::string validate() const;
 
   /// Kahn topological order, ready set popped in ascending id order;
   /// empty for cyclic graphs (validate() reports those).
   std::vector<NodeId> topo_order() const;
 
+  /// Distinct predecessors of `id`.
+  std::size_t dep_count(NodeId id) const;
+  /// Distinct successors of `id`, in ascending id order; valid until the
+  /// graph next changes.
+  std::span<const NodeId> dependents(NodeId id) const;
+
  private:
+  /// Sorts and coalesces edges_ and rebuilds the index, if stale.
+  void index() const;
+
   std::vector<GraphNode> nodes_;
+  /// (from, to) per add_edge call; sorted and unique while indexed_.
+  mutable std::vector<std::pair<NodeId, NodeId>> edges_;
+  mutable std::vector<std::size_t> dep_count_;   ///< per node
+  mutable std::vector<std::size_t> succ_begin_;  ///< CSR offsets, size() + 1
+  mutable std::vector<NodeId> succ_;             ///< edges_' `to` column
+  mutable bool indexed_ = false;
   std::string malformed_;  ///< first bad add_edge call, for validate()
 };
 

@@ -248,6 +248,36 @@ TEST(FabricExecutor, FftRejectsInvalidShapesInBand) {
   }
 }
 
+TEST(FabricExecutor, ShapeMessagesAreVerbatim) {
+  // The GEMM shape message and the four FFT messages, byte for byte.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  EXPECT_EQ(validate(make_gemm(cfg, 2.0, random_matrix(6, 8, 1).view(),
+                               random_matrix(8, 4, 2).view(),
+                               random_matrix(6, 4, 3).view())),
+            "GEMM shapes: C(6x4) += A(6x8) * B(8x4), m and n multiples of nr");
+  EXPECT_EQ(validate(make_gemm(cfg, 2.0, random_matrix(8, 8, 1).view(),
+                               random_matrix(12, 16, 2).view(),
+                               random_matrix(8, 16, 3).view())),
+            "GEMM shapes: C(8x16) += A(8x8) * B(12x16), m and n multiples of nr");
+  EXPECT_EQ(validate(make_gemm(cfg, 2.0, random_matrix(8, 8, 1).view(),
+                               random_matrix(8, 8, 2).view(),
+                               random_matrix(8, 8, 3).view())),
+            "");
+
+  EXPECT_EQ(validate(make_fft(arch::lac_8x8_dp(), 2.0, random_cplx_vector(64, 1))),
+            "FFT: the radix-4 schedule maps one butterfly per PE on a 4x4 core");
+  KernelRequest radix2 = make_fft(cfg, 2.0, random_cplx_vector(64, 1));
+  radix2.fft_radix = 2;
+  EXPECT_EQ(validate(radix2), "FFT: only 64-point radix-4 core transforms are scheduled");
+  EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(128, 1), FftVariant::FourStep)),
+            "FFT four-step: signal must be exactly 4096 points (64x64 grid)");
+  EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(63, 1))),
+            "FFT: operand must be a positive multiple of 64 points, got 63");
+  EXPECT_EQ(validate(make_fft(cfg, 2.0, std::vector<std::complex<double>>{})),
+            "FFT: operand must be a positive multiple of 64 points, got 0");
+  EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(128, 1))), "");
+}
+
 TEST(FabricParity, ChipGemm) {
   arch::ChipConfig chip = arch::lap_s8();
   chip.cores = 2;

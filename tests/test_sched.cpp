@@ -7,11 +7,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cinttypes>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -137,6 +145,64 @@ TEST(KernelGraph, ListMakespanMatchesHandComputedSchedules) {
   fork.add_edge(f0, f2);
   EXPECT_DOUBLE_EQ(list_makespan(fork, costs, 2).value(), 40.0);  // 10 + max(20, 30)
   EXPECT_DOUBLE_EQ(list_makespan(fork, costs, 1).value(), 60.0);  // serialized
+}
+
+TEST(KernelGraph, DuplicateEdgesCoalesce) {
+  arch::CoreConfig cfg = arch::lac_4x4_dp();
+  using Edges = std::vector<std::pair<NodeId, NodeId>>;
+  // A diamond 0 -> {1, 2} -> 3 -> 4 with a shortcut 0 -> 4: once with each
+  // edge added once, once with repeats in scrambled order.
+  auto diamond = [&](const Edges& edges) {
+    KernelGraph g;
+    for (int i = 0; i < 5; ++i) g.add_node(small_gemm(cfg, std::to_string(i)));
+    for (const auto& [from, to] : edges) g.add_edge(from, to);
+    return g;
+  };
+  const Edges once_edges{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 4}};
+  const Edges repeated{{3, 4}, {0, 2}, {0, 1}, {0, 2}, {1, 3}, {2, 3}, {0, 1},
+                       {3, 4}, {0, 4}, {2, 3}, {0, 4}, {0, 1}, {1, 3}};
+  const KernelGraph once = diamond(once_edges);
+  const KernelGraph twice = diamond(repeated);
+  ASSERT_EQ(twice.validate(), "");
+  const std::vector<std::size_t> want_deps{0, 1, 1, 2, 2};
+  const std::vector<std::vector<NodeId>> want_succ{{1, 2, 4}, {3}, {3}, {4}, {}};
+  for (NodeId id = 0; id < 5; ++id) {
+    EXPECT_EQ(twice.dep_count(id), want_deps[id]) << id;
+    EXPECT_EQ(once.dep_count(id), want_deps[id]) << id;
+    EXPECT_TRUE(std::ranges::equal(twice.dependents(id), want_succ[id])) << id;
+    EXPECT_TRUE(std::ranges::equal(once.dependents(id), want_succ[id])) << id;
+  }
+  EXPECT_EQ(twice.topo_order(), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(twice.topo_order(), once.topo_order());
+
+  std::vector<fabric::KernelResult> costs(5);
+  for (std::size_t i = 0; i < 5; ++i) costs[i].cycles = units::Cycles(10.0 * (i + 1));
+  for (unsigned w : {1u, 2u, 3u})
+    EXPECT_EQ(list_makespan(twice, costs, w).value(), list_makespan(once, costs, w).value())
+        << w;
+  // W = 2: node 0 [0, 10), 1 [10, 30), 2 [10, 40), 3 [40, 80), 4 [80, 130).
+  EXPECT_DOUBLE_EQ(list_makespan(twice, costs, 2).value(), 130.0);
+
+  // An edge added after the graph was indexed is picked up.
+  KernelGraph grown = diamond(repeated);
+  ASSERT_EQ(grown.validate(), "");
+  grown.add_edge(1, 2);
+  grown.add_edge(1, 2);
+  EXPECT_EQ(grown.validate(), "");
+  EXPECT_EQ(grown.dep_count(2), 2u);
+  EXPECT_TRUE(std::ranges::equal(grown.dependents(1), std::vector<NodeId>{2, 3}));
+
+  // Malformed edges are still rejected among duplicates.
+  KernelGraph self = diamond(repeated);
+  self.add_edge(4, 4);
+  EXPECT_NE(self.validate().find("self-dependency"), std::string::npos);
+  KernelGraph dangling = diamond(repeated);
+  dangling.add_edge(0, 9);
+  EXPECT_NE(dangling.validate().find("malformed edge"), std::string::npos);
+  KernelGraph cyclic = diamond(repeated);
+  cyclic.add_edge(4, 0);
+  cyclic.add_edge(4, 0);
+  EXPECT_NE(cyclic.validate().find("cycle"), std::string::npos);
 }
 
 TEST(GraphScheduler, TopologicalSafetyOn300NodeRandomDags) {
@@ -277,6 +343,106 @@ TEST(GraphBuilders, TiledQrMatchesReference) {
         << "tau " << i;
 }
 
+/// FNV-1a over 64-bit words, doubles by bit pattern (as test_sim_golden).
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// One factorization graph run on one backend at one width; the digest
+/// folds the factor (`work`, `pivots`, `taus`) and every node's ok flag,
+/// cycles, utilization, energy and sim::Stats, in NodeId order.
+struct BuilderGolden {
+  const char* kind;  ///< "CHOL", "LU" or "QR"
+  bool sim;          ///< SimExecutor (else ModelExecutor)
+  index_t n;
+  unsigned workers;
+  std::uint64_t digest;
+};
+
+/// Pinned on the builders and scheduler that deep-copied every operand in
+/// the ConstViewD overloads of make_* and kept each node's outputs.
+constexpr BuilderGolden kBuilderGolden[] = {
+    {"CHOL", false, 64, 1, 0x5b4b0bbb00cd41b9ull},
+    {"CHOL", false, 64, 4, 0xf2a531ba356bd049ull},
+    {"LU", false, 64, 1, 0x091677c3a803d60cull},
+    {"LU", false, 64, 4, 0x84f1c3ac1bcd87cdull},
+    {"QR", false, 64, 1, 0x706cb198b4b9a2b0ull},
+    {"QR", false, 64, 4, 0xd1bffab04e50ebd3ull},
+    {"CHOL", true, 32, 1, 0x6952fe7ecab0bcfbull},
+    {"CHOL", true, 32, 4, 0x6952fe7ecab0bcfbull},
+};
+
+std::uint64_t builder_digest(const BuilderGolden& g) {
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const std::string kind = g.kind;
+  FactorGraph fg;
+  if (kind == "CHOL") {
+    fg = build_cholesky_graph(cfg, 2.0, random_spd(g.n, 2013).view(), 16);
+  } else {
+    const MatrixD a = random_matrix(g.n, g.n, kind == "LU" ? 2014 : 2015);
+    fg = kind == "LU" ? build_lu_graph(cfg, 2.0, a.view(), 16)
+                      : build_qr_graph(cfg, 2.0, a.view(), 16);
+  }
+  ThreadPool pool(g.workers);
+  SchedulerOptions opts;
+  opts.workers = g.workers;
+  GraphScheduler scheduler(g.sim ? static_cast<const fabric::Executor&>(kSim) : kModel,
+                           opts, &pool);
+  const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
+  EXPECT_TRUE(res.ok) << kind << ": " << res.error;
+  Digest d;
+  const MatrixD& w = *fg.work;
+  for (index_t j = 0; j < w.cols(); ++j)
+    for (index_t i = 0; i < w.rows(); ++i) d.add(w(i, j));
+  if (fg.pivots)
+    for (index_t p : *fg.pivots) d.add(static_cast<std::int64_t>(p));
+  if (fg.taus)
+    for (double t : *fg.taus) d.add(t);
+  d.add(static_cast<std::uint64_t>(res.nodes.size()));
+  for (const fabric::KernelResult& r : res.nodes) {
+    d.add(static_cast<std::uint64_t>(r.ok));
+    d.add(r.cycles.value());
+    d.add(r.utilization);
+    d.add(r.energy_nj.value());
+    const sim::Stats& s = r.stats;
+    for (std::int64_t v : {s.mac_ops, s.mul_ops, s.cmp_ops, s.mem_a_reads,
+                           s.mem_a_writes, s.mem_b_reads, s.mem_b_writes,
+                           s.rf_reads, s.rf_writes, s.row_bus_xfers,
+                           s.col_bus_xfers, s.sfu_ops, s.dma_words})
+      d.add(v);
+  }
+  d.add(res.makespan_cycles.value());
+  return d.value();
+}
+
+TEST(GraphBuilders, FactorsAndCostsMatchParent) {
+  std::string table;
+  bool all_match = true;
+  for (const BuilderGolden& g : kBuilderGolden) {
+    const std::uint64_t got = builder_digest(g);
+    if (got != g.digest) all_match = false;
+    char row[160];
+    std::snprintf(row, sizeof row, "    {\"%s\", %s, %d, %u, 0x%016" PRIx64 "ull},\n",
+                  g.kind, g.sim ? "true" : "false", static_cast<int>(g.n), g.workers, got);
+    table += row;
+  }
+  EXPECT_TRUE(all_match) << "factor graph output changed; if intended, paste as "
+                            "kBuilderGolden:\n"
+                         << table;
+}
+
 TEST(GraphScheduler, TiledCholeskySpeedupAtLeast1p5xAtFourWorkers) {
   // The acceptance pin: a tiled-Cholesky graph on the model backend reaches
   // >= 1.5x makespan speedup over serial node-by-node execution at W = 4.
@@ -341,6 +507,52 @@ TEST(GraphScheduler, WeightedFairShareBetweenTenants) {
   EXPECT_EQ(ls.units_completed, 40u);
   // Equal total service -> virtual times differ by the weight ratio.
   EXPECT_NEAR(ls.virtual_time.value() / hs.virtual_time.value(), 3.0, 0.01);
+}
+
+TEST(GraphScheduler, NonFiniteWeightsShareLikeWeightOne) {
+  arch::CoreConfig cfg = arch::lac_4x4_dp();
+  std::promise<void> release;
+  GateExecutor gated(kModel, release.get_future().share());
+  RecordingExecutor rec(gated);
+  ThreadPool pool(1);
+  SchedulerOptions opts;
+  opts.workers = 1;
+  opts.batch_limit = 1;
+  opts.queue_capacity = 256;
+  GraphScheduler scheduler(rec, opts, &pool);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<TenantId, std::string>> tenants{
+      {scheduler.add_tenant({"nan", std::numeric_limits<double>::quiet_NaN(), 0}), "N"},
+      {scheduler.add_tenant({"inf", inf, 0}), "I"},
+      {scheduler.add_tenant({"-inf", -inf, 0}), "M"},
+      {scheduler.add_tenant({"one", 1.0, 0}), "O"}};
+
+  // Occupy the single worker, then fill every tenant's queue with
+  // identical-cost work.
+  const int per_tenant = 30;
+  std::vector<std::future<fabric::KernelResult>> futs;
+  futs.push_back(scheduler.submit(0, small_gemm(cfg, "gate")));
+  for (int i = 0; i < per_tenant; ++i)
+    for (const auto& [tenant, tag] : tenants)
+      futs.push_back(scheduler.submit(tenant, small_gemm(cfg, tag)));
+  release.set_value();
+  for (auto& f : futs) EXPECT_TRUE(f.get().ok);
+
+  // While every queue is full, each tenant gets a quarter of the units.
+  std::map<std::string, int> served;
+  for (std::size_t i = 1; i <= 4 * (per_tenant - 1); ++i) ++served[rec.order[i]];
+  for (const auto& [tenant, tag] : tenants) {
+    EXPECT_NEAR(served[tag], per_tenant - 1, 1) << tag;
+    const TenantStats st = scheduler.tenant_stats(tenant);
+    EXPECT_EQ(st.weight, 1.0) << tag;
+    EXPECT_EQ(st.units_completed, static_cast<std::uint64_t>(per_tenant)) << tag;
+    EXPECT_TRUE(std::isfinite(st.virtual_time.value())) << tag;
+    EXPECT_GT(st.virtual_time.value(), 0.0) << tag;
+    EXPECT_EQ(st.virtual_time.value(),
+              scheduler.tenant_stats(tenants.back().first).virtual_time.value())
+        << tag;
+  }
+  EXPECT_TRUE(std::isfinite(scheduler.tenant_stats(0).virtual_time.value()));
 }
 
 TEST(GraphScheduler, PriorityClassPreemptsFairShare) {
@@ -545,6 +757,44 @@ TEST(GraphScheduler, CancellationRacingCompletionHooksStaysCoherent) {
   // Every hook ran exactly once, after its job's last unit resolved.
   EXPECT_EQ(hooks.load(), jobs);
   EXPECT_EQ(scheduler.pending(), 0u);
+}
+
+TEST(GraphScheduler, CommittedNodesReleaseOutputs) {
+  arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const MatrixD a = random_matrix(32, 32, 27);
+  const fabric::KernelResult plain = kSim.execute(small_gemm(cfg, "x"));
+  for (const bool lu : {false, true}) {
+    FactorGraph fg = lu ? build_lu_graph(cfg, 2.0, a.view(), 8)
+                        : build_qr_graph(cfg, 2.0, a.view(), 8);
+    const NodeId committed = fg.graph.size();
+    // Neither of these has a commit, so both keep their outputs.
+    const NodeId immediate = fg.graph.add_node(small_gemm(cfg, "immediate"));
+    const NodeId deferred =
+        fg.graph.add_node([&cfg] { return small_gemm(cfg, "deferred"); }, "deferred");
+    ThreadPool pool(4);
+    SchedulerOptions opts;
+    opts.workers = 4;
+    GraphScheduler scheduler(kSim, opts, &pool);
+    const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
+    ASSERT_TRUE(res.ok) << res.error;
+    for (NodeId id = 0; id < committed; ++id) {
+      const fabric::KernelResult& r = res.nodes[id];
+      SCOPED_TRACE((lu ? "LU node " : "QR node ") + std::to_string(id));
+      EXPECT_TRUE(r.ok);
+      EXPECT_EQ(r.out.rows() * r.out.cols(), 0);
+      EXPECT_TRUE(r.pivots.empty());
+      EXPECT_TRUE(r.taus.empty());
+      EXPECT_TRUE(r.spectrum.empty());
+      EXPECT_GT(r.cycles.value(), 0.0);
+      EXPECT_GT(r.energy_nj.value(), 0.0);
+      EXPECT_GT(r.stats.mac_ops, 0);
+    }
+    for (NodeId id : {immediate, deferred}) {
+      EXPECT_TRUE(res.nodes[id].ok);
+      EXPECT_TRUE(res.nodes[id].out == plain.out) << id;
+      EXPECT_EQ(res.nodes[id].cycles.value(), plain.cycles.value()) << id;
+    }
+  }
 }
 
 TEST(GraphScheduler, ThrowingCompletionHookIsSwallowed) {
