@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 
-#include "blas/ref_blas.hpp"
 #include "sched/graph_builders.hpp"
 #include "sched/graph_scheduler.hpp"
 
@@ -26,14 +26,54 @@ void absorb(DriverReport& rep, const fabric::KernelResult& k) {
   ++rep.kernel_calls;
 }
 
-/// Derive the report's average power once the kernel stream is complete:
-/// accumulated energy over the accumulated makespan at the core clock.
-void finalize_power(DriverReport& rep, const arch::CoreConfig& cfg) {
+/// Completes the report once the kernel stream is done: utilization from
+/// the `useful` MACs per PE, and average power as the accumulated energy
+/// over the accumulated cycles at the core clock.
+void finish(DriverReport& rep, const arch::CoreConfig& cfg, double useful) {
+  rep.utilization = rep.total_cycles.value() > 0
+                        ? useful / rep.total_cycles.value()
+                        : 0.0;
   const double f = cfg.pe.clock_ghz;
   const units::Seconds t = f > 0.0 ? rep.total_cycles / units::Gigahertz(f)
                                    : units::Seconds{};
   rep.avg_power_w = t.value() > 0.0 ? units::to_joules(rep.energy_nj) / t
                                     : units::Watts{};
+}
+
+/// Runs a factorization graph to completion on the kernel-graph scheduler
+/// and rolls its nodes up, in NodeId order, into a report. A failed node
+/// throws before the caller copies the factor out of the graph's working
+/// matrix, so the caller's input is left as it was.
+DriverReport run_graph(const fabric::Executor& ex, const arch::CoreConfig& cfg,
+                       sched::KernelGraph graph, double useful, unsigned workers,
+                       ThreadPool* pool) {
+  sched::SchedulerOptions opts;
+  opts.workers = workers;
+  // Fall back to a dedicated pool, never the shared one: this call blocks
+  // on the graph future, and parking a shared-pool thread on work that
+  // itself needs shared-pool workers can deadlock the pool (e.g. a sweep
+  // dispatching drivers via ThreadPool::shared().parallel_for).
+  std::optional<ThreadPool> local;
+  if (!pool) pool = &local.emplace(workers);
+  sched::GraphScheduler scheduler(ex, opts, pool);
+  const sched::GraphResult gres = scheduler.submit(0, std::move(graph)).get();
+  if (!gres.ok)
+    throw std::runtime_error("lap driver kernel failed: " + gres.error);
+
+  DriverReport rep;
+  for (const fabric::KernelResult& k : gres.nodes) absorb(rep, k);
+  finish(rep, cfg, useful);
+  rep.makespan_cycles = gres.makespan_cycles;
+  rep.graph_speedup = gres.speedup;
+  rep.graph_workers = gres.workers;
+  return rep;
+}
+
+/// (m n^2 - n^3 / 3) / nr^2: the useful MACs per PE that the LU and QR
+/// drivers both charge for an m x n factorization.
+double lu_qr_useful(index_t m, index_t n, int nr) {
+  return (static_cast<double>(m) * n * n - static_cast<double>(n) * n * n / 3.0) /
+         (nr * nr);
 }
 
 }  // namespace
@@ -70,101 +110,27 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
       absorb(rep, r);
     }
   }
-  const double useful = static_cast<double>(m) * n * k / (nr * nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
+  finish(rep, cfg, static_cast<double>(m) * n * k / (nr * nr));
   return rep;
 }
 
 DriverReport lap_cholesky(const fabric::Executor& ex, const arch::CoreConfig& cfg,
-                          double bw_words_per_cycle, index_t block, ViewD a) {
+                          double bw_words_per_cycle, index_t block, ViewD a,
+                          unsigned workers, ThreadPool* pool) {
   const int nr = cfg.nr;
   const index_t n = a.rows();
-  assert(a.cols() == n && n % block == 0 && block % nr == 0);
-
-  DriverReport rep;
-  for (index_t d = 0; d < n; d += block) {
-    // Diagonal block Cholesky on the fabric.
-    fabric::KernelResult diag = run(
-        ex, fabric::make_cholesky(cfg, bw_words_per_cycle, a.block(d, d, block, block)));
-    for (index_t j = 0; j < block; ++j)
-      for (index_t i = 0; i < block; ++i)
-        a(d + i, d + j) = i >= j ? diag.out(i, j) : 0.0;
-    absorb(rep, diag);
-
-    if (d + block >= n) break;
-    const index_t rest = n - d - block;
-
-    // Panel TRSM: A21 := A21 * L11^{-T}  <=>  solve L11 * X^T = A21^T.
-    MatrixD a21t = transpose(a.block(d + block, d, rest, block));
-    fabric::KernelResult solved =
-        run(ex, fabric::make_trsm(cfg, bw_words_per_cycle,
-                                  a.block(d, d, block, block), a21t.view()));
-    for (index_t j = 0; j < block; ++j)
-      for (index_t i = 0; i < rest; ++i) a(d + block + i, d + j) = solved.out(j, i);
-    absorb(rep, solved);
-
-    // Trailing update: A22 -= L21 * L21^T (SYRK on the fabric).
-    MatrixD c22 = to_matrix<double>(
-        MatrixView<const double>(a.block(d + block, d + block, rest, rest)));
-    fabric::KernelResult upd = run(
-        ex, fabric::make_syrk(cfg, bw_words_per_cycle,
-                              a.block(d + block, d, rest, block), c22.view()));
-    // syrk computes C += A A^T; we need C -= L21 L21^T, so fold the
-    // sign by writing back 2*C_in - result on the lower triangle.
-    for (index_t j = 0; j < rest; ++j)
-      for (index_t i = j; i < rest; ++i)
-        a(d + block + i, d + block + j) = 2.0 * c22(i, j) - upd.out(i, j);
-    absorb(rep, upd);
-  }
-  // Match the reference contract: the strict upper triangle is zeroed.
-  for (index_t j = 1; j < n; ++j)
-    for (index_t i = 0; i < j; ++i) a(i, j) = 0.0;
-  const double useful = static_cast<double>(n) * n * n / 3.0 / 2.0 / (nr * nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
-  return rep;
-}
-
-DriverReport lap_cholesky_graph(const fabric::Executor& ex,
-                                const arch::CoreConfig& cfg,
-                                double bw_words_per_cycle, index_t block,
-                                ViewD a, unsigned workers, ThreadPool* pool) {
-  const int nr = cfg.nr;
-  const index_t n = a.rows();
-  assert(a.cols() == n && n % block == 0 && block % nr == 0);
-
   sched::FactorGraph fg =
       sched::build_cholesky_graph(cfg, bw_words_per_cycle, a, block);
-  sched::SchedulerOptions opts;
-  opts.workers = workers;
-  // Fall back to a dedicated pool, never the shared one: this call blocks
-  // on the graph future, and parking a shared-pool thread on work that
-  // itself needs shared-pool workers can deadlock the pool (e.g. a sweep
-  // dispatching drivers via ThreadPool::shared().parallel_for).
-  ThreadPool local(workers);
-  sched::GraphScheduler scheduler(ex, opts, pool ? pool : &local);
-  sched::GraphResult gres = scheduler.submit(0, std::move(fg.graph)).get();
-  if (!gres.ok)
-    throw std::runtime_error("lap driver kernel failed: " + gres.error);
+  DriverReport rep =
+      run_graph(ex, cfg, std::move(fg.graph),
+                static_cast<double>(n) * n * n / 3.0 / 2.0 / (nr * nr), workers, pool);
   sched::extract_lower(fg, a);
-
-  DriverReport rep;
-  for (const fabric::KernelResult& k : gres.nodes) absorb(rep, k);
-  const double useful = static_cast<double>(n) * n * n / 3.0 / 2.0 / (nr * nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
-  rep.makespan_cycles = gres.makespan_cycles;
-  rep.graph_speedup = gres.speedup;
-  rep.graph_workers = gres.workers;
   return rep;
 }
+
+// LU and QR run their graphs at one column tile as wide as the matrix
+// (at least nr, so an empty matrix builds an empty graph): each step is
+// then one panel followed by whole-width trailing updates, a chain.
 
 DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                     double bw_words_per_cycle, ViewD a,
@@ -172,68 +138,12 @@ DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
   const int nr = cfg.nr;
   const index_t m = a.rows();
   const index_t n = a.cols();
-  assert(m % nr == 0 && n % nr == 0 && m >= n);
-  pivots.assign(static_cast<std::size_t>(n), 0);
-
-  DriverReport rep;
-  for (index_t j = 0; j < n; j += nr) {
-    const index_t rows = m - j;
-    // (1) Panel factorization on the fabric (pivot search + scale + rank-1).
-    fabric::KernelResult lu =
-        run(ex, fabric::make_lu(cfg, a.block(j, j, rows, nr)));
-    for (index_t c = 0; c < nr; ++c)
-      for (index_t i = 0; i < rows; ++i) a(j + i, j + c) = lu.out(i, c);
-    absorb(rep, lu);
-
-    // (2) Apply the panel's pivots to the rest of the matrix and record
-    // them globally.
-    for (index_t s = 0; s < nr; ++s) {
-      const index_t p = lu.pivots[static_cast<std::size_t>(s)];
-      pivots[static_cast<std::size_t>(j + s)] = j + p;
-      if (p != s) {
-        for (index_t c = 0; c < j; ++c) std::swap(a(j + s, c), a(j + p, c));
-        for (index_t c = j + nr; c < n; ++c) std::swap(a(j + s, c), a(j + p, c));
-      }
-    }
-
-    if (j + nr >= n) break;
-    const index_t right = n - j - nr;
-
-    // (3) U row panel: solve L11 (unit lower) * U12 = A12 on the fabric.
-    MatrixD l11(nr, nr, 0.0);
-    for (index_t c = 0; c < nr; ++c) {
-      for (index_t i = c + 1; i < nr; ++i) l11(i, c) = a(j + i, j + c);
-      l11(c, c) = 1.0;
-    }
-    fabric::KernelResult u12 =
-        run(ex, fabric::make_trsm(cfg, bw_words_per_cycle, l11.view(),
-                                  a.block(j, j + nr, nr, right)));
-    for (index_t c = 0; c < right; ++c)
-      for (index_t i = 0; i < nr; ++i) a(j + i, j + nr + c) = u12.out(i, c);
-    absorb(rep, u12);
-
-    // (4) Trailing update A22 -= L21 * U12 as an accelerated GEMM.
-    const index_t below = m - j - nr;
-    if (below > 0) {
-      MatrixD l21 = to_matrix<double>(
-          MatrixView<const double>(a.block(j + nr, j, below, nr)));
-      for (index_t c = 0; c < nr; ++c)
-        for (index_t i = 0; i < below; ++i) l21(i, c) = -l21(i, c);
-      fabric::KernelResult upd = run(
-          ex, fabric::make_gemm(cfg, bw_words_per_cycle, l21.view(), u12.out.view(),
-                                a.block(j + nr, j + nr, below, right)));
-      for (index_t c = 0; c < right; ++c)
-        for (index_t i = 0; i < below; ++i) a(j + nr + i, j + nr + c) = upd.out(i, c);
-      absorb(rep, upd);
-    }
-  }
-  const double useful =
-      (static_cast<double>(m) * n * n - static_cast<double>(n) * n * n / 3.0) /
-      (nr * nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
+  sched::FactorGraph fg = sched::build_lu_graph(cfg, bw_words_per_cycle, a,
+                                                std::max<index_t>(n, nr));
+  DriverReport rep = run_graph(ex, cfg, std::move(fg.graph),
+                               lu_qr_useful(m, n, nr), 1, nullptr);
+  copy_into<double>(MatrixView<const double>(fg.work->view()), a);
+  pivots = std::move(*fg.pivots);
   return rep;
 }
 
@@ -242,72 +152,12 @@ DriverReport lap_qr(const fabric::Executor& ex, const arch::CoreConfig& cfg,
   const int nr = cfg.nr;
   const index_t m = a.rows();
   const index_t n = a.cols();
-  assert(m % nr == 0 && n % nr == 0 && m >= n);
-  taus.clear();
-  taus.reserve(static_cast<std::size_t>(n));
-
-  DriverReport rep;
-  std::vector<double> w;
-  for (index_t j = 0; j < n; j += nr) {
-    const index_t rows = m - j;
-    // (1) Panel QR on the fabric.
-    fabric::KernelResult qr = run(ex, fabric::make_qr(cfg, a.block(j, j, rows, nr)));
-    for (index_t c = 0; c < nr; ++c)
-      for (index_t i = 0; i < rows; ++i) a(j + i, j + c) = qr.out(i, c);
-    for (double tau : qr.taus) taus.push_back(tau);
-    absorb(rep, qr);
-
-    if (j + nr >= n) break;
-    const index_t right = n - j - nr;
-
-    // (2) Apply the panel's reflectors to the trailing columns, one
-    // reflector at a time: w^T = (a1^T + u2^T A2)/tau; A -= u w^T.
-    // The two matrix-vector products are small GEMM calls on the fabric.
-    for (index_t s = 0; s < nr; ++s) {
-      const double tau = qr.taus[static_cast<std::size_t>(s)];
-      const index_t tail = rows - s;  // reflector length (leading 1)
-      MatrixD u(tail, 1, 0.0);
-      u(0, 0) = 1.0;
-      for (index_t i = 1; i < tail; ++i) u(i, 0) = a(j + s + i, j + s);
-      // w^T = (u^T/tau) A2 as an nr x right GEMM on the accelerator (row 0
-      // of the A operand carries u^T/tau, the rest is padding): these MACs
-      // run on the fabric, so they are charged fabric cycles like the
-      // rank-1 update below.
-      MatrixD ut(nr, tail, 0.0);
-      for (index_t i = 0; i < tail; ++i) ut(0, i) = u(i, 0) / tau;
-      fabric::KernelResult wres = run(
-          ex, fabric::make_gemm(cfg, bw_words_per_cycle, ut.view(),
-                                a.block(j + s, j + nr, tail, right),
-                                MatrixD(nr, right, 0.0).view()));
-      w.assign(static_cast<std::size_t>(right), 0.0);
-      for (index_t c = 0; c < right; ++c) w[static_cast<std::size_t>(c)] = wres.out(0, c);
-      absorb(rep, wres);
-      // Rank-1 update A2 -= u w^T on the accelerator: reuse the GEMM
-      // kernel with the padded operands to charge realistic cycles.
-      const index_t padded = ((tail + nr - 1) / nr) * nr;
-      MatrixD up(padded, nr, 0.0);
-      for (index_t i = 0; i < tail; ++i) up(i, 0) = -u(i, 0);
-      MatrixD wp(nr, ((right + nr - 1) / nr) * nr, 0.0);
-      for (index_t c = 0; c < right; ++c) wp(0, c) = w[static_cast<std::size_t>(c)];
-      MatrixD c_pad(padded, wp.cols(), 0.0);
-      for (index_t c = 0; c < right; ++c)
-        for (index_t i = 0; i < tail; ++i) c_pad(i, c) = a(j + s + i, j + nr + c);
-      fabric::KernelResult upd =
-          run(ex, fabric::make_gemm(cfg, bw_words_per_cycle, up.view(), wp.view(),
-                                    c_pad.view()));
-      for (index_t c = 0; c < right; ++c)
-        for (index_t i = 0; i < tail; ++i) a(j + s + i, j + nr + c) = upd.out(i, c);
-      absorb(rep, upd);
-    }
-  }
-  const double useful = 2.0 *
-                        (static_cast<double>(m) * n * n -
-                         static_cast<double>(n) * n * n / 3.0) /
-                        (2.0 * nr * nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
+  sched::FactorGraph fg = sched::build_qr_graph(cfg, bw_words_per_cycle, a,
+                                                std::max<index_t>(n, nr));
+  DriverReport rep = run_graph(ex, cfg, std::move(fg.graph),
+                               lu_qr_useful(m, n, nr), 1, nullptr);
+  copy_into<double>(MatrixView<const double>(fg.work->view()), a);
+  taus = std::move(*fg.taus);
   return rep;
 }
 
@@ -318,7 +168,6 @@ DriverReport lap_trmm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
   const index_t m = b.rows();
   const index_t n = b.cols();
   assert(l.rows() == m && l.cols() == m && m % block == 0 && block % nr == 0);
-  (void)nr;
 
   DriverReport rep;
   // Process row panels bottom-up so each uses only not-yet-overwritten B
@@ -342,12 +191,7 @@ DriverReport lap_trmm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                       result.block(i0, 0, block, n));
   }
   copy_into<double>(MatrixView<const double>(result.view()), b);
-  const double useful = static_cast<double>(m) * (m + 1) / 2.0 * n /
-                        (cfg.nr * cfg.nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
+  finish(rep, cfg, static_cast<double>(m) * (m + 1) / 2.0 * n / (nr * nr));
   return rep;
 }
 
@@ -383,11 +227,7 @@ DriverReport lap_symm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
     copy_into<double>(MatrixView<const double>(acc.view()),
                       c.block(i0, 0, block, n));
   }
-  const double useful = static_cast<double>(m) * m * n / (cfg.nr * cfg.nr);
-  rep.utilization = rep.total_cycles.value() > 0
-                        ? useful / rep.total_cycles.value()
-                        : 0.0;
-  finalize_power(rep, cfg);
+  finish(rep, cfg, static_cast<double>(m) * m * n / (cfg.nr * cfg.nr));
   return rep;
 }
 

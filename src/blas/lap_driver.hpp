@@ -4,6 +4,11 @@
 // (algorithms-by-blocks) and dispatches them to the fabric execution layer,
 // accumulating cycle counts and activity statistics across calls.
 //
+// The level-3 drivers (GEMM, TRMM, SYMM) loop over GEMM tiles here. The
+// factorizations (Cholesky, LU, QR) have one implementation, the kernel
+// graphs of sched/graph_builders.hpp: each driver builds its graph, runs it
+// on the kernel-graph scheduler and rolls the nodes up into its report.
+//
 // Every driver takes the fabric::Executor to run on: the cycle-exact
 // SimExecutor or the instant ModelExecutor produce the same numerics, so
 // the backend is a deployment choice, not an algorithm change.
@@ -25,9 +30,9 @@ struct DriverReport {
   units::SquareMillimeters area_mm2;  ///< silicon evaluated (max over kernels)
   sim::Stats stats;              ///< zero when run on the analytical backend
   int kernel_calls = 0;
-  /// Graph-mode extras (zero on the serial driver paths): the W-worker
-  /// list-schedule length of the kernel DAG and the serial-sum-over-
-  /// makespan speedup it implies.
+  /// Kernel-graph figures, filled by the factorizations (CHOL, LU, QR) and
+  /// zero for GEMM, TRMM and SYMM: the W-worker list-schedule length of the
+  /// kernel DAG and the serial-sum-over-makespan speedup it implies.
   units::Cycles makespan_cycles;
   double graph_speedup = 0.0;
   unsigned graph_workers = 0;
@@ -39,41 +44,36 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                       double bw_words_per_cycle, index_t mc, index_t kc,
                       ConstViewD a, ConstViewD b, ViewD c);
 
-/// Accelerated blocked Cholesky (algorithm-by-blocks, Ch. 6): diagonal
-/// Cholesky + TRSM panel + SYRK/GEMM trailing updates, every kernel run on
-/// the fabric. `a` is overwritten with L (lower).
+/// Accelerated blocked Cholesky (algorithm-by-blocks, Ch. 6): the tiled
+/// POTRF/TRSM/SYRK/GEMM DAG of sched::build_cholesky_graph, run with
+/// panel-level parallelism on the kernel-graph scheduler. `a` (n x n,
+/// n % block == 0, block % nr == 0) is overwritten with L (lower). The
+/// factor and every cost are the same for any `workers`; the width only
+/// sets the makespan figures (0 sizes it to the hardware concurrency).
+/// `pool` reuses a caller-owned ThreadPool across calls (e.g. a sweep); by
+/// default each call runs a dedicated pool -- never the shared one, because
+/// this call blocks on the graph future and parking a shared-pool thread on
+/// work that needs shared-pool workers can deadlock.
+///
+/// A failed kernel throws std::runtime_error ("lap driver kernel failed:
+/// <node>: <why>") and leaves `a` as it was; so do LU and QR.
 DriverReport lap_cholesky(const fabric::Executor& ex, const arch::CoreConfig& cfg,
-                          double bw_words_per_cycle, index_t block, ViewD a);
-
-/// Blocked Cholesky re-expressed as a tile-level kernel graph
-/// (POTRF/TRSM/SYRK/GEMM DAG, see sched::build_cholesky_graph) executed
-/// with panel-level parallelism on the kernel-graph scheduler. Same
-/// contract and numerics class as lap_cholesky; the report additionally
-/// carries the makespan/speedup figures, and total cycles/energy stay
-/// within the graph-vs-serial regression tolerance of the serial driver.
-/// `workers` sets the scheduler width; pass it explicitly when the
-/// makespan figures must be host-independent (0 sizes to the hardware
-/// concurrency). `pool` reuses a caller-owned ThreadPool across calls
-/// (e.g. a sweep); by default each call runs a dedicated pool -- never
-/// the shared one, because this call blocks on the graph future and
-/// parking a shared-pool thread on work that needs shared-pool workers
-/// can deadlock.
-DriverReport lap_cholesky_graph(const fabric::Executor& ex,
-                                const arch::CoreConfig& cfg,
-                                double bw_words_per_cycle, index_t block,
-                                ViewD a, unsigned workers = 0,
-                                ThreadPool* pool = nullptr);
+                          double bw_words_per_cycle, index_t block, ViewD a,
+                          unsigned workers = 1, ThreadPool* pool = nullptr);
 
 /// Accelerated blocked LU with partial pivoting (§6.1.2): the LAC factors
 /// each k x nr panel (pivot search + reciprocal scale + rank-1 updates);
-/// the trailing updates are accelerated GEMMs. `a` becomes L\U, pivots out.
+/// the U row panel is a TRSM and the trailing update an accelerated GEMM.
+/// Runs sched::build_lu_graph with one column tile, a chain of kernels.
+/// `a` becomes L\U, pivots out.
 DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                     double bw_words_per_cycle, ViewD a,
                     std::vector<index_t>& pivots);
 
 /// Accelerated blocked Householder QR (§6.1.3): the LAC factors each
-/// m x nr panel (vector norms + reflectors); the trailing block update
-/// A2 -= V (V^T A2 scaled by tau) runs as accelerated GEMMs.
+/// m x nr panel (vector norms + reflectors); each reflector's trailing
+/// update (w = u^T A2 / tau, A2 -= u w^T) runs as two accelerated GEMMs.
+/// Runs sched::build_qr_graph with one column tile, a chain of kernels.
 DriverReport lap_qr(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                     double bw_words_per_cycle, ViewD a, std::vector<double>& taus);
 

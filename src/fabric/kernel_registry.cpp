@@ -836,15 +836,6 @@ struct Registry {
       const std::size_t idx = static_cast<std::size_t>(kind);
       if (traits.size() <= idx) traits.resize(idx + 1);
       traits[idx] = build_traits(kind);
-      // Default smoke sample: the sized request at n = 16 on the baseline
-      // core (captured by value -- the registry is still under
-      // construction here, so hooks must not re-enter the lookup).
-      if (!traits[idx].sample_request && traits[idx].sized_request) {
-        auto sized = traits[idx].sized_request;
-        traits[idx].sample_request = [sized](std::uint64_t seed) {
-          return sized(arch::lac_4x4_dp(), 2.0, 16, seed);
-        };
-      }
       kinds.push_back(kind);
     }
   }
@@ -881,6 +872,10 @@ const KernelTraits* find_kernel_traits(std::string_view name) {
 
 const std::vector<KernelKind>& registered_kernel_kinds() {
   return registry().kinds;
+}
+
+KernelRequest sample_request(KernelKind kind, std::uint64_t seed) {
+  return kernel_traits(kind).sized_request(arch::lac_4x4_dp(), 2.0, 16, seed);
 }
 
 }  // namespace lac::fabric

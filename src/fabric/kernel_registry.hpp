@@ -79,11 +79,6 @@ struct KernelTraits {
   std::function<KernelRequest(const arch::CoreConfig& cfg, double bw, index_t n,
                               std::uint64_t seed)>
       sized_request;
-
-  /// Small, valid, deterministic request of this kind (registry smoke
-  /// tests, completeness checks); derived from sized_request at n = 16 on
-  /// the baseline core unless a kernel registers its own.
-  std::function<KernelRequest(std::uint64_t seed)> sample_request;
 };
 
 /// Traits for a registered kind; throws std::out_of_range for a kind with
@@ -99,5 +94,10 @@ const KernelTraits* find_kernel_traits(std::string_view name);
 
 /// Every registered kind, in enumerator order.
 const std::vector<KernelKind>& registered_kernel_kinds();
+
+/// Small, valid, deterministic request of a registered kind (registry smoke
+/// tests, completeness checks): its sized_request at n = 16 and 2 words per
+/// cycle on the baseline core. Throws std::out_of_range like kernel_traits.
+KernelRequest sample_request(KernelKind kind, std::uint64_t seed);
 
 }  // namespace lac::fabric

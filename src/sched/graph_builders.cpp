@@ -107,7 +107,7 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
         if (i == j) {
           // SYRK computes C + A A^T; the commit folds the sign by writing
           // 2*C_in - result (the work tile still holds C_in at commit
-          // time), exactly the serial driver's trick.
+          // time).
           upd = g.add_node(
               [w, cfg, bw, ib, kb, block] {
                 return fabric::make_syrk(cfg, bw, snapshot(*w, ib, kb, block, block),
@@ -187,8 +187,8 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
         [w, piv, j, rows, nr, n](const fabric::KernelResult& r) {
           for (index_t c = 0; c < nr; ++c)
             for (index_t i = 0; i < rows; ++i) (*w)(j + i, j + c) = r.out(i, c);
-          // Apply the panel's pivots outside the panel and record them
-          // globally (the serial driver's step (2)).
+          // Apply the panel's pivots outside the panel and record them as
+          // global row indices.
           for (index_t s = 0; s < nr; ++s) {
             const index_t p = r.pivots[static_cast<std::size_t>(s)];
             (*piv)[static_cast<std::size_t>(j + s)] = j + p;
@@ -337,8 +337,8 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
             });
         g.add_edge(panel, wnode);  // reads u and tau
         dep(g, chain, wnode);      // reads the tile state
-        // Rank-1 update A2 -= u w^T, padded to nr multiples like the
-        // serial driver so the fabric charges realistic cycles.
+        // Rank-1 update A2 -= u w^T on the GEMM kernel, its operands
+        // padded to nr multiples so the fabric charges realistic cycles.
         const index_t padded = ((tail + nr - 1) / nr) * nr;
         const NodeId rank1 = g.add_node(
             [w, wbuf, cfg, bw, j, s, c0, width, tail, padded, nr] {

@@ -2,12 +2,13 @@
 // Builders that express the paper's blocked factorizations as KernelGraphs.
 //
 // Blocked Cholesky/LU/QR are not single kernels: they are DAGs of
-// POTRF/TRSM/SYRK/GEMM panel operations (Ch. 6, and the algorithms-by-
-// blocks driver layer in src/blas). The serial drivers walk those DAGs in
-// program order; these builders emit the DAG itself, so the GraphScheduler
-// can overlap independent panels -- at step k of a tiled Cholesky every
-// TRSM of the panel and every SYRK/GEMM of the trailing update is
-// independent work.
+// POTRF/TRSM/SYRK/GEMM panel operations (Ch. 6). These builders are the
+// only implementation of the three factorizations: they emit the DAG
+// itself, so the GraphScheduler can overlap independent panels -- at step
+// k of a tiled Cholesky every TRSM of the panel and every SYRK/GEMM of the
+// trailing update is independent work -- and the LAP drivers in src/blas
+// (lap_cholesky, lap_lu, lap_qr) run them. At `block` = n the LU and QR
+// graphs are chains: one panel, then whole-width trailing updates.
 //
 // Every builder copies the input into a shared working matrix that the
 // node closures read and commit into. Conflicting accesses are fully
@@ -62,8 +63,8 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
                            double bw_words_per_cycle, ConstViewD a,
                            index_t block);
 
-/// Copy the Cholesky factor out of `fg.work` with the serial-driver
-/// contract applied (strict upper triangle zeroed).
+/// Copy the Cholesky factor out of `fg.work` with the reference contract
+/// applied (strict upper triangle zeroed, as blas::cholesky leaves it).
 void extract_lower(const FactorGraph& fg, ViewD out);
 
 }  // namespace lac::sched

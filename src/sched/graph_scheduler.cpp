@@ -7,8 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "fabric/serving.hpp"
-
 namespace lac::sched {
 
 using Clock = std::chrono::steady_clock;
@@ -40,16 +38,14 @@ struct GraphScheduler::Unit {
   std::shared_ptr<Job> job;
   NodeId id = 0;
   fabric::KernelRequest req;
-  std::optional<fabric::CostKey> key;  // affinity batching; unset at batch_limit <= 1
   std::string make_error;  // deferred `make` closure threw; fail in-band
 };
 
-/// A dispatch loop's buffers, kept for every unit it runs: the batch it
-/// took, the units its completions released (enqueued with its next take),
-/// complete_unit's node lists, and the jobs it resolved since its last
-/// take (unresolved_jobs_ drops by that count in the same critical section).
+/// A dispatch loop's buffers, kept for every unit it runs: the units its
+/// completions released (enqueued with its next take), complete_unit's
+/// node lists, and the jobs it resolved since its last take
+/// (unresolved_jobs_ drops by that count in the same critical section).
 struct GraphScheduler::Worker {
-  std::vector<std::unique_ptr<Unit>> batch;
   std::vector<std::unique_ptr<Unit>> released;
   std::vector<NodeId> cascade;
   std::vector<NodeId> to_build;
@@ -124,7 +120,7 @@ GraphScheduler::GraphScheduler(const fabric::Executor& backend,
 GraphScheduler::~GraphScheduler() {
   MutexLock lock(mu_);
   // Wait for the jobs *and* for every worker to leave the dispatch loop
-  // (a worker may still be inside take_batch after the last completion).
+  // (a worker may still be in take_unit_locked after the last completion).
   while (unresolved_jobs_ != 0 || inflight_ != 0) drain_cv_.wait(mu_);
 }
 
@@ -244,7 +240,6 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   unit->job = std::move(job);
   unit->id = 0;
   unit->req = std::move(req);
-  if (opts_.batch_limit > 1) unit->key.emplace(unit->req);
   std::vector<std::unique_ptr<Unit>> units;
   units.push_back(std::move(unit));
   MutexLock lock(mu_);
@@ -262,7 +257,6 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
   auto unit = std::make_unique<Unit>();
   try {
     unit->req = job->graph.node(id).make();
-    if (opts_.batch_limit > 1) unit->key.emplace(unit->req);
   } catch (const std::exception& e) {
     unit->make_error = std::string("request build failed: ") + e.what();
   } catch (...) {
@@ -298,7 +292,7 @@ void GraphScheduler::enqueue_locked(std::vector<std::unique_ptr<Unit>>& units) {
 
 void GraphScheduler::pump_locked() {
   // Post up to min(free slots, ready units) dispatch loops. A loop that
-  // loses its units to an already-running worker finds an empty batch and
+  // loses its unit to an already-running worker finds none ready and
   // exits -- bounded overposting, never starvation.
   std::size_t ready = 0;
   for (const std::unique_ptr<Tenant>& t : tenants_) ready += t->ready.size();
@@ -309,7 +303,7 @@ void GraphScheduler::pump_locked() {
   }
 }
 
-void GraphScheduler::take_batch_locked(std::vector<std::unique_ptr<Unit>>& batch) {
+std::unique_ptr<GraphScheduler::Unit> GraphScheduler::take_unit_locked() {
   // Pick the serving tenant: highest priority class first, then least
   // weighted service (virtual time), then lowest tenant id -- a strict,
   // deterministic order.
@@ -320,41 +314,27 @@ void GraphScheduler::take_batch_locked(std::vector<std::unique_ptr<Unit>>& batch
         (t->cfg.priority == best->cfg.priority && t->vtime < best->vtime))
       best = t.get();
   }
-  if (!best) return;
-  batch.push_back(std::move(best->ready.front()));
+  if (!best) return nullptr;
+  std::unique_ptr<Unit> unit = std::move(best->ready.front());
   best->ready.pop_front();
   ++best->inflight;
-  // Cost-key affinity batching: pull units with the same CostKey from
-  // this tenant's queue so they execute back-to-back (the model backend's
-  // CostCache stays hot, and per-unit dispatch overhead amortizes).
-  const std::optional<fabric::CostKey>& key = batch.front()->key;
-  if (key) {
-    for (auto it = best->ready.begin();
-         it != best->ready.end() && batch.size() < opts_.batch_limit;) {
-      if ((*it)->key == key) {
-        batch.push_back(std::move(*it));
-        it = best->ready.erase(it);
-        ++best->inflight;
-      } else {
-        ++it;
-      }
-    }
-  }
+  return unit;
 }
 
 void GraphScheduler::worker() {
   Worker self;
   for (;;) {
+    std::unique_ptr<Unit> unit;
     {
-      // One critical section per batch: settle the jobs the last batch
-      // resolved, enqueue the units it released, take the next batch and
+      // One critical section per unit: settle the jobs the last unit
+      // resolved, enqueue the units it released, take the next unit and
       // post loops for what is left.
       MutexLock lock(mu_);
       unresolved_jobs_ -= self.resolved;
       enqueue_locked(self.released);
-      take_batch_locked(self.batch);
+      unit = take_unit_locked();
       pump_locked();
-      if (self.batch.empty()) {
+      if (!unit) {
         // Notified under the lock: once inflight_ reaches zero the
         // destructor may return as soon as the lock is free.
         --inflight_;
@@ -364,8 +344,7 @@ void GraphScheduler::worker() {
       if (self.resolved != 0) drain_cv_.notify_all();
     }
     self.resolved = 0;
-    for (std::unique_ptr<Unit>& unit : self.batch) run_unit(std::move(unit), self);
-    self.batch.clear();
+    run_unit(std::move(unit), self);
   }
 }
 

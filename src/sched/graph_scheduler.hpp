@@ -13,15 +13,15 @@
 //     priority classes above the fair share;
 //   - bounded admission: at most `queue_capacity` jobs are admitted and
 //     unfinished at once -- submit() blocks (backpressure), try_submit()
-//     refuses;
-//   - cost-key affinity batching: ready units with equal CostKeys (the
-//     cost cache's key) dispatch back-to-back on one worker, so
-//     model-backend traffic hits the CostCache while it is hot and skips
-//     per-unit dispatch overhead.
+//     refuses.
 //
-// Failure semantics follow PR 2: a failed node reports in-band
-// (ok = false, zero cost), and every node downstream of it is cancelled
-// with the same zero-cost accounting instead of running on garbage.
+// The LAP drivers' factorizations (blas::lap_cholesky, lap_lu, lap_qr) are
+// clients too: each call runs its kernel graph on a scheduler of its own,
+// over a dedicated pool unless the caller passes one.
+//
+// Failure semantics: a failed node reports in-band (ok = false, zero
+// cost), and every node downstream of it is cancelled with the same
+// zero-cost accounting instead of running on garbage.
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -58,12 +58,6 @@ struct SchedulerOptions {
   unsigned workers = 0;
   /// Admitted-but-unfinished job bound (graphs and single requests alike).
   std::size_t queue_capacity = 64;
-  /// Max units one worker takes per dispatch when their CostKeys match
-  /// (<= 1, the default, disables affinity batching). Worth raising only
-  /// when the backend is a CostCache-backed ModelExecutor: batching keeps
-  /// the memo hot and amortizes dispatch, but on the sim backend it just
-  /// serializes expensive kernels onto one worker.
-  std::size_t batch_limit = 1;
 };
 
 /// Completed-graph roll-up: per-node results plus the PR 3 cost totals and
@@ -185,9 +179,8 @@ class GraphScheduler {
   void enqueue_locked(std::vector<std::unique_ptr<Unit>>& units)
       LAC_REQUIRES(mu_);
   void pump_locked() LAC_REQUIRES(mu_);
-  /// Appends the next batch to `batch` (nothing when no unit is ready).
-  void take_batch_locked(std::vector<std::unique_ptr<Unit>>& batch)
-      LAC_REQUIRES(mu_);
+  /// The next unit to run (null when no unit is ready).
+  std::unique_ptr<Unit> take_unit_locked() LAC_REQUIRES(mu_);
   void worker() LAC_EXCLUDES(mu_);
   void run_unit(std::unique_ptr<Unit> unit, Worker& self) LAC_EXCLUDES(mu_);
   void complete_unit(std::unique_ptr<Unit> unit, fabric::KernelResult res,

@@ -372,7 +372,7 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   bad.push_back(good);
   bad.back().tech.node = static_cast<arch::TechNode>(7);
   bad.back().tag = "tech.node 7";
-  bad.push_back(kernel_traits(KernelKind::ChipGemm).sample_request(7));
+  bad.push_back(sample_request(KernelKind::ChipGemm, 7));
   bad.back().chip.core.pe.clock_ghz = nan;
   bad.back().tag = "chip.core.pe.clock_ghz nan";
   // Chip fields the CHIP_GEMM backends divide or tile by: a zero core
@@ -380,7 +380,7 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   // negative utilization from the model, a zero, negative or NaN
   // bandwidth to price an infinite, meaningless or NaN cost, and a
   // chip.core.nr the tiling was not checked against to run no MACs.
-  const KernelRequest chip_good = kernel_traits(KernelKind::ChipGemm).sample_request(1);
+  const KernelRequest chip_good = sample_request(KernelKind::ChipGemm, 1);
   for (int cores : {0, -1}) {
     bad.push_back(chip_good);
     bad.back().chip.cores = cores;
@@ -434,7 +434,7 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   };
   for (KernelKind kind : registered_kernel_kinds())
     for (const auto& [field, fault] : core_faults) {
-      bad.push_back(kernel_traits(kind).sample_request(1));
+      bad.push_back(sample_request(kind, 1));
       fault(kind == KernelKind::ChipGemm ? bad.back().chip.core : bad.back().core);
       bad.back().tag = std::string(to_string(kind)) + " " + field;
     }

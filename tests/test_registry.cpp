@@ -38,7 +38,7 @@ TEST(KernelRegistry, EveryKindHasCompleteTraits) {
     EXPECT_TRUE(t->sim_run != nullptr) << t->name;
     EXPECT_TRUE(t->model_energy != nullptr) << t->name;
     EXPECT_TRUE(t->sim_energy != nullptr) << t->name;
-    EXPECT_TRUE(t->sample_request != nullptr) << t->name;
+    EXPECT_TRUE(t->sized_request != nullptr) << t->name;
   }
 }
 
@@ -60,7 +60,7 @@ TEST(KernelRegistry, NamesRoundTripAndAreUnique) {
 TEST(KernelRegistry, SampleRequestsExecuteOnBothBackends) {
   for (KernelKind kind : registered_kernel_kinds()) {
     const KernelTraits& t = kernel_traits(kind);
-    const KernelRequest req = t.sample_request(1234);
+    const KernelRequest req = sample_request(kind, 1234);
     EXPECT_EQ(req.kind, kind) << t.name;
     EXPECT_EQ(validate(req), "") << t.name;
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),
@@ -80,7 +80,7 @@ TEST(KernelRegistry, SampleRequestsExecuteOnBothBackends) {
 TEST(KernelRegistry, ModelCostMatchesTraitHooks) {
   for (KernelKind kind : registered_kernel_kinds()) {
     const KernelTraits& t = kernel_traits(kind);
-    const KernelRequest req = t.sample_request(99);
+    const KernelRequest req = sample_request(kind, 99);
     const ModelCost cost = model_cost(req);
     EXPECT_DOUBLE_EQ(cost.cycles.value(), t.model_cycles(req).value()) << t.name;
     EXPECT_DOUBLE_EQ(cost.utilization, t.model_utilization(req, cost.cycles))
@@ -98,7 +98,7 @@ TEST(KernelRegistry, UnregisteredKindFailsInBand) {
   EXPECT_EQ(try_kernel_traits(bogus), nullptr);
   EXPECT_STREQ(to_string(bogus), "?");
   EXPECT_EQ(useful_macs(KernelRequest{.kind = bogus}).value(), 0.0);
-  KernelRequest req = kernel_traits(KernelKind::Gemm).sample_request(7);
+  KernelRequest req = sample_request(KernelKind::Gemm, 7);
   req.kind = bogus;
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
@@ -112,7 +112,7 @@ TEST(KernelRegistry, UnregisteredKindFailsInBand) {
 TEST(KernelRegistry, SignaturesOfDistinctKindsNeverCollide) {
   std::set<std::string> sigs;
   for (KernelKind kind : registered_kernel_kinds()) {
-    const KernelRequest req = kernel_traits(kind).sample_request(5);
+    const KernelRequest req = sample_request(kind, 5);
     EXPECT_TRUE(sigs.insert(CostCache::signature(req)).second)
         << to_string(kind);
   }

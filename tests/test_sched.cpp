@@ -472,7 +472,6 @@ TEST(GraphScheduler, WeightedFairShareBetweenTenants) {
   ThreadPool pool(1);
   SchedulerOptions opts;
   opts.workers = 1;
-  opts.batch_limit = 1;  // strict WFQ order, no affinity reordering
   opts.queue_capacity = 256;
   GraphScheduler scheduler(rec, opts, &pool);
   const TenantId heavy = scheduler.add_tenant({"heavy", 3.0, 0});
@@ -517,7 +516,6 @@ TEST(GraphScheduler, NonFiniteWeightsShareLikeWeightOne) {
   ThreadPool pool(1);
   SchedulerOptions opts;
   opts.workers = 1;
-  opts.batch_limit = 1;
   opts.queue_capacity = 256;
   GraphScheduler scheduler(rec, opts, &pool);
   const double inf = std::numeric_limits<double>::infinity();
@@ -563,7 +561,6 @@ TEST(GraphScheduler, PriorityClassPreemptsFairShare) {
   ThreadPool pool(1);
   SchedulerOptions opts;
   opts.workers = 1;
-  opts.batch_limit = 1;
   opts.queue_capacity = 64;
   GraphScheduler scheduler(rec, opts, &pool);
   const TenantId batch = scheduler.add_tenant({"batch", 8.0, 0});
@@ -809,13 +806,12 @@ TEST(GraphScheduler, ThrowingCompletionHookIsSwallowed) {
   EXPECT_EQ(scheduler.pending(), 0u);
 }
 
-TEST(GraphScheduler, AffinityBatchingKeepsCostCacheResultsExact) {
+TEST(GraphScheduler, CostCacheBackendIsExactWithOneMissAtFourWorkers) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   fabric::CostCache cache;
   const fabric::ModelExecutor cached(&cache);
   ThreadPool pool(4);
   SchedulerOptions opts;
-  opts.batch_limit = 8;
   opts.queue_capacity = 256;
   GraphScheduler scheduler(cached, opts, &pool);
 
@@ -831,7 +827,8 @@ TEST(GraphScheduler, AffinityBatchingKeepsCostCacheResultsExact) {
     EXPECT_EQ(got.energy_nj.value(), expect.energy_nj.value());
     EXPECT_TRUE(got.out == expect.out);
   }
-  // One distinct signature -> exactly one miss; the batched repeats hit.
+  // One distinct signature -> exactly one miss, even when workers race on
+  // the cold key; every repeat hits.
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(requests) - 1u);
 }
