@@ -56,7 +56,9 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
 /// work that needs shared-pool workers can deadlock.
 ///
 /// A failed kernel throws std::runtime_error ("lap driver kernel failed:
-/// <node>: <why>") and leaves `a` as it was; so do LU and QR.
+/// <node>: <why>") and leaves `a` as it was; so do LU and QR. A shape the
+/// graph builder rejects throws its std::invalid_argument, before any
+/// kernel runs (LU and QR: m >= n, both multiples of nr).
 DriverReport lap_cholesky(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                           double bw_words_per_cycle, index_t block, ViewD a,
                           unsigned workers = 1, ThreadPool* pool = nullptr);

@@ -1,7 +1,26 @@
 #pragma once
 // Reference (host-side) dense BLAS-3 used as the golden model for every
-// simulator kernel. Column-major, triple-loop implementations: clarity and
-// bit-level determinism over speed.
+// simulator kernel and as the model backend's numerics. Column-major loops
+// with bit-level determinism.
+//
+// Exactness contract. gemm, syrk and trsm (Left/Lower/NoTrans), and
+// blas::cholesky, run most of their work on a 4 x 4 register tile
+// (blas/register_tile.hpp) with 16 independent accumulation chains; edges,
+// remainders and every other variant run one chain per element. Either way
+// each output element sees the same operations: the products in the
+// operand order the signatures below give (a(i, p) * b(p, j) for gemm),
+// added or subtracted one at a time in ascending p, each rounded on its
+// own. So every output is bit-identical to a per-element triple loop, and
+// so are the model backend's results, costs and graph digests that depend
+// on them. The one exception is the NaN that survives where two different
+// NaNs meet in one add: which one x86 returns follows the order the
+// compiler puts the operands in, for the per-element loop too.
+//
+// These loops stay out of LAC_FMA_CLONES (sim/mac_pipeline.hpp): the
+// baseline ISA has no FMA, so nothing contracts and each product rounds
+// before its add. Each step keeps the shape "one product, then one add or
+// subtract", so a build that enables FMA contracts the tiled and the
+// per-element forms alike.
 #include "common/matrix.hpp"
 
 namespace lac::blas {

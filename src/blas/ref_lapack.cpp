@@ -3,12 +3,22 @@
 #include <cmath>
 
 #include "blas/ref_blas.hpp"
+#include "blas/register_tile.hpp"
 
 namespace lac::blas {
+namespace {
 
-bool cholesky(ViewD a) {
+using detail::load_tile;
+using detail::rank1_steps;
+using detail::splat;
+using detail::store_tile;
+using detail::Tile;
+
+/// The left-looking column loop from column `from` on: column j's pivot
+/// takes every p < j, then each row below it does.
+bool cholesky_columns(ViewD a, index_t from) {
   const index_t n = a.rows();
-  for (index_t j = 0; j < n; ++j) {
+  for (index_t j = from; j < n; ++j) {
     double d = a(j, j);
     for (index_t p = 0; p < j; ++p) d -= a(j, p) * a(j, p);
     if (d <= 0.0) return false;
@@ -22,6 +32,67 @@ bool cholesky(ViewD a) {
     for (index_t i = 0; i < j; ++i) a(i, j) = 0.0;  // zero strict upper
   }
   return true;
+}
+
+/// Columns j0 .. j0+3 of the same loop, each 4-row block of them a register
+/// tile that takes every column p < j0 as a rank-1 step and then the
+/// block's own columns in turn, so each element sees the column loop's
+/// products in its order. Returns false, with `a` untouched, when one of
+/// the four pivots is not positive.
+bool cholesky_block(ViewD a, index_t j0) {
+  const index_t n = a.rows();
+  const index_t lda = a.ld();
+  // The diagonal block, in scalars: l[r][c] for r >= c.
+  Tile t = load_tile(&a(j0, j0), lda);
+  if (j0 > 0) rank1_steps<true, true>(t, &a(j0, 0), 1, lda, &a(j0, 0), lda, 1, j0);
+  double l[4][4] = {};
+  for (int c = 0; c < 4; ++c) {
+    double d = c < 2 ? t.lo[c][c] : t.hi[c][c - 2];
+    for (int p = 0; p < c; ++p) d -= l[c][p] * l[c][p];
+    if (d <= 0.0) return false;
+    l[c][c] = std::sqrt(d);
+    for (int r = c + 1; r < 4; ++r) {
+      double acc = r < 2 ? t.lo[c][r] : t.hi[c][r - 2];
+      for (int p = 0; p < c; ++p) acc -= l[r][p] * l[c][p];
+      l[r][c] = acc / l[c][c];
+    }
+  }
+  for (int c = 0; c < 4; ++c)
+    for (int r = c; r < 4; ++r) a(j0 + r, j0 + c) = l[r][c];
+
+  // Whole 4-row tiles below it, then the rows left over.
+  const index_t i4 = n - (n - j0 - 4) % 4;
+  for (index_t i = j0 + 4; i < i4; i += 4) {
+    Tile u = load_tile(&a(i, j0), lda);
+    if (j0 > 0) rank1_steps<true, true>(u, &a(i, 0), 1, lda, &a(j0, 0), lda, 1, j0);
+    for (int c = 0; c < 4; ++c) {
+      for (int p = 0; p < c; ++p) {
+        u.lo[c] -= u.lo[p] * splat(l[c][p]);
+        u.hi[c] -= u.hi[p] * splat(l[c][p]);
+      }
+      u.lo[c] /= splat(l[c][c]);
+      u.hi[c] /= splat(l[c][c]);
+    }
+    store_tile(u, &a(i, j0), lda);
+  }
+  for (index_t i = i4; i < n; ++i)
+    for (index_t j = j0; j < j0 + 4; ++j) {
+      double acc = a(i, j);
+      for (index_t p = 0; p < j; ++p) acc -= a(i, p) * a(j, p);
+      a(i, j) = acc / a(j, j);
+    }
+  for (index_t j = j0; j < j0 + 4; ++j)
+    for (index_t i = 0; i < j; ++i) a(i, j) = 0.0;  // zero strict upper
+  return true;
+}
+
+}  // namespace
+
+bool cholesky(ViewD a) {
+  index_t j = 0;
+  for (; j + 4 <= a.rows(); j += 4)
+    if (!cholesky_block(a, j)) return cholesky_columns(a, j);  // fails where it did
+  return cholesky_columns(a, j);
 }
 
 bool lu_partial_pivot(ViewD a, std::vector<index_t>& piv) {

@@ -7,8 +7,13 @@
 
 namespace lac::blas {
 
-/// In-place lower Cholesky: A (SPD) -> L with A = L*L^T (lower triangle).
-/// Returns false if a non-positive pivot is met.
+/// In-place lower Cholesky: A (SPD) -> L with A = L*L^T (lower triangle),
+/// strict upper triangle zeroed. Left-looking: column j's pivot and each
+/// element below it take the products a(i, p) * a(j, p), p < j, in
+/// ascending p, so the result is bit-identical to the per-column loop
+/// (ref_blas.hpp's exactness contract; 4-column blocks run on the register
+/// tile). Returns false at the first non-positive pivot, leaving the
+/// columns before it finished and the rest untouched.
 bool cholesky(ViewD a);
 
 /// In-place LU with partial pivoting: A -> L\U, pivot rows recorded in

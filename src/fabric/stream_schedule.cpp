@@ -391,10 +391,17 @@ void StreamSchedule::poke_resident(ConstViewD a, index_t base) {
   const index_t rows = a.rows();
   const index_t cols = a.cols();
   assert(rows % nr == 0);
+  // PE(r, p % nr)'s fragment of column p -- rows r, r + nr, ... -- is one
+  // contiguous run of rows / nr words in its MEM-A.
+  const index_t frag = rows / nr;
+  sim::Scratch<double> words(static_cast<std::size_t>(frag));
   for (index_t p = 0; p < cols; ++p)
-    for (index_t i = 0; i < rows; ++i)
-      core_.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-          .mem_a.poke(base + mem_a_addr(i, p, rows, nr), a(i, p));
+    for (int r = 0; r < nr; ++r) {
+      for (index_t q = 0; q < frag; ++q)
+        words[static_cast<std::size_t>(q)] = a(r + q * nr, p);
+      core_.pe(r, static_cast<int>(p % nr))
+          .mem_a.poke_range(base + mem_a_addr(r, p, rows, nr), words.vec().data(), frag);
+    }
 }
 
 sim::time_t_ StreamSchedule::stage_resident(ConstViewD a, index_t base) {
@@ -406,10 +413,17 @@ sim::time_t_ StreamSchedule::stage_resident_lower(ConstViewD l) {
   const int nr = core_.nr();
   const index_t n = l.rows();
   assert(l.cols() == n && n % nr == 0);
+  // As poke_resident, from each PE row's first row on or below the diagonal.
+  sim::Scratch<double> words(static_cast<std::size_t>(n / nr));
   for (index_t p = 0; p < n; ++p)
-    for (index_t i = p; i < n; ++i)
-      core_.pe(static_cast<int>(i % nr), static_cast<int>(p % nr))
-          .mem_a.poke(mem_a_addr(i, p, n, nr), l(i, p));
+    for (int r = 0; r < nr; ++r) {
+      const index_t first = p + (r - p % nr + nr) % nr;
+      const index_t count = first < n ? (n - first + nr - 1) / nr : 0;
+      for (index_t q = 0; q < count; ++q)
+        words[static_cast<std::size_t>(q)] = l(first + q * nr, p);
+      core_.pe(r, static_cast<int>(p % nr))
+          .mem_a.poke_range(mem_a_addr(first, p, n, nr), words.vec().data(), count);
+    }
   return dma(static_cast<double>(n) * (n + 1) / 2);
 }
 

@@ -1,6 +1,7 @@
 #include "sched/graph_builders.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -21,6 +22,26 @@ std::string tile_name(const char* op, index_t i, index_t j, index_t k) {
   return s;
 }
 
+/// Throws std::invalid_argument naming the builder, the shape and what it
+/// needs, unless `ok`.
+void require_shape(bool ok, const char* builder, index_t m, index_t n, index_t block,
+                   int nr, const char* needs) {
+  if (ok) return;
+  throw std::invalid_argument(std::string(builder) + ": " + std::to_string(m) + "x" +
+                              std::to_string(n) + " with block " + std::to_string(block) +
+                              " on nr " + std::to_string(nr) + " needs " + needs);
+}
+
+/// LU's and QR's shape: m >= n, both multiples of nr, and a positive
+/// block that is one too.
+void require_panel_shape(const char* builder, index_t m, index_t n, index_t block,
+                         int nr) {
+  require_shape(nr > 0 && m % nr == 0 && n % nr == 0 && m >= n && block > 0 &&
+                    block % nr == 0,
+                builder, m, n, block, nr,
+                "m >= n, m and n multiples of nr, block > 0 and block % nr == 0");
+}
+
 /// Adds `dep` to `deps` unless unset; the graph coalesces duplicates.
 void dep(KernelGraph& g, NodeId from, NodeId to) {
   if (from != kNone) g.add_edge(from, to);
@@ -39,7 +60,10 @@ FactorGraph build_cholesky_graph(const arch::CoreConfig& cfg,
                                  double bw_words_per_cycle, ConstViewD a,
                                  index_t block) {
   const index_t n = a.rows();
-  assert(a.cols() == n && block > 0 && n % block == 0 && block % cfg.nr == 0);
+  require_shape(cfg.nr > 0 && a.cols() == n && block > 0 && n % block == 0 &&
+                    block % cfg.nr == 0,
+                "build_cholesky_graph", n, a.cols(), block, cfg.nr,
+                "a square matrix, block > 0, n % block == 0 and block % nr == 0");
   const double bw = bw_words_per_cycle;
   const index_t nt = n / block;
 
@@ -154,8 +178,7 @@ FactorGraph build_lu_graph(const arch::CoreConfig& cfg,
   const int nr = cfg.nr;
   const index_t m = a.rows();
   const index_t n = a.cols();
-  assert(m % nr == 0 && n % nr == 0 && m >= n);
-  assert(block > 0 && block % nr == 0);
+  require_panel_shape("build_lu_graph", m, n, block, nr);
   const double bw = bw_words_per_cycle;
 
   FactorGraph fg;
@@ -259,8 +282,7 @@ FactorGraph build_qr_graph(const arch::CoreConfig& cfg,
   const int nr = cfg.nr;
   const index_t m = a.rows();
   const index_t n = a.cols();
-  assert(m % nr == 0 && n % nr == 0 && m >= n);
-  assert(block > 0 && block % nr == 0);
+  require_panel_shape("build_qr_graph", m, n, block, nr);
   const double bw = bw_words_per_cycle;
 
   FactorGraph fg;

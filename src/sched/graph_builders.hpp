@@ -17,6 +17,14 @@
 // immutable request payload, and builds its other operands (transposes,
 // negated panels, padded reflectors) in place of a second copy; its
 // `commit` writes the output back, after which the scheduler frees it.
+// `make` runs when a worker takes the node, so every later writer of what
+// it reads is ordered after the node itself (KernelGraph's contract):
+// Cholesky never rewrites a finished tile; an LU panel swaps rows only
+// after every update of the previous step; QR writes each reflector, tau
+// and w buffer once, before any node reads it.
+//
+// Each builder throws std::invalid_argument, naming the shape, when its
+// shape precondition below does not hold, in every build type.
 #include <memory>
 #include <vector>
 

@@ -32,8 +32,10 @@ struct GraphScheduler::Job {
   double clock_ghz = 0.0;  // first executed node's effective clock
 };
 
-/// One ready-to-run node with its request already built (the deferred
-/// `make` closure runs at release time, after every dependency committed).
+/// One released node. A graph node's request is built by run_unit, on the
+/// worker that runs the node (see KernelGraph's `make` contract), so the
+/// payloads its `make` allocates are freed on the thread that allocated
+/// them.
 struct GraphScheduler::Unit {
   std::shared_ptr<Job> job;
   NodeId id = 0;
@@ -48,7 +50,7 @@ struct GraphScheduler::Unit {
 struct GraphScheduler::Worker {
   std::vector<std::unique_ptr<Unit>> released;
   std::vector<NodeId> cascade;
-  std::vector<NodeId> to_build;
+  std::vector<NodeId> released_ids;
   std::size_t resolved = 0;
 };
 
@@ -215,7 +217,7 @@ std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
 
   std::vector<std::unique_ptr<Unit>> units;
   for (NodeId id = 0; id < n; ++id)
-    if (job->missing[id] == 0) units.push_back(build_unit(job, id));
+    if (job->missing[id] == 0) units.push_back(new_unit(job, id));
   MutexLock lock(mu_);
   ++tenants_[tenant]->jobs_submitted;
   enqueue_locked(units);
@@ -249,22 +251,25 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
   return fut;
 }
 
-std::unique_ptr<GraphScheduler::Unit> GraphScheduler::build_unit(
-    std::shared_ptr<Job> job, NodeId id) {
-  // Never throws: a throwing `make` closure must fail its node in-band
-  // (run_unit turns make_error into a failed result that cancels
-  // downstream), not unwind into the pool and hang the graph future.
+std::unique_ptr<GraphScheduler::Unit> GraphScheduler::new_unit(std::shared_ptr<Job> job,
+                                                                NodeId id) {
   auto unit = std::make_unique<Unit>();
-  try {
-    unit->req = job->graph.node(id).make();
-  } catch (const std::exception& e) {
-    unit->make_error = std::string("request build failed: ") + e.what();
-  } catch (...) {
-    unit->make_error = "request build failed";
-  }
   unit->job = std::move(job);
   unit->id = id;
   return unit;
+}
+
+void GraphScheduler::build_request(Unit& unit) {
+  // Never throws: a throwing `make` closure must fail its node in-band
+  // (run_unit turns make_error into a failed result that cancels
+  // downstream), not unwind into the pool and hang the graph future.
+  try {
+    unit.req = unit.job->graph.node(unit.id).make();
+  } catch (const std::exception& e) {
+    unit.make_error = std::string("request build failed: ") + e.what();
+  } catch (...) {
+    unit.make_error = "request build failed";
+  }
 }
 
 void GraphScheduler::enqueue_locked(std::vector<std::unique_ptr<Unit>>& units) {
@@ -349,6 +354,9 @@ void GraphScheduler::worker() {
 }
 
 void GraphScheduler::run_unit(std::unique_ptr<Unit> unit, Worker& self) {
+  // Every dependency's commit happens-before this point (same thread, or
+  // through the mutex the unit was taken under).
+  if (!unit->job->single) build_request(*unit);
   if (!unit->make_error.empty()) {
     // The request was never built; attribute the failure to the node name
     // so it stays identifiable in roll-ups (make_error only arises for
@@ -388,8 +396,8 @@ void GraphScheduler::run_unit(std::unique_ptr<Unit> unit, Worker& self) {
 void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
                                    fabric::KernelResult res, Worker& self) {
   std::shared_ptr<Job> job = unit->job;
-  std::vector<NodeId>& to_build = self.to_build;
-  to_build.clear();
+  std::vector<NodeId>& released_ids = self.released_ids;
+  released_ids.clear();
   bool job_finished = false;
   {
     MutexLock lock(mu_);
@@ -442,7 +450,7 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
             ++ten.units_failed;
             cascade.push_back(dep);
           } else {
-            to_build.push_back(dep);
+            released_ids.push_back(dep);
           }
         }
       }
@@ -469,10 +477,8 @@ void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
     }
     ++self.resolved;
   }
-  // Build the released requests outside the lock: the deferred closures
-  // copy tiles, and every dependency's commit happens-before this point
-  // (same thread, or through the mutex). The worker loop enqueues them.
-  for (NodeId id : to_build) self.released.push_back(build_unit(job, id));
+  // The worker loop enqueues the released units with its next take.
+  for (NodeId id : released_ids) self.released.push_back(new_unit(job, id));
 }
 
 void GraphScheduler::finalize_job(const std::shared_ptr<Job>& job) {

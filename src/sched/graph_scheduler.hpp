@@ -174,7 +174,9 @@ class GraphScheduler {
   // capacity instead.
   bool admit_slot(bool block) LAC_EXCLUDES(mu_);
 
-  std::unique_ptr<Unit> build_unit(std::shared_ptr<Job> job, NodeId id);
+  static std::unique_ptr<Unit> new_unit(std::shared_ptr<Job> job, NodeId id);
+  /// Runs a graph node's `make` into unit.req (or sets unit.make_error).
+  static void build_request(Unit& unit);
   /// Moves `units` into their tenants' ready queues and empties it.
   void enqueue_locked(std::vector<std::unique_ptr<Unit>>& units)
       LAC_REQUIRES(mu_);

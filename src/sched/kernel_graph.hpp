@@ -13,10 +13,11 @@
 //
 // Nodes come in two forms:
 //   - immediate: the KernelRequest is known at graph-build time;
-//   - deferred:  a `make` closure builds the request when the node is
-//     released (all predecessors committed), so it can read tiles those
-//     predecessors produced. An optional `commit` closure writes the
-//     result back into the shared working state before dependents release.
+//   - deferred:  a `make` closure builds the request on the worker that
+//     runs the node, after every predecessor has committed, so it can read
+//     tiles those predecessors produced. An optional `commit` closure
+//     writes the result back into the shared working state before
+//     dependents release.
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -33,10 +34,14 @@ using NodeId = std::size_t;
 
 struct GraphNode {
   std::string name;  ///< diagnostic label ("potrf(2)", "gemm(3,1,k=0)")
-  /// Builds the node's request. Runs after every predecessor has committed
+  /// Builds the node's request. Runs on the worker that executes the node,
+  /// right before it executes, after every predecessor has committed
   /// (happens-before established by the scheduler), so it may read shared
-  /// state those commits wrote. Must be safe to run concurrently with
-  /// *other* nodes' closures touching disjoint state.
+  /// state those commits wrote. Other nodes run between the release and
+  /// that point, so edges must order every later writer of what `make`
+  /// reads after this node, not only after its predecessors. Must be safe
+  /// to run concurrently with *other* nodes' closures touching disjoint
+  /// state.
   std::function<fabric::KernelRequest()> make;
   /// Writes the result back into the shared working state (e.g. a tile of
   /// the factor). Runs on the executing worker before any dependent is

@@ -308,6 +308,27 @@ TEST(LapDriver, FailedKernelThrowsNamingNodeAndLeavesInputUntouched) {
   }
 }
 
+TEST(LapDriver, BadShapeThrowsInvalidArgumentAndLeavesInputUntouched) {
+  // The builders' shape checks reach the drivers in every build type; at
+  // n = 20, block = 8 an unchecked Cholesky returned a wrong factor.
+  const fabric::ModelExecutor model;
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  MatrixD spd = random_spd(20, 71);
+  const MatrixD spd0 = to_matrix<double>(ConstViewD(spd.view()));
+  EXPECT_THROW(lap_cholesky(model, cfg, 2.0, 8, spd.view()), std::invalid_argument);
+  EXPECT_TRUE(spd == spd0);
+  MatrixD wide = random_matrix(8, 16, 72);
+  const MatrixD wide0 = to_matrix<double>(ConstViewD(wide.view()));
+  std::vector<index_t> piv;
+  EXPECT_THROW(lap_lu(model, cfg, 2.0, wide.view(), piv), std::invalid_argument);
+  std::vector<double> taus;
+  EXPECT_THROW(lap_qr(model, cfg, 2.0, wide.view(), taus), std::invalid_argument);
+  EXPECT_TRUE(wide == wide0);
+  MatrixD ragged = random_matrix(18, 16, 73);
+  EXPECT_THROW(lap_lu(model, cfg, 2.0, ragged.view(), piv), std::invalid_argument);
+  EXPECT_THROW(lap_qr(model, cfg, 2.0, ragged.view(), taus), std::invalid_argument);
+}
+
 TEST(LapDriver, CholeskySolvesSystemEndToEnd) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   const index_t n = 16;

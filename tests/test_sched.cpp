@@ -18,7 +18,9 @@
 #include <memory>
 #include <mutex>
 #include <ranges>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -341,6 +343,38 @@ TEST(GraphBuilders, TiledQrMatchesReference) {
     EXPECT_NEAR((*fg.taus)[static_cast<std::size_t>(i)],
                 expect_taus[static_cast<std::size_t>(i)], 1e-9)
         << "tau " << i;
+}
+
+TEST(GraphBuilders, BadShapesThrowInvalidArgumentNamingTheShape) {
+  // The checks hold in every build type: RelWithDebInfo and Release define
+  // NDEBUG, where an assert would let these shapes build a wrong graph.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  struct Bad {
+    const char* kind;
+    index_t m, n, block;
+  };
+  for (const Bad& b : {Bad{"CHOL", 20, 20, 8}, Bad{"CHOL", 16, 16, 6}, Bad{"CHOL", 16, 16, 0},
+                       Bad{"CHOL", 16, 12, 4}, Bad{"LU", 8, 16, 4}, Bad{"LU", 18, 16, 4},
+                       Bad{"LU", 16, 6, 4}, Bad{"LU", 16, 16, 0}, Bad{"LU", 16, 16, 6},
+                       Bad{"QR", 8, 16, 4}, Bad{"QR", 18, 16, 4}, Bad{"QR", 16, 6, 4},
+                       Bad{"QR", 16, 16, 0}, Bad{"QR", 16, 16, 6}}) {
+    const std::string kind = b.kind;
+    const std::string shape = std::to_string(b.m) + "x" + std::to_string(b.n) +
+                              " with block " + std::to_string(b.block);
+    SCOPED_TRACE(kind + " " + shape);
+    const MatrixD a = random_matrix(b.m, b.n, 5);
+    try {
+      if (kind == "CHOL")
+        build_cholesky_graph(cfg, 2.0, a.view(), b.block);
+      else if (kind == "LU")
+        build_lu_graph(cfg, 2.0, a.view(), b.block);
+      else
+        build_qr_graph(cfg, 2.0, a.view(), b.block);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(shape), std::string::npos) << e.what();
+    }
+  }
 }
 
 /// FNV-1a over 64-bit words, doubles by bit pattern (as test_sim_golden).
@@ -790,6 +824,56 @@ TEST(GraphScheduler, CommittedNodesReleaseOutputs) {
       EXPECT_TRUE(res.nodes[id].ok);
       EXPECT_TRUE(res.nodes[id].out == plain.out) << id;
       EXPECT_EQ(res.nodes[id].cycles.value(), plain.cycles.value()) << id;
+    }
+  }
+}
+
+/// Wraps a backend and records, per node, the thread each request runs on
+/// (the tag carries the node id).
+struct ThreadRecordingExecutor final : fabric::Executor {
+  ThreadRecordingExecutor(const fabric::Executor& inner, std::size_t nodes)
+      : inner(inner), ran(nodes) {}
+  const char* name() const override { return inner.name(); }
+  fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+    ran[std::stoul(req.tag)] = std::this_thread::get_id();
+    return inner.execute(req);
+  }
+  const fabric::Executor& inner;
+  mutable std::vector<std::thread::id> ran;  // one slot per node, written once
+};
+
+TEST(GraphScheduler, DeferredRequestsBuildOnTheRunningWorker) {
+  // A node's `make` runs on the worker that executes the node, so the
+  // payloads it allocates are freed on the thread that allocated them.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  for (const char* kind : {"CHOL", "LU", "QR"}) {
+    SCOPED_TRACE(kind);
+    const std::string k = kind;
+    FactorGraph fg =
+        k == "CHOL" ? build_cholesky_graph(cfg, 2.0, random_spd(64, 41).view(), 16)
+        : k == "LU" ? build_lu_graph(cfg, 2.0, random_matrix(64, 64, 42).view(), 16)
+                    : build_qr_graph(cfg, 2.0, random_matrix(64, 64, 43).view(), 16);
+    const std::size_t nodes = fg.graph.size();
+    std::vector<std::thread::id> made(nodes);
+    for (NodeId id = 0; id < nodes; ++id) {
+      GraphNode& node = fg.graph.node(id);
+      node.make = [inner = std::move(node.make), &made, id] {
+        made[id] = std::this_thread::get_id();
+        fabric::KernelRequest req = inner();
+        req.tag = std::to_string(id);
+        return req;
+      };
+    }
+    const ThreadRecordingExecutor exec(kModel, nodes);
+    ThreadPool pool(4);
+    SchedulerOptions opts;
+    opts.workers = 4;
+    GraphScheduler scheduler(exec, opts, &pool);
+    const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
+    ASSERT_TRUE(res.ok) << res.error;
+    for (NodeId id = 0; id < nodes; ++id) {
+      EXPECT_NE(made[id], std::thread::id()) << id;
+      EXPECT_EQ(made[id], exec.ran[id]) << id;
     }
   }
 }
