@@ -3,9 +3,9 @@
 // kernel graph whose every tile kernel runs on the simulated LAC -- then
 // solves L L^T x = b and reports the residual plus accelerator statistics.
 //
-// The same factorization then runs on 4 scheduler workers: independent
-// tiles overlap, so the 4-core makespan falls below the serial
-// node-by-node sum, while the factor stays byte-identical. The program
+// The same factorization is then priced on 4 LAC cores: independent tiles
+// overlap in the 4-core list schedule, so its makespan falls below the
+// serial node-by-node sum, while the factor stays byte-identical. The program
 // exits nonzero if the solve's relative error exceeds 1e-8 or the two
 // factors differ.
 #include <cstdio>
@@ -59,7 +59,7 @@ int main() {
   MatrixD ag = to_matrix<double>(ConstViewD(a0.view()));
   blas::DriverReport grep =
       blas::lap_cholesky(sim, core, bw_words, block, ag.view(), 4);
-  std::printf("\nOn %u scheduler workers (%d kernels):\n", grep.graph_workers,
+  std::printf("\nOn %u LAC cores (%d kernels):\n", grep.graph_workers,
               grep.kernel_calls);
   std::printf("  serial node-by-node cycles: %.0f\n", grep.total_cycles.value());
   std::printf("  %u-core makespan: %.0f cycles -> graph speedup %.2fx\n",

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "sched/graph_builders.hpp"
-#include "sched/graph_scheduler.hpp"
 
 namespace lac::blas {
 namespace {
@@ -40,32 +39,32 @@ void finish(DriverReport& rep, const arch::CoreConfig& cfg, double useful) {
                                     : units::Watts{};
 }
 
-/// Runs a factorization graph to completion on the kernel-graph scheduler
-/// and rolls its nodes up, in NodeId order, into a report. A failed node
-/// throws before the caller copies the factor out of the graph's working
-/// matrix, so the caller's input is left as it was.
+/// Runs a factorization graph to completion on the calling thread, in
+/// topological order, and rolls its nodes up, in NodeId order, into a
+/// report. `workers` (0: the hardware concurrency) only sets the makespan
+/// figures: the W-worker list schedule of the executed node costs. A failed
+/// node throws before the caller copies the factor out of the graph's
+/// working matrix, so the caller's input is left as it was.
 DriverReport run_graph(const fabric::Executor& ex, const arch::CoreConfig& cfg,
-                       sched::KernelGraph graph, double useful, unsigned workers,
-                       ThreadPool* pool) {
-  sched::SchedulerOptions opts;
-  opts.workers = workers;
-  // Fall back to a dedicated pool, never the shared one: this call blocks
-  // on the graph future, and parking a shared-pool thread on work that
-  // itself needs shared-pool workers can deadlock the pool (e.g. a sweep
-  // dispatching drivers via ThreadPool::shared().parallel_for).
-  std::optional<ThreadPool> local;
-  if (!pool) pool = &local.emplace(workers);
-  sched::GraphScheduler scheduler(ex, opts, pool);
-  const sched::GraphResult gres = scheduler.submit(0, std::move(graph)).get();
-  if (!gres.ok)
-    throw std::runtime_error("lap driver kernel failed: " + gres.error);
+                       const sched::KernelGraph& graph, double useful, unsigned workers) {
+  std::vector<fabric::KernelResult> nodes(graph.size());
+  for (sched::NodeId id : graph.topo_order()) {
+    sched::NodeRun run = sched::run_node(graph, id, ex);
+    if (!run.result.ok)
+      throw std::runtime_error("lap driver kernel failed: " + graph.name(id) + ": " +
+                               run.result.error);
+    nodes[id] = std::move(run.result);
+  }
 
   DriverReport rep;
-  for (const fabric::KernelResult& k : gres.nodes) absorb(rep, k);
+  for (const fabric::KernelResult& k : nodes) absorb(rep, k);
   finish(rep, cfg, useful);
-  rep.makespan_cycles = gres.makespan_cycles;
-  rep.graph_speedup = gres.speedup;
-  rep.graph_workers = gres.workers;
+  rep.graph_workers =
+      workers > 0 ? workers : std::max(1u, std::thread::hardware_concurrency());
+  rep.makespan_cycles = sched::list_makespan(graph, nodes, rep.graph_workers);
+  rep.graph_speedup = rep.makespan_cycles.value() > 0.0
+                          ? sched::serial_cycles(nodes) / rep.makespan_cycles
+                          : 1.0;
   return rep;
 }
 
@@ -116,14 +115,13 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
 
 DriverReport lap_cholesky(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                           double bw_words_per_cycle, index_t block, ViewD a,
-                          unsigned workers, ThreadPool* pool) {
+                          unsigned workers) {
   const int nr = cfg.nr;
   const index_t n = a.rows();
   sched::FactorGraph fg =
       sched::build_cholesky_graph(cfg, bw_words_per_cycle, a, block);
-  DriverReport rep =
-      run_graph(ex, cfg, std::move(fg.graph),
-                static_cast<double>(n) * n * n / 3.0 / 2.0 / (nr * nr), workers, pool);
+  DriverReport rep = run_graph(
+      ex, cfg, fg.graph, static_cast<double>(n) * n * n / 3.0 / 2.0 / (nr * nr), workers);
   sched::extract_lower(fg, a);
   return rep;
 }
@@ -140,8 +138,7 @@ DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
   const index_t n = a.cols();
   sched::FactorGraph fg = sched::build_lu_graph(cfg, bw_words_per_cycle, a,
                                                 std::max<index_t>(n, nr));
-  DriverReport rep = run_graph(ex, cfg, std::move(fg.graph),
-                               lu_qr_useful(m, n, nr), 1, nullptr);
+  DriverReport rep = run_graph(ex, cfg, fg.graph, lu_qr_useful(m, n, nr), 1);
   copy_into<double>(MatrixView<const double>(fg.work->view()), a);
   pivots = std::move(*fg.pivots);
   return rep;
@@ -154,8 +151,7 @@ DriverReport lap_qr(const fabric::Executor& ex, const arch::CoreConfig& cfg,
   const index_t n = a.cols();
   sched::FactorGraph fg = sched::build_qr_graph(cfg, bw_words_per_cycle, a,
                                                 std::max<index_t>(n, nr));
-  DriverReport rep = run_graph(ex, cfg, std::move(fg.graph),
-                               lu_qr_useful(m, n, nr), 1, nullptr);
+  DriverReport rep = run_graph(ex, cfg, fg.graph, lu_qr_useful(m, n, nr), 1);
   copy_into<double>(MatrixView<const double>(fg.work->view()), a);
   taus = std::move(*fg.taus);
   return rep;

@@ -7,7 +7,10 @@
 // The level-3 drivers (GEMM, TRMM, SYMM) loop over GEMM tiles here. The
 // factorizations (Cholesky, LU, QR) have one implementation, the kernel
 // graphs of sched/graph_builders.hpp: each driver builds its graph, runs it
-// on the kernel-graph scheduler and rolls the nodes up into its report.
+// and rolls the nodes up into its report. The graph runs in topological
+// order on the calling thread, with no pool and no scheduler, each node
+// through sched::run_node (as a GraphScheduler worker runs it); a width
+// passed to lap_cholesky only sets the makespan figures.
 //
 // Every driver takes the fabric::Executor to run on: the cycle-exact
 // SimExecutor or the instant ModelExecutor produce the same numerics, so
@@ -17,7 +20,6 @@
 #include "arch/configs.hpp"
 #include "common/units.hpp"
 #include "common/matrix.hpp"
-#include "common/thread_pool.hpp"
 #include "fabric/executor.hpp"
 
 namespace lac::blas {
@@ -45,15 +47,12 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                       ConstViewD a, ConstViewD b, ViewD c);
 
 /// Accelerated blocked Cholesky (algorithm-by-blocks, Ch. 6): the tiled
-/// POTRF/TRSM/SYRK/GEMM DAG of sched::build_cholesky_graph, run with
-/// panel-level parallelism on the kernel-graph scheduler. `a` (n x n,
-/// n % block == 0, block % nr == 0) is overwritten with L (lower). The
-/// factor and every cost are the same for any `workers`; the width only
-/// sets the makespan figures (0 sizes it to the hardware concurrency).
-/// `pool` reuses a caller-owned ThreadPool across calls (e.g. a sweep); by
-/// default each call runs a dedicated pool -- never the shared one, because
-/// this call blocks on the graph future and parking a shared-pool thread on
-/// work that needs shared-pool workers can deadlock.
+/// POTRF/TRSM/SYRK/GEMM DAG of sched::build_cholesky_graph, run on the
+/// calling thread. `a` (n x n, n % block == 0, block % nr == 0) is
+/// overwritten with L (lower). The factor and every cost are the same for
+/// any `workers`: the width only sets the makespan figures, the length of
+/// a `workers`-core list schedule of the DAG (0 sizes it to the hardware
+/// concurrency).
 ///
 /// A failed kernel throws std::runtime_error ("lap driver kernel failed:
 /// <node>: <why>") and leaves `a` as it was; so do LU and QR. A shape the
@@ -61,13 +60,13 @@ DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
 /// kernel runs (LU and QR: m >= n, both multiples of nr).
 DriverReport lap_cholesky(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                           double bw_words_per_cycle, index_t block, ViewD a,
-                          unsigned workers = 1, ThreadPool* pool = nullptr);
+                          unsigned workers = 1);
 
 /// Accelerated blocked LU with partial pivoting (§6.1.2): the LAC factors
 /// each k x nr panel (pivot search + reciprocal scale + rank-1 updates);
 /// the U row panel is a TRSM and the trailing update an accelerated GEMM.
-/// Runs sched::build_lu_graph with one column tile, a chain of kernels.
-/// `a` becomes L\U, pivots out.
+/// Runs sched::build_lu_graph with one column tile, a chain of kernels, on
+/// the calling thread. `a` becomes L\U, pivots out.
 DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                     double bw_words_per_cycle, ViewD a,
                     std::vector<index_t>& pivots);
@@ -75,7 +74,8 @@ DriverReport lap_lu(const fabric::Executor& ex, const arch::CoreConfig& cfg,
 /// Accelerated blocked Householder QR (§6.1.3): the LAC factors each
 /// m x nr panel (vector norms + reflectors); each reflector's trailing
 /// update (w = u^T A2 / tau, A2 -= u w^T) runs as two accelerated GEMMs.
-/// Runs sched::build_qr_graph with one column tile, a chain of kernels.
+/// Runs sched::build_qr_graph with one column tile, a chain of kernels, on
+/// the calling thread.
 DriverReport lap_qr(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                     double bw_words_per_cycle, ViewD a, std::vector<double>& taus);
 

@@ -10,18 +10,28 @@
 // (lap_cholesky, lap_lu, lap_qr) run them. At `block` = n the LU and QR
 // graphs are chains: one panel, then whole-width trailing updates.
 //
-// Every builder copies the input into a shared working matrix that the
-// node closures read and commit into. Conflicting accesses are fully
-// ordered by edges, so the factor is byte-identical for any worker count.
-// A node's `make` copies each tile it reads once, straight into an
-// immutable request payload, and builds its other operands (transposes,
+// Each graph is data. A node is a descriptor: an op code (potrf, trsm,
+// syrk, gemm; lu_panel, lu_trsm, lu_gemm; qr_panel, qr_w, qr_rank1) and the
+// tile coordinates its name prints. The structure -- descriptors, edges,
+// dependency counts, dependents, topological order -- depends only on
+// (family, m, n, block, nr); each build indexes and validates it once, into
+// one GraphShape, so admission copies its dependency counts instead of
+// indexing the graph again. Each build also gets a program of its own, one
+// per family, that owns the job's workspace: a copy of the input (`work`),
+// the LU pivots or QR taus, and QR's w buffer (one slot per column).
+//
+// The program's `make` copies each tile a node reads once, straight into
+// an immutable request payload, and builds its other operands (transposes,
 // negated panels, padded reflectors) in place of a second copy; its
 // `commit` writes the output back, after which the scheduler frees it.
-// `make` runs when a worker takes the node, so every later writer of what
-// it reads is ordered after the node itself (KernelGraph's contract):
-// Cholesky never rewrites a finished tile; an LU panel swaps rows only
-// after every update of the previous step; QR writes each reflector, tau
-// and w buffer once, before any node reads it.
+// Conflicting accesses are fully ordered by edges, so the factor is
+// byte-identical for any worker count. `make` runs when a worker takes the
+// node, so every later writer of what it reads is ordered after the node
+// itself (KernelGraph's contract): Cholesky never rewrites a finished tile;
+// an LU panel swaps rows only after every update of the previous step; QR
+// writes each reflector and tau once, before any node reads it, and a w
+// slot's next writer is the next qr_w of its column tile, after the
+// qr_rank1 that read it.
 //
 // Each builder throws std::invalid_argument, naming the shape, when its
 // shape precondition below does not hold, in every build type.

@@ -1,10 +1,9 @@
 #include "sched/graph_scheduler.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <complex>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace lac::sched {
@@ -13,11 +12,14 @@ using Clock = std::chrono::steady_clock;
 
 /// One admitted job: a whole graph or a single request (single == true).
 /// Per-node bookkeeping is guarded by the scheduler mutex; the shared
-/// working state the node closures touch is guarded by the graph's edges.
+/// working state the graph's program touches is guarded by its edges. A
+/// job outlives its ready units: the worker that completes its last unit
+/// resolves and frees it.
 struct GraphScheduler::Job {
   TenantId tenant = 0;
   bool single = false;
-  KernelGraph graph;  // empty for singles
+  KernelGraph graph;           // empty for singles
+  fabric::KernelRequest req;   // a single's request
   std::promise<GraphResult> gpromise;
   std::promise<fabric::KernelResult> kpromise;
   std::function<void(const GraphResult&)> ghook;
@@ -32,31 +34,25 @@ struct GraphScheduler::Job {
   double clock_ghz = 0.0;  // first executed node's effective clock
 };
 
-/// One released node. A graph node's request is built by run_unit, on the
-/// worker that runs the node (see KernelGraph's `make` contract), so the
-/// payloads its `make` allocates are freed on the thread that allocated
-/// them.
-struct GraphScheduler::Unit {
-  std::shared_ptr<Job> job;
+/// A ready unit: node `id` of `job` (0 for a single).
+struct GraphScheduler::Ready {
+  Job* job = nullptr;
   NodeId id = 0;
-  fabric::KernelRequest req;
-  std::string make_error;  // deferred `make` closure threw; fail in-band
 };
 
-/// A dispatch loop's buffers, kept for every unit it runs: the units its
-/// completions released (enqueued with its next take), complete_unit's
-/// node lists, and the jobs it resolved since its last take
-/// (unresolved_jobs_ drops by that count in the same critical section).
+/// A dispatch loop's state across its units: the run of the unit it last
+/// took (recorded with its next take), the cancellation cascade's scratch
+/// and the jobs it resolved since its last take (unresolved_jobs_ drops by
+/// that count in the next critical section).
 struct GraphScheduler::Worker {
-  std::vector<std::unique_ptr<Unit>> released;
+  NodeRun run;
   std::vector<NodeId> cascade;
-  std::vector<NodeId> released_ids;
   std::size_t resolved = 0;
 };
 
 struct GraphScheduler::Tenant {
   TenantConfig cfg;
-  std::deque<std::unique_ptr<Unit>> ready;
+  std::deque<Ready> ready;
   unsigned inflight = 0;  // units taken by a worker, not yet completed
   units::Cycles vtime;
   std::uint64_t jobs_submitted = 0;
@@ -77,13 +73,8 @@ fabric::KernelResult cancelled_result(const std::string& backend,
       "cancelled: downstream of failed node (" + upstream_error + ")");
 }
 
-/// Frees a committed node's outputs on the worker that allocated them: the
-/// commit copied what its dependents read into the shared working state.
-void drop_outputs(fabric::KernelResult& res) {
-  res.out = MatrixD();
-  res.pivots = std::vector<index_t>();
-  res.taus = std::vector<double>();
-  res.spectrum = std::vector<std::complex<double>>();
+std::string unknown_tenant(TenantId tenant) {
+  return "unknown tenant " + std::to_string(tenant);
 }
 
 /// Nonzero while the current thread is inside a completion hook. Submits
@@ -105,6 +96,17 @@ void run_hook(const Hook& hook, const Arg& arg) {
   } catch (...) {
   }
   --g_hook_depth;
+}
+
+/// A future resolved at admission (invalid graph, unknown tenant): the
+/// hook runs first, as for an admitted job.
+template <typename Result, typename Hook>
+std::future<Result> resolved_now(const Hook& hook, Result res) {
+  std::promise<Result> p;
+  std::future<Result> fut = p.get_future();
+  run_hook(hook, res);
+  p.set_value(std::move(res));
+  return fut;
 }
 
 }  // namespace
@@ -185,42 +187,40 @@ bool GraphScheduler::admit_slot(bool block) {
 std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
     TenantId tenant, KernelGraph graph,
     std::function<void(const GraphResult&)> hook, bool block) {
-  assert(tenant < tenant_count());
-  // Malformed or empty graphs resolve immediately and are never admitted.
-  std::string err = graph.validate();
+  // Unknown tenants, malformed and empty graphs resolve immediately and
+  // are never admitted.
+  std::string err;
+  if (tenant >= tenant_count())
+    err = unknown_tenant(tenant);
+  else if (std::string bad = graph.validate(); !bad.empty())
+    err = "invalid graph: " + bad;
   if (!err.empty() || graph.empty()) {
     GraphResult res;
     res.ok = err.empty();
-    res.error = err.empty() ? "" : "invalid graph: " + err;
+    res.error = std::move(err);
     res.workers = slots_;
-    std::promise<GraphResult> p;
-    std::future<GraphResult> fut = p.get_future();
-    run_hook(hook, res);
-    p.set_value(std::move(res));
-    return fut;
+    return resolved_now(hook, std::move(res));
   }
 
-  auto job = std::make_shared<Job>();
+  auto job = std::make_unique<Job>();
   job->tenant = tenant;
   job->graph = std::move(graph);
   job->ghook = std::move(hook);
+  const GraphShape& shape = job->graph.shape();
   const std::size_t n = job->graph.size();
   job->results.resize(n);
-  job->missing.resize(n);
+  job->missing = shape.dep_counts();
   job->upstream_failed.assign(n, 0);
   job->remaining = n;
-  for (NodeId id = 0; id < n; ++id) job->missing[id] = job->graph.dep_count(id);
 
   if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<GraphResult> fut = job->gpromise.get_future();
-
-  std::vector<std::unique_ptr<Unit>> units;
-  for (NodeId id = 0; id < n; ++id)
-    if (job->missing[id] == 0) units.push_back(new_unit(job, id));
+  // From here the job's units own it (see Job).
+  Job* owned = job.release();
   MutexLock lock(mu_);
   ++tenants_[tenant]->jobs_submitted;
-  enqueue_locked(units);
+  for (NodeId id : shape.roots()) enqueue_locked(Ready{owned, id});
   pump_locked();
   return fut;
 }
@@ -228,71 +228,43 @@ std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
 std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
     TenantId tenant, fabric::KernelRequest req,
     std::function<void(const fabric::KernelResult&)> hook, bool block) {
-  assert(tenant < tenant_count());
-  auto job = std::make_shared<Job>();
+  if (tenant >= tenant_count())
+    return resolved_now(hook, fabric::make_failed(req, backend_.name(), unknown_tenant(tenant)));
+  auto job = std::make_unique<Job>();
   job->tenant = tenant;
   job->single = true;
+  job->req = std::move(req);
   job->khook = std::move(hook);
 
   if (!admit_slot(block)) return std::nullopt;
   job->admitted = Clock::now();
   std::future<fabric::KernelResult> fut = job->kpromise.get_future();
-
-  auto unit = std::make_unique<Unit>();
-  unit->job = std::move(job);
-  unit->id = 0;
-  unit->req = std::move(req);
-  std::vector<std::unique_ptr<Unit>> units;
-  units.push_back(std::move(unit));
+  Job* owned = job.release();
   MutexLock lock(mu_);
   ++tenants_[tenant]->jobs_submitted;
-  enqueue_locked(units);
+  enqueue_locked(Ready{owned, 0});
   pump_locked();
   return fut;
 }
 
-std::unique_ptr<GraphScheduler::Unit> GraphScheduler::new_unit(std::shared_ptr<Job> job,
-                                                                NodeId id) {
-  auto unit = std::make_unique<Unit>();
-  unit->job = std::move(job);
-  unit->id = id;
-  return unit;
-}
-
-void GraphScheduler::build_request(Unit& unit) {
-  // Never throws: a throwing `make` closure must fail its node in-band
-  // (run_unit turns make_error into a failed result that cancels
-  // downstream), not unwind into the pool and hang the graph future.
-  try {
-    unit.req = unit.job->graph.node(unit.id).make();
-  } catch (const std::exception& e) {
-    unit.make_error = std::string("request build failed: ") + e.what();
-  } catch (...) {
-    unit.make_error = "request build failed";
+void GraphScheduler::enqueue_locked(Ready unit) {
+  Tenant& ten = *tenants_[unit.job->tenant];
+  if (ten.ready.empty() && ten.inflight == 0) {
+    // A tenant going from idle to busy resumes at the lead of the active
+    // pack, not at its stale virtual time -- otherwise a long-idle tenant
+    // would monopolize the fabric to "catch up". Active means ready *or*
+    // in flight: a busy tenant whose queue momentarily drained into the
+    // workers still anchors the pack.
+    units::Cycles vmin(std::numeric_limits<double>::infinity());
+    bool any = false;
+    for (const std::unique_ptr<Tenant>& t : tenants_)
+      if (!t->ready.empty() || t->inflight > 0) {
+        any = true;
+        vmin = std::min(vmin, t->vtime);
+      }
+    if (any) ten.vtime = std::max(ten.vtime, vmin);
   }
-}
-
-void GraphScheduler::enqueue_locked(std::vector<std::unique_ptr<Unit>>& units) {
-  for (std::unique_ptr<Unit>& unit : units) {
-    Tenant& ten = *tenants_[unit->job->tenant];
-    if (ten.ready.empty() && ten.inflight == 0) {
-      // A tenant going from idle to busy resumes at the lead of the active
-      // pack, not at its stale virtual time -- otherwise a long-idle
-      // tenant would monopolize the fabric to "catch up". Active means
-      // ready *or* in flight: a busy tenant whose queue momentarily
-      // drained into the workers still anchors the pack.
-      units::Cycles vmin(std::numeric_limits<double>::infinity());
-      bool any = false;
-      for (const std::unique_ptr<Tenant>& t : tenants_)
-        if (!t->ready.empty() || t->inflight > 0) {
-          any = true;
-          vmin = std::min(vmin, t->vtime);
-        }
-      if (any) ten.vtime = std::max(ten.vtime, vmin);
-    }
-    ten.ready.push_back(std::move(unit));
-  }
-  units.clear();
+  ten.ready.push_back(unit);
 }
 
 void GraphScheduler::pump_locked() {
@@ -308,7 +280,7 @@ void GraphScheduler::pump_locked() {
   }
 }
 
-std::unique_ptr<GraphScheduler::Unit> GraphScheduler::take_unit_locked() {
+bool GraphScheduler::take_unit_locked(Ready& unit) {
   // Pick the serving tenant: highest priority class first, then least
   // weighted service (virtual time), then lowest tenant id -- a strict,
   // deterministic order.
@@ -319,27 +291,31 @@ std::unique_ptr<GraphScheduler::Unit> GraphScheduler::take_unit_locked() {
         (t->cfg.priority == best->cfg.priority && t->vtime < best->vtime))
       best = t.get();
   }
-  if (!best) return nullptr;
-  std::unique_ptr<Unit> unit = std::move(best->ready.front());
+  if (!best) return false;
+  unit = best->ready.front();
   best->ready.pop_front();
   ++best->inflight;
-  return unit;
+  return true;
 }
 
 void GraphScheduler::worker() {
   Worker self;
+  Ready unit;
+  bool ran = false;  // `unit` ran; its result is in self.run
   for (;;) {
-    std::unique_ptr<Unit> unit;
+    Job* resolved = nullptr;
     {
-      // One critical section per unit: settle the jobs the last unit
-      // resolved, enqueue the units it released, take the next unit and
-      // post loops for what is left.
+      // One critical section per unit: record the unit that just ran and
+      // release its dependents, settle the jobs resolved since the last
+      // take, take the next unit and post loops for what is left.
       MutexLock lock(mu_);
+      if (ran) resolved = complete_locked(unit, self);
       unresolved_jobs_ -= self.resolved;
-      enqueue_locked(self.released);
-      unit = take_unit_locked();
+      ran = take_unit_locked(unit);
       pump_locked();
-      if (!unit) {
+      // A loop that resolved a job comes back after its hook, which may
+      // have submitted work this loop must see.
+      if (!ran && !resolved) {
         // Notified under the lock: once inflight_ reaches zero the
         // destructor may return as soon as the lock is free.
         --inflight_;
@@ -349,151 +325,109 @@ void GraphScheduler::worker() {
       if (self.resolved != 0) drain_cv_.notify_all();
     }
     self.resolved = 0;
-    run_unit(std::move(unit), self);
+    if (resolved) resolve_job(resolved, self);
+    if (ran) run_unit(unit, self);
   }
 }
 
-void GraphScheduler::run_unit(std::unique_ptr<Unit> unit, Worker& self) {
+void GraphScheduler::run_unit(const Ready& unit, Worker& self) {
   // Every dependency's commit happens-before this point (same thread, or
   // through the mutex the unit was taken under).
-  if (!unit->job->single) build_request(*unit);
-  if (!unit->make_error.empty()) {
-    // The request was never built; attribute the failure to the node name
-    // so it stays identifiable in roll-ups (make_error only arises for
-    // graph nodes -- singles carry a prebuilt request).
-    fabric::KernelResult failed = fabric::make_failed(
-        unit->job->single ? unit->req.tag : unit->job->graph.node(unit->id).name,
-        backend_.name(), unit->make_error);
-    complete_unit(std::move(unit), std::move(failed), self);
-    return;
-  }
-  fabric::KernelResult res;
-  try {
-    res = backend_.execute(unit->req);
-  } catch (const std::exception& e) {
-    res = fabric::make_failed(unit->req, backend_.name(),
-                              std::string("backend exception: ") + e.what());
-  } catch (...) {
-    res = fabric::make_failed(unit->req, backend_.name(), "backend exception");
-  }
-  if (res.ok && !unit->job->single) {
-    const auto& commit = unit->job->graph.node(unit->id).commit;
-    if (commit) {
-      try {
-        commit(res);
-        drop_outputs(res);
-      } catch (const std::exception& e) {
-        res = fabric::make_failed(unit->req, backend_.name(),
-                                  std::string("commit failed: ") + e.what());
-      } catch (...) {
-        res = fabric::make_failed(unit->req, backend_.name(), "commit failed");
-      }
-    }
-  }
-  complete_unit(std::move(unit), std::move(res), self);
+  Job& job = *unit.job;
+  if (job.single)
+    self.run.result = run_request(backend_, job.req);
+  else
+    self.run = run_node(job.graph, unit.id, backend_);
 }
 
-void GraphScheduler::complete_unit(std::unique_ptr<Unit> unit,
-                                   fabric::KernelResult res, Worker& self) {
-  std::shared_ptr<Job> job = unit->job;
-  std::vector<NodeId>& released_ids = self.released_ids;
-  released_ids.clear();
-  bool job_finished = false;
-  {
-    MutexLock lock(mu_);
-    Tenant& ten = *tenants_[job->tenant];
-    if (ten.inflight > 0) --ten.inflight;
-    ++ten.units_completed;
-    if (!res.ok) ++ten.units_failed;
-    ten.cycles += res.cycles;
-    ten.energy_nj += res.energy_nj;
-    // WFQ charge: service is fabric cycles over the tenant weight. Failed
-    // units cost zero cycles and charge nothing, matching the accounting.
-    ten.vtime += res.cycles / ten.cfg.weight;
+GraphScheduler::Job* GraphScheduler::complete_locked(const Ready& unit, Worker& self) {
+  Job& job = *unit.job;
+  fabric::KernelResult& res = self.run.result;
+  Tenant& ten = *tenants_[job.tenant];
+  if (ten.inflight > 0) --ten.inflight;
+  ++ten.units_completed;
+  if (!res.ok) ++ten.units_failed;
+  ten.cycles += res.cycles;
+  ten.energy_nj += res.energy_nj;
+  // WFQ charge: service is fabric cycles over the tenant weight. Failed
+  // units cost zero cycles and charge nothing, matching the accounting.
+  ten.vtime += res.cycles / ten.cfg.weight;
 
-    if (job->single) {
-      ++ten.jobs_completed;
-      job_finished = true;
-    } else {
-      // Skip units whose request was never built (make threw): a default
-      // request's clock would skew the graph's avg-power figure.
-      if (job->clock_ghz == 0.0 && unit->make_error.empty())
-        job->clock_ghz = fabric::effective_core(unit->req).pe.clock_ghz;
-      if (!res.ok) {
-        job->failed = true;
-        if (job->first_error.empty()) {
-          const std::string& name = job->graph.node(unit->id).name;
-          job->first_error = (name.empty() ? "node" : name) + ": " + res.error;
+  if (!job.single) {
+    // A unit whose request was never built (make threw) has no clock: a
+    // default request's would skew the graph's avg-power figure.
+    if (job.clock_ghz == 0.0) job.clock_ghz = self.run.clock_ghz;
+    if (!res.ok) {
+      job.failed = true;
+      if (job.first_error.empty()) {
+        const std::string name = job.graph.name(unit.id);
+        job.first_error = (name.empty() ? "node" : name) + ": " + res.error;
+      }
+    }
+    job.results[unit.id] = std::move(res);
+    --job.remaining;
+
+    // Release dependents; cancel (recursively) anything downstream of a
+    // failure the moment its last dependency resolves.
+    const GraphShape& shape = job.graph.shape();
+    std::vector<NodeId>& cascade = self.cascade;
+    cascade.assign(1, unit.id);
+    while (!cascade.empty()) {
+      const NodeId done = cascade.back();
+      cascade.pop_back();
+      const bool done_failed = !job.results[done].ok;
+      for (NodeId dep : shape.dependents(done)) {
+        if (done_failed) job.upstream_failed[dep] = 1;
+        if (--job.missing[dep] != 0) continue;
+        if (job.upstream_failed[dep]) {
+          job.results[dep] =
+              cancelled_result(backend_.name(), job.graph.name(dep), job.first_error);
+          --job.remaining;
+          job.failed = true;
+          ++ten.units_completed;
+          ++ten.units_failed;
+          cascade.push_back(dep);
+        } else {
+          enqueue_locked(Ready{&job, dep});
         }
       }
-      job->results[unit->id] = std::move(res);
-      --job->remaining;
-
-      // Release dependents; cancel (recursively) anything downstream of a
-      // failure the moment its last dependency resolves.
-      std::vector<NodeId>& cascade = self.cascade;
-      cascade.assign(1, unit->id);
-      while (!cascade.empty()) {
-        const NodeId done = cascade.back();
-        cascade.pop_back();
-        const bool done_failed = !job->results[done].ok;
-        for (NodeId dep : job->graph.dependents(done)) {
-          if (done_failed) job->upstream_failed[dep] = 1;
-          if (--job->missing[dep] != 0) continue;
-          if (job->upstream_failed[dep]) {
-            job->results[dep] =
-                cancelled_result(backend_.name(), job->graph.node(dep).name,
-                                 job->first_error);
-            --job->remaining;
-            job->failed = true;
-            ++ten.units_completed;
-            ++ten.units_failed;
-            cascade.push_back(dep);
-          } else {
-            released_ids.push_back(dep);
-          }
-        }
-      }
-      if (job->remaining == 0) {
-        ++ten.jobs_completed;
-        job_finished = true;
-      }
     }
-    if (job_finished) {
-      // Free the admission slot now (so a completion hook may itself
-      // submit, even at capacity) but keep the job "unresolved" until its
-      // hook has run and its promise is set -- the drain() contract.
-      --pending_jobs_;
-    }
+    if (job.remaining != 0) return nullptr;
   }
-
-  if (job_finished) {
-    admit_cv_.notify_all();
-    if (job->single) {
-      run_hook(job->khook, res);  // `res` was not consumed on this path
-      job->kpromise.set_value(std::move(res));
-    } else {
-      finalize_job(job);
-    }
-    ++self.resolved;
-  }
-  // The worker loop enqueues the released units with its next take.
-  for (NodeId id : released_ids) self.released.push_back(new_unit(job, id));
+  ++ten.jobs_completed;
+  // Free the admission slot now (so a completion hook may itself submit,
+  // even at capacity) but keep the job "unresolved" until its hook has run
+  // and its promise is set -- the drain() contract.
+  --pending_jobs_;
+  return &job;
 }
 
-void GraphScheduler::finalize_job(const std::shared_ptr<Job>& job) {
+void GraphScheduler::resolve_job(Job* job, Worker& self) {
+  const std::unique_ptr<Job> owned(job);
+  admit_cv_.notify_all();
+  if (job->single) {
+    // A single's result was not consumed by complete_locked.
+    run_hook(job->khook, self.run.result);
+    job->kpromise.set_value(std::move(self.run.result));
+  } else {
+    finalize_job(*job);
+  }
+  ++self.resolved;
+}
+
+void GraphScheduler::finalize_job(Job& job) {
   GraphResult out;
-  out.nodes = std::move(job->results);
+  out.nodes = std::move(job.results);
   for (const fabric::KernelResult& r : out.nodes) {
     if (!r.ok) ++out.failed;
     out.energy_nj += r.energy_nj;
     out.area_mm2 = std::max(out.area_mm2, r.area_mm2);
   }
   out.ok = out.failed == 0;
-  out.error = job->first_error;
+  out.error = job.first_error;
   out.workers = slots_;
   out.total_cycles = serial_cycles(out.nodes);
-  out.makespan_cycles = list_makespan(job->graph, out.nodes, slots_);
+  out.makespan_cycles = list_makespan(job.graph, out.nodes, slots_);
   // Cycles / Cycles is dimensionless, so the speedup falls out as a plain
   // ratio; the makespan-time power figure goes through the typed clock
   // division exactly like attach_cost does.
@@ -501,16 +435,16 @@ void GraphScheduler::finalize_job(const std::shared_ptr<Job>& job) {
                     ? out.total_cycles / out.makespan_cycles
                     : 1.0;
   const units::Seconds t =
-      job->clock_ghz > 0.0
-          ? out.makespan_cycles / units::Gigahertz(job->clock_ghz)
+      job.clock_ghz > 0.0
+          ? out.makespan_cycles / units::Gigahertz(job.clock_ghz)
           : units::Seconds{};
   out.avg_power_w = t.value() > 0.0 ? units::to_joules(out.energy_nj) / t
                                     : units::Watts{};
   out.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() -
-                                                          job->admitted)
+                                                          job.admitted)
                     .count();
-  run_hook(job->ghook, out);
-  job->gpromise.set_value(std::move(out));
+  run_hook(job.ghook, out);
+  job.gpromise.set_value(std::move(out));
 }
 
 void GraphScheduler::drain() {
@@ -530,7 +464,7 @@ std::size_t GraphScheduler::peak_pending() const {
 
 TenantStats GraphScheduler::tenant_stats(TenantId tenant) const {
   MutexLock lock(mu_);
-  assert(tenant < tenants_.size());
+  if (tenant >= tenants_.size()) throw std::out_of_range(unknown_tenant(tenant));
   const Tenant& t = *tenants_[tenant];
   TenantStats s;
   s.name = t.cfg.name;

@@ -15,13 +15,21 @@
 //     unfinished at once -- submit() blocks (backpressure), try_submit()
 //     refuses.
 //
-// The LAP drivers' factorizations (blas::lap_cholesky, lap_lu, lap_qr) are
-// clients too: each call runs its kernel graph on a scheduler of its own,
-// over a dedicated pool unless the caller passes one.
+// The LAP drivers' factorizations (blas::lap_cholesky, lap_lu, lap_qr) run
+// the same graphs without a scheduler: in topological order on the calling
+// thread, through the same per-node function (run_node) the workers call.
+//
+// Each dispatch loop takes the scheduler lock once per unit: in one
+// critical section it records the unit it just ran, releases that node's
+// dependents onto the ready queues, takes its next unit and posts loops
+// for what is left. Completion hooks, promises and the graph roll-up run
+// outside the lock.
 //
 // Failure semantics: a failed node reports in-band (ok = false, zero
 // cost), and every node downstream of it is cancelled with the same
-// zero-cost accounting instead of running on garbage.
+// zero-cost accounting instead of running on garbage. A submit naming a
+// tenant add_tenant() never returned resolves at once the same way, with
+// the error "unknown tenant <id>", and is never admitted.
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -117,11 +125,12 @@ class GraphScheduler {
 
   /// Admit a whole kernel graph; blocks while the admission queue is at
   /// capacity. The future resolves after every node finished (or was
-  /// cancelled); an invalid graph resolves immediately with ok = false.
-  /// `on_complete` (optional) runs on the completing worker thread before
-  /// the future resolves; exceptions it throws are swallowed, and submits
-  /// it chains are admitted without waiting (over capacity if necessary --
-  /// a hook parking its worker on the admission gate could self-deadlock).
+  /// cancelled); an invalid graph, or an unknown tenant, resolves
+  /// immediately with ok = false and is not admitted. `on_complete`
+  /// (optional) runs on the completing worker thread before the future
+  /// resolves; exceptions it throws are swallowed, and submits it chains
+  /// are admitted without waiting (over capacity if necessary -- a hook
+  /// parking its worker on the admission gate could self-deadlock).
   std::future<GraphResult> submit(
       TenantId tenant, KernelGraph graph,
       std::function<void(const GraphResult&)> on_complete = {});
@@ -132,7 +141,8 @@ class GraphScheduler {
       std::function<void(const fabric::KernelResult&)> on_complete = {});
 
   /// Non-blocking admission: std::nullopt when the queue is full
-  /// (backpressure -- the caller sheds or retries).
+  /// (backpressure -- the caller sheds or retries). An unknown tenant gets
+  /// its resolved failure, not std::nullopt.
   std::optional<std::future<GraphResult>> try_submit(
       TenantId tenant, KernelGraph graph,
       std::function<void(const GraphResult&)> on_complete = {});
@@ -151,13 +161,14 @@ class GraphScheduler {
   std::size_t pending() const LAC_EXCLUDES(mu_);
   std::size_t peak_pending() const LAC_EXCLUDES(mu_);
 
+  /// Throws std::out_of_range for an unknown tenant.
   TenantStats tenant_stats(TenantId tenant) const LAC_EXCLUDES(mu_);
   const fabric::Executor& backend() const { return backend_; }
   unsigned workers() const { return slots_; }
 
  private:
   struct Job;
-  struct Unit;
+  struct Ready;
   struct Tenant;
   struct Worker;
 
@@ -174,20 +185,20 @@ class GraphScheduler {
   // capacity instead.
   bool admit_slot(bool block) LAC_EXCLUDES(mu_);
 
-  static std::unique_ptr<Unit> new_unit(std::shared_ptr<Job> job, NodeId id);
-  /// Runs a graph node's `make` into unit.req (or sets unit.make_error).
-  static void build_request(Unit& unit);
-  /// Moves `units` into their tenants' ready queues and empties it.
-  void enqueue_locked(std::vector<std::unique_ptr<Unit>>& units)
-      LAC_REQUIRES(mu_);
+  /// Appends a ready unit to its tenant's queue.
+  void enqueue_locked(Ready unit) LAC_REQUIRES(mu_);
   void pump_locked() LAC_REQUIRES(mu_);
-  /// The next unit to run (null when no unit is ready).
-  std::unique_ptr<Unit> take_unit_locked() LAC_REQUIRES(mu_);
+  /// Takes the next unit to run into `unit`; false when none is ready.
+  bool take_unit_locked(Ready& unit) LAC_REQUIRES(mu_);
   void worker() LAC_EXCLUDES(mu_);
-  void run_unit(std::unique_ptr<Unit> unit, Worker& self) LAC_EXCLUDES(mu_);
-  void complete_unit(std::unique_ptr<Unit> unit, fabric::KernelResult res,
-                     Worker& self) LAC_EXCLUDES(mu_);
-  void finalize_job(const std::shared_ptr<Job>& job);
+  /// Runs `unit` into self.run.
+  void run_unit(const Ready& unit, Worker& self) LAC_EXCLUDES(mu_);
+  /// Records self.run as `unit`'s result and releases its dependents.
+  /// Returns the job when this resolved it (its admission slot freed).
+  Job* complete_locked(const Ready& unit, Worker& self) LAC_REQUIRES(mu_);
+  /// Runs a resolved job's hook, sets its promise and frees it.
+  void resolve_job(Job* job, Worker& self) LAC_EXCLUDES(mu_);
+  void finalize_job(Job& job);
 
   const fabric::Executor& backend_;
   SchedulerOptions opts_;

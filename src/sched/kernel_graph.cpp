@@ -1,10 +1,109 @@
 #include "sched/kernel_graph.hpp"
 
 #include <algorithm>
+#include <complex>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 namespace lac::sched {
+
+/// The closure API's program: one GraphNode per node.
+class ClosureProgram final : public GraphProgram {
+ public:
+  fabric::KernelRequest make(NodeId id) override { return nodes[id].make(); }
+  bool commit(NodeId id, const fabric::KernelResult& result) override {
+    if (!nodes[id].commit) return false;
+    nodes[id].commit(result);
+    return true;
+  }
+  std::string name(NodeId id) const override { return nodes[id].name; }
+
+  std::vector<GraphNode> nodes;
+};
+
+GraphShape::GraphShape(std::vector<NodeDesc> desc, std::size_t nodes,
+                       std::vector<std::pair<NodeId, NodeId>> edges, std::string malformed)
+    : desc_(std::move(desc)), error_(std::move(malformed)) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  dep_count_.assign(nodes, 0);
+  succ_begin_.assign(nodes + 1, 0);
+  succ_.resize(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto [from, to] = edges[e];
+    ++dep_count_[to];
+    ++succ_begin_[from + 1];
+    succ_[e] = to;  // sorted by `from`, so this is already the CSR order
+  }
+  for (std::size_t id = 0; id < nodes; ++id) succ_begin_[id + 1] += succ_begin_[id];
+
+  std::vector<std::size_t> missing = dep_count_;
+  // Min-heap on node id: the ready set pops in ascending id order, making
+  // the order (and everything derived from it) deterministic.
+  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>> ready;
+  for (NodeId id = 0; id < nodes; ++id)
+    if (missing[id] == 0) {
+      roots_.push_back(id);
+      ready.push(id);
+    }
+  topo_.reserve(nodes);
+  while (!ready.empty()) {
+    const NodeId id = ready.top();
+    ready.pop();
+    topo_.push_back(id);
+    for (NodeId dep : dependents(id))
+      if (--missing[dep] == 0) ready.push(dep);
+  }
+  if (error_.empty() && topo_.size() != nodes) error_ = "graph contains a dependency cycle";
+}
+
+std::vector<std::pair<NodeId, NodeId>> GraphShape::edges() const {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  out.reserve(succ_.size());
+  for (NodeId from = 0; from < size(); ++from)
+    for (NodeId to : dependents(from)) out.emplace_back(from, to);
+  return out;
+}
+
+KernelGraph::KernelGraph(std::shared_ptr<const GraphShape> shape,
+                         std::shared_ptr<GraphProgram> program)
+    : size_(shape->size()), shape_(std::move(shape)), program_(std::move(program)) {}
+
+KernelGraph::KernelGraph(KernelGraph&& other) noexcept { *this = std::move(other); }
+
+KernelGraph& KernelGraph::operator=(KernelGraph&& other) noexcept {
+  if (this == &other) return *this;
+  size_ = std::exchange(other.size_, 0);
+  shape_ = std::move(other.shape_);
+  program_ = std::move(other.program_);
+  closures_ = std::exchange(other.closures_, nullptr);
+  edges_ = std::move(other.edges_);
+  other.edges_.clear();
+  malformed_ = std::move(other.malformed_);
+  other.malformed_.clear();
+  return *this;
+}
+
+ClosureProgram& KernelGraph::own_closures() {
+  if (closures_ && program_.use_count() == 1) return *closures_;
+  auto fresh = std::make_shared<ClosureProgram>();
+  if (closures_) {
+    fresh->nodes = closures_->nodes;
+  } else if (program_) {
+    // Copy-on-write of a shared shape: its edges become this graph's, and
+    // each node's closures call the program it was built with.
+    edges_ = shape_->edges();
+    fresh->nodes.reserve(size_);
+    for (NodeId id = 0; id < size_; ++id)
+      fresh->nodes.push_back(GraphNode{
+          program_->name(id), [p = program_, id] { return p->make(id); },
+          [p = program_, id](const fabric::KernelResult& r) { p->commit(id, r); }});
+  }
+  closures_ = fresh.get();
+  program_ = std::move(fresh);
+  return *closures_;
+}
 
 NodeId KernelGraph::add_node(fabric::KernelRequest req, std::string name) {
   return add_node(
@@ -14,13 +113,16 @@ NodeId KernelGraph::add_node(fabric::KernelRequest req, std::string name) {
 NodeId KernelGraph::add_node(std::function<fabric::KernelRequest()> make,
                              std::string name,
                              std::function<void(const fabric::KernelResult&)> commit) {
-  nodes_.push_back(GraphNode{std::move(name), std::move(make), std::move(commit)});
-  indexed_ = false;
-  return nodes_.size() - 1;
+  own_closures().nodes.push_back(
+      GraphNode{std::move(name), std::move(make), std::move(commit)});
+  shape_.reset();
+  return size_++;
 }
 
 void KernelGraph::add_edge(NodeId from, NodeId to) {
-  if (from >= nodes_.size() || to >= nodes_.size() || from == to) {
+  own_closures();
+  shape_.reset();
+  if (from >= size_ || to >= size_ || from == to) {
     // Remembered so validate() rejects the graph: silently dropping an
     // edge would leave a conflicting access unordered, breaking the
     // byte-identical-across-widths guarantee instead of failing loudly.
@@ -33,75 +135,80 @@ void KernelGraph::add_edge(NodeId from, NodeId to) {
     return;
   }
   edges_.emplace_back(from, to);
-  indexed_ = false;
 }
 
-void KernelGraph::reserve(std::size_t nodes, std::size_t edges) {
-  nodes_.reserve(nodes);
-  edges_.reserve(edges);
-}
+GraphNode& KernelGraph::node(NodeId id) { return own_closures().nodes[id]; }
 
-void KernelGraph::index() const {
-  if (indexed_) return;
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  const std::size_t n = nodes_.size();
-  dep_count_.assign(n, 0);
-  succ_begin_.assign(n + 1, 0);
-  succ_.resize(edges_.size());
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const auto [from, to] = edges_[e];
-    ++dep_count_[to];
-    ++succ_begin_[from + 1];
-    succ_[e] = to;  // sorted by `from`, so this is already the CSR order
-  }
-  for (std::size_t id = 0; id < n; ++id) succ_begin_[id + 1] += succ_begin_[id];
-  indexed_ = true;
-}
-
-std::size_t KernelGraph::dep_count(NodeId id) const {
-  index();
-  return dep_count_[id];
-}
-
-std::span<const NodeId> KernelGraph::dependents(NodeId id) const {
-  index();
-  return std::span<const NodeId>(succ_).subspan(succ_begin_[id],
-                                                succ_begin_[id + 1] - succ_begin_[id]);
+const GraphShape& KernelGraph::shape() const {
+  if (!shape_) shape_ = std::make_shared<const GraphShape>(std::vector<NodeDesc>{}, size_,
+                                                           edges_, malformed_);
+  return *shape_;
 }
 
 std::string KernelGraph::validate() const {
-  if (!malformed_.empty()) return malformed_;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!nodes_[id].make) {
-      std::ostringstream os;
-      os << "node " << id << " has no request builder";
-      return os.str();
-    }
-  }
-  if (!nodes_.empty() && topo_order().size() != nodes_.size())
-    return "graph contains a dependency cycle";
+  if (!shape().error().empty()) return shape().error();
+  if (closures_)
+    for (NodeId id = 0; id < size_; ++id)
+      if (!closures_->nodes[id].make) {
+        std::ostringstream os;
+        os << "node " << id << " has no request builder";
+        return os.str();
+      }
   return {};
 }
 
-std::vector<NodeId> KernelGraph::topo_order() const {
-  index();
-  std::vector<std::size_t> missing = dep_count_;
-  // Min-heap on node id: the ready set pops in ascending id order, making
-  // the order (and everything derived from it) deterministic.
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>> ready;
-  for (NodeId id = 0; id < nodes_.size(); ++id)
-    if (missing[id] == 0) ready.push(id);
-  std::vector<NodeId> order;
-  order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    const NodeId id = ready.top();
-    ready.pop();
-    order.push_back(id);
-    for (NodeId dep : dependents(id))
-      if (--missing[dep] == 0) ready.push(dep);
+namespace {
+
+/// Frees a committed node's outputs on the worker that allocated them: the
+/// commit copied what its dependents read into the shared working state.
+void drop_outputs(fabric::KernelResult& res) {
+  res.out = MatrixD();
+  res.pivots = std::vector<index_t>();
+  res.taus = std::vector<double>();
+  res.spectrum = std::vector<std::complex<double>>();
+}
+
+}  // namespace
+
+fabric::KernelResult run_request(const fabric::Executor& backend,
+                                 const fabric::KernelRequest& req) {
+  try {
+    return backend.execute(req);
+  } catch (const std::exception& e) {
+    return fabric::make_failed(req, backend.name(),
+                               std::string("backend exception: ") + e.what());
+  } catch (...) {
+    return fabric::make_failed(req, backend.name(), "backend exception");
   }
-  return order;  // shorter than size() iff cyclic
+}
+
+NodeRun run_node(const KernelGraph& graph, NodeId id, const fabric::Executor& backend) {
+  NodeRun run;
+  fabric::KernelRequest req;
+  // A throwing `make` fails its node in-band (attributed to the node name,
+  // and cancelling downstream), never unwinds into the caller.
+  try {
+    req = graph.make(id);
+  } catch (const std::exception& e) {
+    run.result = fabric::make_failed(graph.name(id), backend.name(),
+                                     std::string("request build failed: ") + e.what());
+    return run;
+  } catch (...) {
+    run.result = fabric::make_failed(graph.name(id), backend.name(), "request build failed");
+    return run;
+  }
+  run.clock_ghz = fabric::effective_core(req).pe.clock_ghz;
+  run.result = run_request(backend, req);
+  if (!run.result.ok) return run;
+  try {
+    if (graph.commit(id, run.result)) drop_outputs(run.result);
+  } catch (const std::exception& e) {
+    run.result = fabric::make_failed(req, backend.name(),
+                                     std::string("commit failed: ") + e.what());
+  } catch (...) {
+    run.result = fabric::make_failed(req, backend.name(), "commit failed");
+  }
+  return run;
 }
 
 units::Cycles list_makespan(const KernelGraph& graph,
@@ -112,18 +219,17 @@ units::Cycles list_makespan(const KernelGraph& graph,
   const std::size_t n = graph.size();
   if (n == 0 || results.size() < n) return units::Cycles{};
   const unsigned w = std::max(1u, workers);
+  const GraphShape& shape = graph.shape();
 
-  std::vector<std::size_t> missing(n, 0);
+  std::vector<std::size_t> missing = shape.dep_counts();
   std::vector<double> release(n, 0.0);
-  for (NodeId id = 0; id < n; ++id) missing[id] = graph.dep_count(id);
 
   // Ready nodes ordered by (release time, id); virtual workers by free time.
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> ready;
   std::priority_queue<double, std::vector<double>, std::greater<double>> avail;
   for (unsigned i = 0; i < w; ++i) avail.push(0.0);
-  for (NodeId id = 0; id < n; ++id)
-    if (missing[id] == 0) ready.push({0.0, id});
+  for (NodeId id : shape.roots()) ready.push({0.0, id});
 
   double makespan = 0.0;
   std::size_t scheduled = 0;
@@ -137,7 +243,7 @@ units::Cycles list_makespan(const KernelGraph& graph,
     avail.push(end);
     makespan = std::max(makespan, end);
     ++scheduled;
-    for (NodeId dep : graph.dependents(id)) {
+    for (NodeId dep : shape.dependents(id)) {
       release[dep] = std::max(release[dep], end);
       if (--missing[dep] == 0) ready.push({release[dep], dep});
     }

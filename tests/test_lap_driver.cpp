@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -305,6 +308,50 @@ TEST(LapDriver, FailedKernelThrowsNamingNodeAndLeavesInputUntouched) {
     expect_fails_untouched(ex->name(), lu, "lu_panel(1,1,k=1)", [&] {
       lap_lu(*ex, cfg, 2.0, lu.view(), piv);
     });
+  }
+}
+
+/// Wraps a backend and records the thread each request executes on.
+struct ThreadRecorder final : fabric::Executor {
+  explicit ThreadRecorder(const fabric::Executor& inner) : inner(inner) {}
+  const char* name() const override { return inner.name(); }
+  fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.push_back(std::this_thread::get_id());
+    }
+    return inner.execute(req);
+  }
+  const fabric::Executor& inner;
+  mutable std::mutex mu;
+  mutable std::vector<std::thread::id> threads;
+};
+
+TEST(LapDriver, DriversRunOnTheCallingThread) {
+  // A driver runs its graph inline, no pool and no scheduler, whatever the
+  // Cholesky width: the width only prices the makespan.
+  const fabric::ModelExecutor model;
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const char* kind : {"LU", "QR", "CHOL 1", "CHOL 4", "CHOL 0"}) {
+    SCOPED_TRACE(kind);
+    const std::string k = kind;
+    ThreadRecorder rec(model);
+    MatrixD a = k == "LU" || k == "QR" ? random_matrix(32, 16, 63) : random_spd(32, 64);
+    if (k == "LU") {
+      std::vector<index_t> piv;
+      lap_lu(rec, cfg, 2.0, a.view(), piv);
+    } else if (k == "QR") {
+      std::vector<double> taus;
+      lap_qr(rec, cfg, 2.0, a.view(), taus);
+    } else {
+      const unsigned workers = static_cast<unsigned>(k.back() - '0');
+      const DriverReport rep = lap_cholesky(rec, cfg, 2.0, 8, a.view(), workers);
+      EXPECT_EQ(rep.graph_workers,
+                workers > 0 ? workers : std::max(1u, std::thread::hardware_concurrency()));
+    }
+    ASSERT_FALSE(rec.threads.empty());
+    for (const std::thread::id t : rec.threads) EXPECT_EQ(t, caller);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <limits>
 #include <map>
@@ -107,6 +108,16 @@ TEST(KernelGraph, ValidateCatchesMalformedGraphs) {
   NodeId d2 = dangling_from.add_node(small_gemm(cfg, "d2"));
   dangling_from.add_edge(99, d2);
   EXPECT_NE(dangling_from.validate().find("malformed edge"), std::string::npos);
+
+  // A bad edge added after the graph was indexed -- a builder's graph is
+  // indexed from the start -- still fails validation.
+  FactorGraph chol = build_cholesky_graph(cfg, 2.0, random_spd(16, 14).view(), 8);
+  ASSERT_EQ(chol.graph.validate(), "");
+  chol.graph.add_edge(0, chol.graph.size());
+  EXPECT_NE(chol.graph.validate().find("malformed edge"), std::string::npos);
+  EXPECT_EQ(ok.validate(), "");
+  ok.add_edge(n1, n1);
+  EXPECT_NE(ok.validate().find("self-dependency"), std::string::npos);
 
   KernelGraph cyclic;
   NodeId a = cyclic.add_node(small_gemm(cfg, "a"));
@@ -475,6 +486,70 @@ TEST(GraphBuilders, FactorsAndCostsMatchParent) {
   EXPECT_TRUE(all_match) << "factor graph output changed; if intended, paste as "
                             "kBuilderGolden:\n"
                          << table;
+}
+
+TEST(GraphBuilders, ShapesAreSharedAndCopiedOnWrite) {
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const MatrixD a = random_spd(32, 51);
+  FactorGraph x = build_cholesky_graph(cfg, 2.0, a.view(), 8);
+  // A copy shares the shape (and the program, so it is not run here).
+  const KernelGraph y = x.graph;
+  EXPECT_EQ(&x.graph.shape(), &y.shape());
+
+  const std::size_t n = y.size();
+  std::vector<std::size_t> deps;
+  std::vector<std::vector<NodeId>> succ;
+  for (NodeId id = 0; id < n; ++id) {
+    deps.push_back(y.dep_count(id));
+    succ.emplace_back(y.dependents(id).begin(), y.dependents(id).end());
+  }
+  const std::vector<NodeId> topo(y.topo_order().begin(), y.topo_order().end());
+
+  // Appending to x copies its shape; y's stays as it was.
+  const NodeId extra = x.graph.add_node(small_gemm(cfg, "extra"));
+  x.graph.add_edge(n - 1, extra);
+  ASSERT_EQ(x.graph.validate(), "");
+  EXPECT_EQ(extra, n);
+  EXPECT_EQ(x.graph.dep_count(extra), 1u);
+  EXPECT_TRUE(std::ranges::equal(x.graph.dependents(n - 1), std::vector<NodeId>{extra}));
+  EXPECT_EQ(x.graph.name(0), "potrf(0,0,k=0)");
+  EXPECT_NE(&x.graph.shape(), &y.shape());
+  ASSERT_EQ(y.size(), n);
+  for (NodeId id = 0; id < n; ++id) {
+    EXPECT_EQ(y.dep_count(id), deps[id]) << id;
+    EXPECT_TRUE(std::ranges::equal(y.dependents(id), succ[id])) << id;
+  }
+  EXPECT_EQ(y.topo_order(), topo);
+
+  // A copy of a closure graph shares its closures until one of the two
+  // mutates.
+  KernelGraph copy = x.graph;
+  copy.node(0).name = "renamed";
+  copy.add_node(small_gemm(cfg, "more"));
+  EXPECT_EQ(copy.name(0), "renamed");
+  EXPECT_EQ(x.graph.name(0), "potrf(0,0,k=0)");
+  EXPECT_EQ(copy.size(), n + 2);
+  EXPECT_EQ(x.graph.size(), n + 1);
+
+  // The copied-on-write graph still runs the family program: the same
+  // factor and per-node cycles, byte for byte, as a fresh build.
+  FactorGraph z = build_cholesky_graph(cfg, 2.0, a.view(), 8);
+  ThreadPool pool(4);
+  SchedulerOptions opts;
+  opts.workers = 4;
+  GraphScheduler scheduler(kModel, opts, &pool);
+  const GraphResult rx = scheduler.submit(0, std::move(x.graph)).get();
+  const GraphResult rz = scheduler.submit(0, std::move(z.graph)).get();
+  ASSERT_TRUE(rx.ok) << rx.error;
+  ASSERT_TRUE(rz.ok) << rz.error;
+  ASSERT_EQ(rx.nodes.size(), n + 1);
+  for (NodeId id = 0; id < n; ++id)
+    EXPECT_EQ(rx.nodes[id].cycles.value(), rz.nodes[id].cycles.value()) << id;
+  const MatrixD& wx = *x.work;
+  const MatrixD& wz = *z.work;
+  EXPECT_EQ(std::memcmp(wx.data(), wz.data(),
+                        static_cast<std::size_t>(wx.rows() * wx.cols()) * sizeof(double)),
+            0);
 }
 
 TEST(GraphScheduler, TiledCholeskySpeedupAtLeast1p5xAtFourWorkers) {
@@ -876,6 +951,56 @@ TEST(GraphScheduler, DeferredRequestsBuildOnTheRunningWorker) {
       EXPECT_EQ(made[id], exec.ran[id]) << id;
     }
   }
+}
+
+TEST(GraphScheduler, UnknownTenantFailsInBand) {
+  // Resolved at once, hook run, never admitted -- in every build type
+  // (RelWithDebInfo defines NDEBUG, where an assert would index past the
+  // tenant roster).
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  GraphScheduler scheduler(kModel);
+  auto graph = [&] {
+    KernelGraph g;
+    g.add_node(small_gemm(cfg, "g"));
+    return g;
+  };
+  std::atomic<int> hooks{0};
+  auto ghook = [&hooks](const GraphResult& r) {
+    if (!r.ok) hooks.fetch_add(1);
+  };
+  auto khook = [&hooks](const fabric::KernelResult& r) {
+    if (!r.ok) hooks.fetch_add(1);
+  };
+  for (const TenantId unknown : {scheduler.tenant_count(), TenantId{7}}) {
+    const std::string want = "unknown tenant " + std::to_string(unknown);
+    SCOPED_TRACE(want);
+    const GraphResult g1 = scheduler.submit(unknown, graph(), ghook).get();
+    auto g2 = scheduler.try_submit(unknown, graph(), ghook);
+    ASSERT_TRUE(g2.has_value());
+    for (const GraphResult& r : {g1, g2->get()}) {
+      EXPECT_FALSE(r.ok);
+      EXPECT_EQ(r.error, want);
+      EXPECT_TRUE(r.nodes.empty());
+    }
+    const fabric::KernelResult s1 = scheduler.submit(unknown, small_gemm(cfg, "s"), khook).get();
+    auto s2 = scheduler.try_submit(unknown, small_gemm(cfg, "s"), khook);
+    ASSERT_TRUE(s2.has_value());
+    for (const fabric::KernelResult& r : {s1, s2->get()}) {
+      EXPECT_FALSE(r.ok);
+      EXPECT_EQ(r.error, want);
+      EXPECT_EQ(r.cycles.value(), 0.0);
+    }
+    EXPECT_THROW(scheduler.tenant_stats(unknown), std::out_of_range);
+  }
+  EXPECT_EQ(hooks.load(), 8);
+  EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_EQ(scheduler.peak_pending(), 0u);
+  EXPECT_EQ(scheduler.tenant_stats(0).jobs_submitted, 0u);
+  // A later valid submit still runs.
+  EXPECT_TRUE(scheduler.submit(0, small_gemm(cfg, "ok")).get().ok);
+  EXPECT_TRUE(scheduler.submit(0, graph()).get().ok);
+  scheduler.drain();
+  EXPECT_EQ(scheduler.tenant_stats(0).jobs_completed, 2u);
 }
 
 TEST(GraphScheduler, ThrowingCompletionHookIsSwallowed) {
