@@ -262,12 +262,17 @@ void ThreadPool::parallel_for(std::size_t n,
   runner();
 
   // All indices are claimed once the caller's runner returns (its final
-  // fetch_add saw next >= n); wait only for helpers mid-iteration.
+  // fetch_add saw next >= n); wait only for helpers mid-iteration. The
+  // error moves out of the shared state under its lock: a helper still
+  // queued holds `st`, and when it drops the last reference it must not be
+  // the thread that destroys the exception the caller is handling.
+  std::exception_ptr error;
   {
     MutexLock lock(st->mu);
     while (st->inflight.load() != 0) st->done.wait(st->mu);
-    if (st->error) std::rethrow_exception(st->error);
+    error = std::move(st->error);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace lac

@@ -1,6 +1,7 @@
 #include "sched/graph_scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -11,15 +12,18 @@ namespace lac::sched {
 using Clock = std::chrono::steady_clock;
 
 /// One admitted job: a whole graph or a single request (single == true).
-/// Per-node bookkeeping is guarded by the scheduler mutex; the shared
-/// working state the graph's program touches is guarded by its edges. A
-/// job outlives its ready units: the worker that completes its last unit
-/// resolves and frees it.
+/// Per-node bookkeeping is guarded by the scheduler mutex, except a node's
+/// result (and a single's), which the worker that ran the unit writes
+/// before the critical section that records it; the shared working state
+/// the graph's program touches is guarded by its edges. A job outlives its
+/// ready units: the worker that completes its last unit resolves and frees
+/// it.
 struct GraphScheduler::Job {
   TenantId tenant = 0;
   bool single = false;
-  KernelGraph graph;           // empty for singles
-  fabric::KernelRequest req;   // a single's request
+  KernelGraph graph;             // empty for singles
+  fabric::KernelRequest req;     // a single's request
+  fabric::KernelResult result;   // a single's result
   std::promise<GraphResult> gpromise;
   std::promise<fabric::KernelResult> kpromise;
   std::function<void(const GraphResult&)> ghook;
@@ -28,10 +32,9 @@ struct GraphScheduler::Job {
   std::vector<std::size_t> missing;   // unfinished deps per node
   std::vector<char> upstream_failed;  // node is downstream of a failure
   std::size_t remaining = 0;
-  bool failed = false;
   std::string first_error;
   Clock::time_point admitted;
-  double clock_ghz = 0.0;  // first executed node's effective clock
+  std::atomic<double> clock_ghz{0.0};  // first run node's effective clock
 };
 
 /// A ready unit: node `id` of `job` (0 for a single).
@@ -40,14 +43,20 @@ struct GraphScheduler::Ready {
   NodeId id = 0;
 };
 
-/// A dispatch loop's state across its units: the run of the unit it last
-/// took (recorded with its next take), the cancellation cascade's scratch
-/// and the jobs it resolved since its last take (unresolved_jobs_ drops by
-/// that count in the next critical section).
+/// A dispatch loop's state across its rounds: the units it took (run
+/// outside the lock, recorded in its next critical section) with each
+/// failed graph node's "node: why", the cancellation cascade's scratch,
+/// the jobs its last critical section resolved, and how many it resolved
+/// since (unresolved_jobs_ drops by that count in the next section).
 struct GraphScheduler::Worker {
-  NodeRun run;
+  struct Unit {
+    Ready ready;
+    std::string failure;
+  };
+  std::vector<Unit> units;
   std::vector<NodeId> cascade;
-  std::size_t resolved = 0;
+  std::vector<Job*> resolved;
+  std::size_t settled = 0;
 };
 
 struct GraphScheduler::Tenant {
@@ -78,7 +87,7 @@ std::string unknown_tenant(TenantId tenant) {
 }
 
 /// Nonzero while the current thread is inside a completion hook. Submits
-/// from hook context bypass the admission wait (see admit_slot): a hook
+/// from hook context bypass the admission wait (see admit_locked): a hook
 /// runs on a pool worker, and parking that worker on admit_cv_ while the
 /// capacity it waits for may need this very worker to free is a
 /// self-deadlock.
@@ -124,7 +133,7 @@ GraphScheduler::GraphScheduler(const fabric::Executor& backend,
 GraphScheduler::~GraphScheduler() {
   MutexLock lock(mu_);
   // Wait for the jobs *and* for every worker to leave the dispatch loop
-  // (a worker may still be in take_unit_locked after the last completion).
+  // (a worker may still be in take_units_locked after the last completion).
   while (unresolved_jobs_ != 0 || inflight_ != 0) drain_cv_.wait(mu_);
 }
 
@@ -167,8 +176,7 @@ std::optional<std::future<fabric::KernelResult>> GraphScheduler::try_submit(
   return admit_single(tenant, std::move(req), std::move(on_complete), false);
 }
 
-bool GraphScheduler::admit_slot(bool block) {
-  MutexLock lock(mu_);
+bool GraphScheduler::admit_locked(bool block) {
   // try_submit's refusal applies everywhere -- it never blocks, so it is
   // always deadlock-free and backpressure stays observable from hooks.
   if (!block && pending_jobs_ >= opts_.queue_capacity) return false;
@@ -187,64 +195,70 @@ bool GraphScheduler::admit_slot(bool block) {
 std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
     TenantId tenant, KernelGraph graph,
     std::function<void(const GraphResult&)> hook, bool block) {
-  // Unknown tenants, malformed and empty graphs resolve immediately and
-  // are never admitted.
-  std::string err;
-  if (tenant >= tenant_count())
-    err = unknown_tenant(tenant);
-  else if (std::string bad = graph.validate(); !bad.empty())
-    err = "invalid graph: " + bad;
-  if (!err.empty() || graph.empty()) {
-    GraphResult res;
-    res.ok = err.empty();
-    res.error = std::move(err);
-    res.workers = slots_;
-    return resolved_now(hook, std::move(res));
+  // Everything but the tenant check, the capacity gate and the enqueue
+  // runs before the one critical section (validate() may index the shape).
+  std::string err = graph.validate();
+  if (!err.empty()) err = "invalid graph: " + err;
+  std::unique_ptr<Job> job;
+  std::future<GraphResult> fut;
+  if (err.empty() && !graph.empty()) {
+    job = std::make_unique<Job>();
+    job->tenant = tenant;
+    job->graph = std::move(graph);
+    job->ghook = std::move(hook);
+    const std::size_t n = job->graph.size();
+    job->results.resize(n);
+    job->missing = job->graph.shape().dep_counts();
+    job->upstream_failed.assign(n, 0);
+    job->remaining = n;
+    fut = job->gpromise.get_future();
   }
-
-  auto job = std::make_unique<Job>();
-  job->tenant = tenant;
-  job->graph = std::move(graph);
-  job->ghook = std::move(hook);
-  const GraphShape& shape = job->graph.shape();
-  const std::size_t n = job->graph.size();
-  job->results.resize(n);
-  job->missing = shape.dep_counts();
-  job->upstream_failed.assign(n, 0);
-  job->remaining = n;
-
-  if (!admit_slot(block)) return std::nullopt;
-  job->admitted = Clock::now();
-  std::future<GraphResult> fut = job->gpromise.get_future();
-  // From here the job's units own it (see Job).
-  Job* owned = job.release();
-  MutexLock lock(mu_);
-  ++tenants_[tenant]->jobs_submitted;
-  for (NodeId id : shape.roots()) enqueue_locked(Ready{owned, id});
-  pump_locked();
-  return fut;
+  bool known = false;
+  {
+    MutexLock lock(mu_);
+    known = tenant < tenants_.size();
+    if (known && job) {
+      if (!admit_locked(block)) return std::nullopt;
+      job->admitted = Clock::now();
+      ++tenants_[tenant]->jobs_submitted;
+      // From here the job's units own it (see Job).
+      Job* owned = job.release();
+      for (NodeId id : owned->graph.shape().roots()) enqueue_locked(Ready{owned, id});
+      pump_locked();
+      return fut;
+    }
+  }
+  // Unknown tenants, malformed and empty graphs resolve at once and are
+  // never admitted.
+  if (!known) err = unknown_tenant(tenant);
+  GraphResult res;
+  res.ok = err.empty();
+  res.error = std::move(err);
+  res.workers = slots_;
+  return resolved_now(job ? job->ghook : hook, std::move(res));
 }
 
 std::optional<std::future<fabric::KernelResult>> GraphScheduler::admit_single(
     TenantId tenant, fabric::KernelRequest req,
     std::function<void(const fabric::KernelResult&)> hook, bool block) {
-  if (tenant >= tenant_count())
-    return resolved_now(hook, fabric::make_failed(req, backend_.name(), unknown_tenant(tenant)));
   auto job = std::make_unique<Job>();
   job->tenant = tenant;
   job->single = true;
   job->req = std::move(req);
   job->khook = std::move(hook);
-
-  if (!admit_slot(block)) return std::nullopt;
-  job->admitted = Clock::now();
   std::future<fabric::KernelResult> fut = job->kpromise.get_future();
-  Job* owned = job.release();
-  MutexLock lock(mu_);
-  ++tenants_[tenant]->jobs_submitted;
-  enqueue_locked(Ready{owned, 0});
-  pump_locked();
-  return fut;
+  {
+    MutexLock lock(mu_);
+    if (tenant < tenants_.size()) {
+      if (!admit_locked(block)) return std::nullopt;
+      ++tenants_[tenant]->jobs_submitted;
+      enqueue_locked(Ready{job.release(), 0});
+      pump_locked();
+      return fut;
+    }
+  }
+  return resolved_now(job->khook,
+                      fabric::make_failed(job->req, backend_.name(), unknown_tenant(tenant)));
 }
 
 void GraphScheduler::enqueue_locked(Ready unit) {
@@ -265,84 +279,105 @@ void GraphScheduler::enqueue_locked(Ready unit) {
     if (any) ten.vtime = std::max(ten.vtime, vmin);
   }
   ten.ready.push_back(unit);
+  ++ready_units_;
 }
 
 void GraphScheduler::pump_locked() {
   // Post up to min(free slots, ready units) dispatch loops. A loop that
-  // loses its unit to an already-running worker finds none ready and
+  // loses its units to an already-running worker finds none ready and
   // exits -- bounded overposting, never starvation.
-  std::size_t ready = 0;
-  for (const std::unique_ptr<Tenant>& t : tenants_) ready += t->ready.size();
-  while (inflight_ < slots_ && ready > 0) {
+  for (std::size_t ready = ready_units_; inflight_ < slots_ && ready > 0; --ready) {
     ++inflight_;
-    --ready;
     pool_.post([this] { worker(); });
   }
 }
 
-bool GraphScheduler::take_unit_locked(Ready& unit) {
-  // Pick the serving tenant: highest priority class first, then least
-  // weighted service (virtual time), then lowest tenant id -- a strict,
-  // deterministic order.
-  Tenant* best = nullptr;
-  for (const std::unique_ptr<Tenant>& t : tenants_) {
-    if (t->ready.empty()) continue;
-    if (!best || t->cfg.priority > best->cfg.priority ||
-        (t->cfg.priority == best->cfg.priority && t->vtime < best->vtime))
-      best = t.get();
+void GraphScheduler::take_units_locked(Worker& self) {
+  self.units.clear();
+  // The first unit whenever one is ready; a further one only while at
+  // least slots_ - 1 ready units stay for the other loops, and slots_ in
+  // all. So a graph with few ready nodes keeps its parallelism, WFQ's late
+  // charges skew the share by at most slots_ units a loop, and one worker
+  // takes one unit a round.
+  while (ready_units_ > 0 &&
+         (self.units.empty() || (self.units.size() < slots_ && ready_units_ >= slots_))) {
+    // Pick the serving tenant: highest priority class first, then least
+    // weighted service (virtual time), then lowest tenant id -- a strict,
+    // deterministic order.
+    Tenant* best = nullptr;
+    for (const std::unique_ptr<Tenant>& t : tenants_) {
+      if (t->ready.empty()) continue;
+      if (!best || t->cfg.priority > best->cfg.priority ||
+          (t->cfg.priority == best->cfg.priority && t->vtime < best->vtime))
+        best = t.get();
+    }
+    self.units.push_back({best->ready.front(), {}});
+    best->ready.pop_front();
+    ++best->inflight;
+    --ready_units_;
   }
-  if (!best) return false;
-  unit = best->ready.front();
-  best->ready.pop_front();
-  ++best->inflight;
-  return true;
 }
 
 void GraphScheduler::worker() {
   Worker self;
-  Ready unit;
-  bool ran = false;  // `unit` ran; its result is in self.run
+  self.units.reserve(slots_);
+  self.resolved.reserve(slots_);
   for (;;) {
-    Job* resolved = nullptr;
     {
-      // One critical section per unit: record the unit that just ran and
-      // release its dependents, settle the jobs resolved since the last
-      // take, take the next unit and post loops for what is left.
+      // One critical section per round: charge the units the last round
+      // ran and release their dependents, settle the jobs resolved since,
+      // take the next units and post loops for what is left.
       MutexLock lock(mu_);
-      if (ran) resolved = complete_locked(unit, self);
-      unresolved_jobs_ -= self.resolved;
-      ran = take_unit_locked(unit);
+      for (std::size_t i = 0; i < self.units.size(); ++i)
+        if (Job* job = complete_locked(self, i)) self.resolved.push_back(job);
+      unresolved_jobs_ -= self.settled;
+      take_units_locked(self);
       pump_locked();
       // A loop that resolved a job comes back after its hook, which may
       // have submitted work this loop must see.
-      if (!ran && !resolved) {
+      if (self.units.empty() && self.resolved.empty()) {
         // Notified under the lock: once inflight_ reaches zero the
         // destructor may return as soon as the lock is free.
         --inflight_;
         drain_cv_.notify_all();
         return;
       }
-      if (self.resolved != 0) drain_cv_.notify_all();
+      if (self.settled != 0) drain_cv_.notify_all();
     }
-    self.resolved = 0;
-    if (resolved) resolve_job(resolved, self);
-    if (ran) run_unit(unit, self);
+    self.settled = self.resolved.size();
+    for (Job* job : self.resolved) resolve_job(job);
+    self.resolved.clear();
+    for (std::size_t i = 0; i < self.units.size(); ++i) run_unit(self, i);
   }
 }
 
-void GraphScheduler::run_unit(const Ready& unit, Worker& self) {
+void GraphScheduler::run_unit(Worker& self, std::size_t i) {
   // Every dependency's commit happens-before this point (same thread, or
-  // through the mutex the unit was taken under).
+  // through the mutex the unit was taken under). The result slot is this
+  // unit's alone until the critical section that records it.
+  const Ready unit = self.units[i].ready;
   Job& job = *unit.job;
-  if (job.single)
-    self.run.result = run_request(backend_, job.req);
-  else
-    self.run = run_node(job.graph, unit.id, backend_);
+  if (job.single) {
+    job.result = run_request(backend_, job.req);
+    return;
+  }
+  NodeRun run = run_node(job.graph, unit.id, backend_);
+  // A unit whose request was never built (make threw) has no clock: a
+  // default request's would skew the graph's avg-power figure.
+  double none = 0.0;
+  if (run.clock_ghz != 0.0 && job.clock_ghz.load() == 0.0)
+    job.clock_ghz.compare_exchange_strong(none, run.clock_ghz);
+  if (!run.result.ok) {
+    const std::string name = job.graph.name(unit.id);
+    self.units[i].failure = (name.empty() ? "node" : name) + ": " + run.result.error;
+  }
+  job.results[unit.id] = std::move(run.result);
 }
 
-GraphScheduler::Job* GraphScheduler::complete_locked(const Ready& unit, Worker& self) {
+GraphScheduler::Job* GraphScheduler::complete_locked(Worker& self, std::size_t i) {
+  const Ready unit = self.units[i].ready;
   Job& job = *unit.job;
-  fabric::KernelResult& res = self.run.result;
+  const fabric::KernelResult& res = job.single ? job.result : job.results[unit.id];
   Tenant& ten = *tenants_[job.tenant];
   if (ten.inflight > 0) --ten.inflight;
   ++ten.units_completed;
@@ -354,17 +389,7 @@ GraphScheduler::Job* GraphScheduler::complete_locked(const Ready& unit, Worker& 
   ten.vtime += res.cycles / ten.cfg.weight;
 
   if (!job.single) {
-    // A unit whose request was never built (make threw) has no clock: a
-    // default request's would skew the graph's avg-power figure.
-    if (job.clock_ghz == 0.0) job.clock_ghz = self.run.clock_ghz;
-    if (!res.ok) {
-      job.failed = true;
-      if (job.first_error.empty()) {
-        const std::string name = job.graph.name(unit.id);
-        job.first_error = (name.empty() ? "node" : name) + ": " + res.error;
-      }
-    }
-    job.results[unit.id] = std::move(res);
+    if (!res.ok && job.first_error.empty()) job.first_error = std::move(self.units[i].failure);
     --job.remaining;
 
     // Release dependents; cancel (recursively) anything downstream of a
@@ -383,7 +408,6 @@ GraphScheduler::Job* GraphScheduler::complete_locked(const Ready& unit, Worker& 
           job.results[dep] =
               cancelled_result(backend_.name(), job.graph.name(dep), job.first_error);
           --job.remaining;
-          job.failed = true;
           ++ten.units_completed;
           ++ten.units_failed;
           cascade.push_back(dep);
@@ -402,17 +426,15 @@ GraphScheduler::Job* GraphScheduler::complete_locked(const Ready& unit, Worker& 
   return &job;
 }
 
-void GraphScheduler::resolve_job(Job* job, Worker& self) {
+void GraphScheduler::resolve_job(Job* job) {
   const std::unique_ptr<Job> owned(job);
   admit_cv_.notify_all();
   if (job->single) {
-    // A single's result was not consumed by complete_locked.
-    run_hook(job->khook, self.run.result);
-    job->kpromise.set_value(std::move(self.run.result));
+    run_hook(job->khook, job->result);
+    job->kpromise.set_value(std::move(job->result));
   } else {
     finalize_job(*job);
   }
-  ++self.resolved;
 }
 
 void GraphScheduler::finalize_job(Job& job) {
@@ -434,10 +456,10 @@ void GraphScheduler::finalize_job(Job& job) {
   out.speedup = out.makespan_cycles.value() > 0.0
                     ? out.total_cycles / out.makespan_cycles
                     : 1.0;
-  const units::Seconds t =
-      job.clock_ghz > 0.0
-          ? out.makespan_cycles / units::Gigahertz(job.clock_ghz)
-          : units::Seconds{};
+  const double clock_ghz = job.clock_ghz.load();
+  const units::Seconds t = clock_ghz > 0.0
+                               ? out.makespan_cycles / units::Gigahertz(clock_ghz)
+                               : units::Seconds{};
   out.avg_power_w = t.value() > 0.0 ? units::to_joules(out.energy_nj) / t
                                     : units::Watts{};
   out.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() -

@@ -19,11 +19,16 @@
 // the same graphs without a scheduler: in topological order on the calling
 // thread, through the same per-node function (run_node) the workers call.
 //
-// Each dispatch loop takes the scheduler lock once per unit: in one
-// critical section it records the unit it just ran, releases that node's
-// dependents onto the ready queues, takes its next unit and posts loops
-// for what is left. Completion hooks, promises and the graph roll-up run
-// outside the lock.
+// Each dispatch loop takes the scheduler lock once per round. A worker
+// writes each unit's result, failure text and clock into its job before it
+// takes the lock; one critical section then charges the tenants for the
+// units the round ran, releases their dependents onto the ready queues,
+// takes the next units and posts loops for what is left. A round takes up
+// to workers() units in WFQ order, a second or later one only while at
+// least workers() - 1 ready units stay for the other loops, so a graph
+// with few ready nodes keeps its parallelism and one worker takes exactly
+// one unit at a time. Admission takes the lock once per submit. Completion
+// hooks, promises and the graph roll-up run outside the lock.
 //
 // Failure semantics: a failed node reports in-band (ok = false, zero
 // cost), and every node downstream of it is cancelled with the same
@@ -183,21 +188,22 @@ class GraphScheduler {
   // Capacity gate; false = full (non-blocking). A blocking caller waits
   // for a slot, except from a completion hook, which is admitted over
   // capacity instead.
-  bool admit_slot(bool block) LAC_EXCLUDES(mu_);
+  bool admit_locked(bool block) LAC_REQUIRES(mu_);
 
   /// Appends a ready unit to its tenant's queue.
   void enqueue_locked(Ready unit) LAC_REQUIRES(mu_);
   void pump_locked() LAC_REQUIRES(mu_);
-  /// Takes the next unit to run into `unit`; false when none is ready.
-  bool take_unit_locked(Ready& unit) LAC_REQUIRES(mu_);
+  /// Replaces self's units with the next round's (the take rule above);
+  /// none when nothing is ready.
+  void take_units_locked(Worker& self) LAC_REQUIRES(mu_);
   void worker() LAC_EXCLUDES(mu_);
-  /// Runs `unit` into self.run.
-  void run_unit(const Ready& unit, Worker& self) LAC_EXCLUDES(mu_);
-  /// Records self.run as `unit`'s result and releases its dependents.
-  /// Returns the job when this resolved it (its admission slot freed).
-  Job* complete_locked(const Ready& unit, Worker& self) LAC_REQUIRES(mu_);
+  /// Runs self.units[i] and writes its result into its job.
+  void run_unit(Worker& self, std::size_t i) LAC_EXCLUDES(mu_);
+  /// Charges self.units[i]'s result and releases its dependents. Returns
+  /// the job when this resolved it (its admission slot freed).
+  Job* complete_locked(Worker& self, std::size_t i) LAC_REQUIRES(mu_);
   /// Runs a resolved job's hook, sets its promise and frees it.
-  void resolve_job(Job* job, Worker& self) LAC_EXCLUDES(mu_);
+  void resolve_job(Job* job) LAC_EXCLUDES(mu_);
   void finalize_job(Job& job);
 
   const fabric::Executor& backend_;
@@ -219,6 +225,8 @@ class GraphScheduler {
   /// and the destructor wait on.
   std::size_t unresolved_jobs_ LAC_GUARDED_BY(mu_) = 0;
   std::size_t peak_pending_ LAC_GUARDED_BY(mu_) = 0;
+  /// Units on the tenants' ready queues.
+  std::size_t ready_units_ LAC_GUARDED_BY(mu_) = 0;
   unsigned inflight_ LAC_GUARDED_BY(mu_) = 0;
 };
 

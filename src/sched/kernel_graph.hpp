@@ -214,8 +214,10 @@ struct NodeRun {
 /// run nodes through it.
 NodeRun run_node(const KernelGraph& graph, NodeId id, const fabric::Executor& backend);
 
-/// Executes `req` on `backend`, turning an exception into an in-band
-/// failure ("backend exception: ...").
+/// Executes `req` on `backend`, turning an exception, or a result whose
+/// cycles or energy_nj is not finite and >= 0, into an in-band failure
+/// ("backend exception: ...", "backend returned a cost that is not finite
+/// and >= 0: cycles = nan").
 fabric::KernelResult run_request(const fabric::Executor& backend,
                                  const fabric::KernelRequest& req);
 

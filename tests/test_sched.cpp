@@ -9,7 +9,9 @@
 #include <atomic>
 #include <bit>
 #include <cinttypes>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -73,6 +75,24 @@ struct GateExecutor final : fabric::Executor {
   }
   const fabric::Executor& inner;
   std::shared_future<void> gate;
+};
+
+/// Counts the requests tagged "gate" that reached the inner backend.
+struct GateArrivals final : fabric::Executor {
+  explicit GateArrivals(const fabric::Executor& inner) : inner(inner) {}
+  const char* name() const override { return inner.name(); }
+  fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+    if (req.tag == "gate") arrived.fetch_add(1);
+    return inner.execute(req);
+  }
+  /// Waits up to 10 s for `n` gated requests to arrive; false on timeout.
+  bool await(int n) const {
+    for (int ms = 0; ms < 10000 && arrived.load() < n; ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return arrived.load() >= n;
+  }
+  const fabric::Executor& inner;
+  mutable std::atomic<int> arrived{0};
 };
 
 fabric::KernelRequest small_gemm(const arch::CoreConfig& cfg, std::string tag) {
@@ -573,6 +593,53 @@ TEST(GraphScheduler, TiledCholeskySpeedupAtLeast1p5xAtFourWorkers) {
                               << res.makespan_cycles.value();
 }
 
+/// Holds the first `parties` TRSM requests until that many execute at
+/// once. A barrier that is not met within `timeout` records it and lets the
+/// requests go, so a test fails instead of hanging.
+struct TrsmBarrier final : fabric::Executor {
+  TrsmBarrier(const fabric::Executor& inner, int parties, std::chrono::seconds timeout)
+      : inner(inner), parties(parties), timeout(timeout) {}
+  const char* name() const override { return inner.name(); }
+  fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+    if (req.kind == fabric::KernelKind::Trsm) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (arrived < parties && ++arrived == parties) cv.notify_all();
+      if (!cv.wait_for(lock, timeout, [this] { return arrived >= parties; })) {
+        timed_out = true;
+        arrived = parties;
+        cv.notify_all();
+      }
+    }
+    return inner.execute(req);
+  }
+  const fabric::Executor& inner;
+  const int parties;
+  const std::chrono::seconds timeout;
+  mutable std::mutex mu;
+  mutable std::condition_variable cv;
+  mutable int arrived = 0;
+  mutable bool timed_out = false;
+};
+
+TEST(GraphScheduler, LoneGraphKeepsItsParallelism) {
+  // potrf(0,0,k=0) of a 4 x 4-tile Cholesky releases three TRSMs, the only
+  // ready units. The loop that records it takes one and leaves two for
+  // other loops, so at least two run at once; a loop that took all three
+  // would run them one after another, and the barrier would time out.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const index_t block = 8;
+  FactorGraph fg = build_cholesky_graph(cfg, 2.0, random_spd(4 * block, 51).view(), block);
+  const TrsmBarrier exec(kModel, 2, std::chrono::seconds(10));
+  ThreadPool pool(4);
+  SchedulerOptions opts;
+  opts.workers = 4;
+  GraphScheduler scheduler(exec, opts, &pool);
+  const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
+  ASSERT_TRUE(res.ok) << res.error;
+  std::lock_guard<std::mutex> lock(exec.mu);
+  EXPECT_FALSE(exec.timed_out) << "the k = 0 TRSMs ran one at a time";
+}
+
 TEST(GraphScheduler, WeightedFairShareBetweenTenants) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   std::promise<void> release;
@@ -660,6 +727,59 @@ TEST(GraphScheduler, NonFiniteWeightsShareLikeWeightOne) {
         << tag;
   }
   EXPECT_TRUE(std::isfinite(scheduler.tenant_stats(0).virtual_time.value()));
+}
+
+TEST(GraphScheduler, FairShareHoldsAtFourWorkers) {
+  // A round takes up to workers() units, all charged only when the round is
+  // recorded, so at 4 workers up to 16 units run ahead of WFQ's charges.
+  // While both queues are backlogged, the weighted service of the started
+  // units may therefore drift from the 3:1 share by about 16 units, and by
+  // no more than 20 (16 plus one round). A take without the workers() cap
+  // would hand one loop nearly the whole backlog in one tenant's order.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  std::promise<void> release;
+  GateExecutor gated(kModel, release.get_future().share());
+  GateArrivals arrivals(gated);
+  RecordingExecutor rec(arrivals);
+  ThreadPool pool(4);
+  SchedulerOptions opts;
+  opts.workers = 4;
+  opts.queue_capacity = 512;
+  GraphScheduler scheduler(rec, opts, &pool);
+  const TenantId heavy = scheduler.add_tenant({"heavy", 3.0, 0});
+  const TenantId light = scheduler.add_tenant({"light", 1.0, 0});
+
+  // One gate per loop, each submitted once the last one holds its loop, so
+  // every loop holds exactly one and the backlog queues behind all four.
+  std::vector<std::future<fabric::KernelResult>> futs;
+  for (int g = 1; g <= 4; ++g) {
+    futs.push_back(scheduler.submit(0, small_gemm(cfg, "gate")));
+    ASSERT_TRUE(arrivals.await(g)) << "gate " << g << " never ran";
+  }
+  const int backlog = 12 * 4 * 4;  // identical singles per tenant
+  for (int i = 0; i < backlog; ++i) {
+    futs.push_back(scheduler.submit(heavy, small_gemm(cfg, "H")));
+    futs.push_back(scheduler.submit(light, small_gemm(cfg, "L")));
+  }
+  release.set_value();
+  for (auto& f : futs) EXPECT_TRUE(f.get().ok);
+
+  // Over the first `backlog` starts after the gates neither queue drains
+  // (heavy's share is 3/4 of them, plus at most 20).
+  ASSERT_EQ(rec.order.size(), static_cast<std::size_t>(4 + 2 * backlog));
+  int h = 0, l = 0;
+  double worst = 0.0;
+  for (std::size_t i = 4; i < static_cast<std::size_t>(4 + backlog); ++i) {
+    ASSERT_NE(rec.order[i], "gate") << i;
+    (rec.order[i] == "H" ? h : l) += 1;
+    worst = std::max(worst, std::abs(h / 3.0 - l));
+  }
+  EXPECT_LE(worst, 20.0) << "h=" << h << " l=" << l;
+  const double ratio = static_cast<double>(h) / std::max(l, 1);
+  EXPECT_GE(ratio, 2.0) << "h=" << h << " l=" << l;
+  EXPECT_LE(ratio, 4.5) << "h=" << h << " l=" << l;
+  EXPECT_EQ(scheduler.tenant_stats(heavy).units_completed, static_cast<std::uint64_t>(backlog));
+  EXPECT_EQ(scheduler.tenant_stats(light).units_completed, static_cast<std::uint64_t>(backlog));
 }
 
 TEST(GraphScheduler, PriorityClassPreemptsFairShare) {
@@ -1001,6 +1121,92 @@ TEST(GraphScheduler, UnknownTenantFailsInBand) {
   EXPECT_TRUE(scheduler.submit(0, graph()).get().ok);
   scheduler.drain();
   EXPECT_EQ(scheduler.tenant_stats(0).jobs_completed, 2u);
+}
+
+/// The inner backend's result, with the cost a request's tag names
+/// ("cycles nan", "energy_nj -1e+12") replaced by the tagged value.
+struct BadCostExecutor final : fabric::Executor {
+  explicit BadCostExecutor(const fabric::Executor& inner) : inner(inner) {}
+  const char* name() const override { return inner.name(); }
+  fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+    fabric::KernelResult res = inner.execute(req);
+    const std::size_t space = req.tag.find(' ');
+    if (space == std::string::npos) return res;
+    const double value = std::stod(req.tag.substr(space + 1));
+    if (req.tag.rfind("cycles", 0) == 0) res.cycles = units::Cycles(value);
+    if (req.tag.rfind("energy_nj", 0) == 0) res.energy_nj = units::Nanojoules(value);
+    return res;
+  }
+  const fabric::Executor& inner;
+};
+
+TEST(GraphScheduler, NonFiniteOrNegativeCostsFailInBand) {
+  // Charged, a NaN or infinite cost would make the tenant's WFQ virtual
+  // time NaN or inf, and -1e12 would let it win every pick: a result whose
+  // cycles or energy is not finite and >= 0 fails in-band at zero cost.
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const BadCostExecutor exec(kModel);
+  ThreadPool pool(2);
+  SchedulerOptions opts;
+  opts.workers = 2;
+  GraphScheduler scheduler(exec, opts, &pool);
+  const TenantId bad = scheduler.add_tenant({"bad", 1.0, 0});
+  const TenantId other = scheduler.add_tenant({"other", 2.0, 0});
+  const fabric::KernelResult good = kModel.execute(small_gemm(cfg, "good"));
+  ASSERT_TRUE(good.ok);
+  const double inf = std::numeric_limits<double>::infinity();
+  int graphs = 0;
+  for (const std::string field : {"cycles", "energy_nj"})
+    for (const double value : {std::numeric_limits<double>::quiet_NaN(), inf, -inf, -1e12}) {
+      const std::string tag = field + " " + std::to_string(value);
+      SCOPED_TRACE(tag);
+      auto check_failed = [&](const fabric::KernelResult& r) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("not finite and >= 0: " + field + " = "), std::string::npos)
+            << r.error;
+        EXPECT_EQ(r.cycles.value(), 0.0);
+        EXPECT_EQ(r.energy_nj.value(), 0.0);
+      };
+      // The other tenant's work runs alongside the bad one.
+      std::future<fabric::KernelResult> alongside = scheduler.submit(other, small_gemm(cfg, "o"));
+      check_failed(scheduler.submit(bad, small_gemm(cfg, tag)).get());
+
+      KernelGraph g;
+      const NodeId b = g.add_node(small_gemm(cfg, tag), "bad");
+      const NodeId down = g.add_node(small_gemm(cfg, "down"), "down");
+      const NodeId indep = g.add_node(small_gemm(cfg, "indep"), "indep");
+      g.add_edge(b, down);
+      const GraphResult res = scheduler.submit(bad, std::move(g)).get();
+      ++graphs;
+      EXPECT_FALSE(res.ok);
+      EXPECT_EQ(res.error.rfind("bad: backend returned a cost", 0), 0u) << res.error;
+      check_failed(res.nodes[b]);
+      EXPECT_EQ(res.nodes[down].error.rfind("cancelled:", 0), 0u);
+      EXPECT_TRUE(res.nodes[indep].ok);
+      EXPECT_EQ(res.total_cycles.value(), good.cycles.value());
+      EXPECT_EQ(res.energy_nj.value(), good.energy_nj.value());
+      EXPECT_TRUE(alongside.get().ok);
+      for (const TenantId t : {bad, other}) {
+        const TenantStats st = scheduler.tenant_stats(t);
+        EXPECT_TRUE(std::isfinite(st.virtual_time.value())) << st.name;
+        EXPECT_GE(st.virtual_time.value(), 0.0) << st.name;
+        EXPECT_TRUE(std::isfinite(st.cycles.value())) << st.name;
+        EXPECT_TRUE(std::isfinite(st.energy_nj.value())) << st.name;
+      }
+    }
+  scheduler.drain();
+  // Only the independent nodes were charged, and a later valid unit is
+  // charged normally.
+  const TenantStats before = scheduler.tenant_stats(bad);
+  EXPECT_DOUBLE_EQ(before.cycles.value(), graphs * good.cycles.value());
+  EXPECT_EQ(before.units_failed, static_cast<std::uint64_t>(3 * graphs));
+  EXPECT_TRUE(scheduler.submit(bad, small_gemm(cfg, "ok")).get().ok);
+  const TenantStats after = scheduler.tenant_stats(bad);
+  EXPECT_DOUBLE_EQ(after.cycles.value() - before.cycles.value(), good.cycles.value());
+  EXPECT_DOUBLE_EQ(after.virtual_time.value() - before.virtual_time.value(),
+                   good.cycles.value());
+  EXPECT_DOUBLE_EQ(scheduler.tenant_stats(other).virtual_time.value(),
+                   graphs * good.cycles.value() / 2.0);
 }
 
 TEST(GraphScheduler, ThrowingCompletionHookIsSwallowed) {
