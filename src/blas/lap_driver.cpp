@@ -10,8 +10,8 @@
 namespace lac::blas {
 namespace {
 
-fabric::KernelResult run(const fabric::Executor& ex, fabric::KernelRequest req) {
-  fabric::KernelResult res = ex.execute(std::move(req));
+fabric::KernelResult run(const fabric::Executor& ex, const fabric::KernelRequest& req) {
+  fabric::KernelResult res = fabric::run_request(ex, req);
   if (!res.ok)
     throw std::runtime_error(std::string("lap driver kernel failed: ") + res.error);
   return res;

@@ -42,6 +42,10 @@ struct DriverReport {
 
 /// Accelerated GEMM: C += A * B for arbitrary (m, n, k) padded to nr
 /// multiples, blocked into mc x kc resident tiles per §3.3.
+///
+/// GEMM, TRMM and SYMM run each tile through fabric::run_request; a failed
+/// tile (a backend exception or a cost that is not finite and >= 0
+/// included) throws std::runtime_error ("lap driver kernel failed: <why>").
 DriverReport lap_gemm(const fabric::Executor& ex, const arch::CoreConfig& cfg,
                       double bw_words_per_cycle, index_t mc, index_t kc,
                       ConstViewD a, ConstViewD b, ViewD c);

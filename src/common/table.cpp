@@ -74,23 +74,4 @@ std::string fmt_int(long long v) {
   return buf;
 }
 
-CsvWriter::CsvWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "w");
-  ok_ = file_ != nullptr;
-}
-
-CsvWriter::~CsvWriter() {
-  if (file_ != nullptr) std::fclose(static_cast<std::FILE*>(file_));
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  if (file_ == nullptr) return;
-  auto* f = static_cast<std::FILE*>(file_);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) std::fputc(',', f);
-    std::fputs(cells[i].c_str(), f);
-  }
-  std::fputc('\n', f);
-}
-
 }  // namespace lac

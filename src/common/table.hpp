@@ -1,6 +1,6 @@
 #pragma once
-// ASCII table / CSV emitters used by every bench binary to print the
-// regenerated paper tables and figure series.
+// ASCII tables and number formatting for the regenerated paper tables
+// (src/paper/) and the examples.
 #include <string>
 #include <vector>
 
@@ -35,21 +35,5 @@ std::string fmt(double v, int decimals = 2);
 std::string fmt_sig(double v, int sig = 3);
 std::string fmt_pct(double frac, int decimals = 0);  // 0.93 -> "93%"
 std::string fmt_int(long long v);
-
-/// Minimal CSV writer for figure series (one file per figure).
-class CsvWriter {
- public:
-  explicit CsvWriter(const std::string& path);
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  void write_row(const std::vector<std::string>& cells);
-  bool ok() const { return ok_; }
-
- private:
-  void* file_ = nullptr;  // FILE*, kept out of the header
-  bool ok_ = false;
-};
 
 }  // namespace lac

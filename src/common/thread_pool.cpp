@@ -167,9 +167,9 @@ void ThreadPool::worker_loop(unsigned me) {
       // sleepers_, so either we see the job here or post() sees us after
       // the increment below and notifies under mu_.
       if (queued_.load() == 0) {
-        // On stop with work still queued, keep draining: shutdown()
-        // promises completion, and the destructor clears the queues
-        // before its final joins anyway.
+        // On stop with work still queued, keep popping: the destructor
+        // clears the queues before it joins, so only jobs popped before
+        // its sweep reaches them still run.
         if (stop_) return;
         ++sleepers_;
         cv_.wait(mu_);
@@ -184,31 +184,6 @@ void ThreadPool::worker_loop(unsigned me) {
 void ThreadPool::drain() {
   MutexLock lock(mu_);
   while (outstanding_.load() != 0) idle_cv_.wait(mu_);
-}
-
-void ThreadPool::shutdown() {
-  std::vector<std::thread> joined;
-  {
-    MutexLock lock(mu_);
-    // One quiesce at a time: a second caller entering while the first is
-    // joining would reset stop_ before the first caller's workers observe
-    // it, wedging that join forever.
-    while (quiescing_ || outstanding_.load() != 0) idle_cv_.wait(mu_);
-    if (!started_) return;
-    quiescing_ = true;
-    stop_ = true;
-    joined.swap(workers_);
-    cv_.notify_all();
-  }
-  for (std::thread& t : joined) t.join();
-  {
-    MutexLock lock(mu_);
-    stop_ = false;
-    started_ = false;
-    quiescing_ = false;
-    started_flag_.store(false, std::memory_order_release);
-  }
-  idle_cv_.notify_all();
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -19,7 +19,7 @@
 // the first worker to go idle.
 //
 // Locking: each shard has its own lac::Mutex guarding only that deque; the
-// global `mu_` guards lifecycle state (workers, stop/quiesce flags) and
+// global `mu_` guards lifecycle state (workers, the stop flag) and
 // the sleep/wake protocol. Aggregate counts (`queued_`, `outstanding_`,
 // shard backlog costs) are atomics. Everything mutex-guarded is annotated
 // for Clang's thread-safety analysis (see common/thread_annotations.hpp):
@@ -86,14 +86,6 @@ class ThreadPool {
   /// the wait; the workers stay up.
   void drain();
 
-  /// Quiesce deterministically: complete all outstanding work, join the
-  /// workers, and return the pool to its not-started state, so a later
-  /// submit lazily restarts a fresh worker set. Safe to call repeatedly
-  /// (a no-op on a never-started pool) and safe to race with concurrent
-  /// submits: jobs posted while the workers are joining are queued and
-  /// run when the next submit restarts the pool.
-  void shutdown();
-
   /// Run fn(i) for i in [0, n) across the pool, the calling thread
   /// participating as one worker (so progress never depends on pool
   /// availability, even when every pool thread is busy elsewhere).
@@ -143,14 +135,13 @@ class ThreadPool {
 
   Mutex mu_;
   CondVar cv_;       ///< work available / stop requested
-  CondVar idle_cv_;  ///< outstanding work hit zero / quiesce finished
+  CondVar idle_cv_;  ///< outstanding work hit zero
   std::vector<std::thread> workers_ LAC_GUARDED_BY(mu_);
   /// Lock-free mirror of started_ so the post fast path skips mu_ entirely
   /// once the workers are up.
   std::atomic<bool> started_flag_{false};
   bool started_ LAC_GUARDED_BY(mu_) = false;
   bool stop_ LAC_GUARDED_BY(mu_) = false;
-  bool quiescing_ LAC_GUARDED_BY(mu_) = false;  ///< a shutdown() is mid-join
 };
 
 }  // namespace lac

@@ -1,9 +1,11 @@
 #include "fabric/kernel_request.hpp"
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <utility>
 
+#include "fabric/executor.hpp"
 #include "fabric/kernel_registry.hpp"
 
 namespace lac::fabric {
@@ -307,6 +309,41 @@ KernelResult make_failed(std::string tag, std::string backend,
 KernelResult make_failed(const KernelRequest& req, std::string backend,
                          std::string error) {
   return make_failed(req.tag, std::move(backend), std::move(error));
+}
+
+namespace {
+
+/// "cycles = nan" for the first cost field that is not finite and >= 0;
+/// empty when both are.
+std::string bad_cost(const KernelResult& res) {
+  const std::pair<const char*, double> costs[] = {{"cycles", res.cycles.value()},
+                                                  {"energy_nj", res.energy_nj.value()}};
+  for (const auto& [field, value] : costs)
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      std::ostringstream os;
+      os << field << " = " << value;
+      return os.str();
+    }
+  return {};
+}
+
+}  // namespace
+
+KernelResult run_request(const Executor& backend, const KernelRequest& req) {
+  try {
+    KernelResult res = backend.execute(req);
+    // A NaN, infinite or negative cost would poison the scheduler's WFQ
+    // virtual time and every roll-up it reaches, so it fails in-band at
+    // zero cost.
+    if (std::string bad = bad_cost(res); !bad.empty())
+      return make_failed(req, backend.name(),
+                         "backend returned a cost that is not finite and >= 0: " + bad);
+    return res;
+  } catch (const std::exception& e) {
+    return make_failed(req, backend.name(), std::string("backend exception: ") + e.what());
+  } catch (...) {
+    return make_failed(req, backend.name(), "backend exception");
+  }
 }
 
 std::string validate(const KernelRequest& req) {

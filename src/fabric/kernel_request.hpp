@@ -230,6 +230,16 @@ KernelResult make_failed(std::string tag, std::string backend,
 KernelResult make_failed(const KernelRequest& req, std::string backend,
                          std::string error);
 
+class Executor;
+
+/// The one checked call into a backend: executes `req` on `backend`,
+/// turning an exception, or a result whose cycles or energy_nj is not
+/// finite and >= 0, into an in-band failure at zero cost ("backend
+/// exception: ...", "backend returned a cost that is not finite and >= 0:
+/// cycles = nan"). AsyncExecutor, the scheduler's workers and
+/// sched::run_node all execute through it.
+KernelResult run_request(const Executor& backend, const KernelRequest& req);
+
 /// Bandwidth, clock, tech-node, PE/core field and shape/blocking sanity
 /// check; returns an empty string when valid. Shapes go through the kernel
 /// registry's per-kind validators.

@@ -169,7 +169,7 @@ std::future<KernelResult> AsyncExecutor::submit(
   const double hint = hints_ ? hints_->estimate(req).cycles.value() : 0.0;
   return pool_.submit_hinted(hint, [&backend, req = std::move(req),
                                     hook = std::move(on_complete)] {
-    KernelResult res = backend.execute(req);
+    KernelResult res = run_request(backend, req);
     if (hook) hook(res);
     return res;
   });

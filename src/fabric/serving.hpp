@@ -112,9 +112,10 @@ class CostCache {
 /// Asynchronous façade over any Executor: submissions return futures that
 /// resolve on the pool's worker threads. The wrapped executor must be
 /// thread-safe for independent requests (the Executor contract) and must
-/// outlive the AsyncExecutor; in-band failures (ok = false) pass through
-/// untouched, while exceptions escaping the backend surface from
-/// future::get().
+/// outlive the AsyncExecutor. Every request runs through
+/// fabric::run_request, so a backend exception or a cost that is not
+/// finite and >= 0 resolves the future in-band (ok = false, zero cost), as
+/// the Executor contract has it, not as an exception from future::get().
 class AsyncExecutor {
  public:
   /// `pool` defaults to the process-wide shared pool.

@@ -358,7 +358,7 @@ void GraphScheduler::run_unit(Worker& self, std::size_t i) {
   const Ready unit = self.units[i].ready;
   Job& job = *unit.job;
   if (job.single) {
-    job.result = run_request(backend_, job.req);
+    job.result = fabric::run_request(backend_, job.req);
     return;
   }
   NodeRun run = run_node(job.graph, unit.id, backend_);

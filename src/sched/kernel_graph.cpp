@@ -1,7 +1,6 @@
 #include "sched/kernel_graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <complex>
 #include <queue>
 #include <sstream>
@@ -169,39 +168,7 @@ void drop_outputs(fabric::KernelResult& res) {
   res.spectrum = std::vector<std::complex<double>>();
 }
 
-/// "cycles = nan" for the first cost field that is not finite and >= 0;
-/// empty when both are.
-std::string bad_cost(const fabric::KernelResult& res) {
-  const std::pair<const char*, double> costs[] = {{"cycles", res.cycles.value()},
-                                                  {"energy_nj", res.energy_nj.value()}};
-  for (const auto& [field, value] : costs)
-    if (!(std::isfinite(value) && value >= 0.0)) {
-      std::ostringstream os;
-      os << field << " = " << value;
-      return os.str();
-    }
-  return {};
-}
-
 }  // namespace
-
-fabric::KernelResult run_request(const fabric::Executor& backend,
-                                 const fabric::KernelRequest& req) {
-  try {
-    fabric::KernelResult res = backend.execute(req);
-    // A NaN, infinite or negative cost would poison the WFQ virtual time
-    // and every roll-up it reaches, so it fails in-band at zero cost.
-    if (std::string bad = bad_cost(res); !bad.empty())
-      return fabric::make_failed(req, backend.name(),
-                                 "backend returned a cost that is not finite and >= 0: " + bad);
-    return res;
-  } catch (const std::exception& e) {
-    return fabric::make_failed(req, backend.name(),
-                               std::string("backend exception: ") + e.what());
-  } catch (...) {
-    return fabric::make_failed(req, backend.name(), "backend exception");
-  }
-}
 
 NodeRun run_node(const KernelGraph& graph, NodeId id, const fabric::Executor& backend) {
   NodeRun run;
@@ -219,7 +186,7 @@ NodeRun run_node(const KernelGraph& graph, NodeId id, const fabric::Executor& ba
     return run;
   }
   run.clock_ghz = fabric::effective_core(req).pe.clock_ghz;
-  run.result = run_request(backend, req);
+  run.result = fabric::run_request(backend, req);
   if (!run.result.ok) return run;
   try {
     if (graph.commit(id, run.result)) drop_outputs(run.result);

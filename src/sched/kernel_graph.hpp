@@ -214,13 +214,6 @@ struct NodeRun {
 /// run nodes through it.
 NodeRun run_node(const KernelGraph& graph, NodeId id, const fabric::Executor& backend);
 
-/// Executes `req` on `backend`, turning an exception, or a result whose
-/// cycles or energy_nj is not finite and >= 0, into an in-band failure
-/// ("backend exception: ...", "backend returned a cost that is not finite
-/// and >= 0: cycles = nan").
-fabric::KernelResult run_request(const fabric::Executor& backend,
-                                 const fabric::KernelRequest& req);
-
 /// Deterministic W-worker list-schedule length over the executed node
 /// costs, in fabric cycles: ready nodes start in (release-time, id) order
 /// on the earliest-available virtual worker. This is the graph-mode

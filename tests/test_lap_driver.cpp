@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -308,6 +310,57 @@ TEST(LapDriver, FailedKernelThrowsNamingNodeAndLeavesInputUntouched) {
     expect_fails_untouched(ex->name(), lu, "lu_panel(1,1,k=1)", [&] {
       lap_lu(*ex, cfg, 2.0, lu.view(), piv);
     });
+  }
+}
+
+TEST(LapDriver, BadBackendResultsThrowNamingTheFieldAndLeaveOutputUntouched) {
+  // The level-3 drivers run their GEMM tiles through fabric::run_request,
+  // as the factorizations run their nodes: a throwing backend, or a cost
+  // that is not finite and >= 0, fails the first tile before any output
+  // is written.
+  struct BadExecutor final : fabric::Executor {
+    explicit BadExecutor(std::string m) : mode(std::move(m)) {}
+    const char* name() const override { return "bad"; }
+    fabric::KernelResult execute(const fabric::KernelRequest& req) const override {
+      if (mode == "throw") throw std::runtime_error("backend exploded");
+      fabric::KernelResult res = model.execute(req);
+      if (mode == "cycles nan") res.cycles = units::Cycles(std::nan(""));
+      if (mode == "cycles inf") res.cycles = units::Cycles(std::numeric_limits<double>::infinity());
+      if (mode == "energy_nj -1") res.energy_nj = units::Nanojoules(-1.0);
+      return res;
+    }
+    std::string mode;
+    fabric::ModelExecutor model;
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {"cycles nan", "not finite and >= 0: cycles = nan"},
+      {"cycles inf", "not finite and >= 0: cycles = inf"},
+      {"energy_nj -1", "not finite and >= 0: energy_nj = -1"},
+      {"throw", "backend exception: backend exploded"},
+  };
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const MatrixD a = random_matrix(16, 16, 91);
+  const MatrixD b = random_matrix(16, 8, 92);
+  const MatrixD l = random_lower_triangular(16, 93);
+  for (const auto& [mode, error] : cases) {
+    const BadExecutor bad(mode);
+    for (const char* driver : {"gemm", "trmm", "symm"}) {
+      SCOPED_TRACE(std::string(mode) + " " + driver);
+      MatrixD out = random_matrix(16, 8, 94);
+      const MatrixD before = to_matrix<double>(ConstViewD(out.view()));
+      const std::string d = driver;
+      try {
+        if (d == "gemm") lap_gemm(bad, cfg, 2.0, 8, 8, a.view(), b.view(), out.view());
+        if (d == "trmm") lap_trmm(bad, cfg, 2.0, 8, l.view(), out.view());
+        if (d == "symm") lap_symm(bad, cfg, 2.0, 8, l.view(), b.view(), out.view());
+        ADD_FAILURE() << "no throw";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("lap driver kernel failed: ", 0), 0u) << what;
+        EXPECT_NE(what.find(error), std::string::npos) << what;
+      }
+      EXPECT_TRUE(out == before);
+    }
   }
 }
 

@@ -186,8 +186,8 @@ TEST(Metrics, Definitions) {
 
 TEST(Metrics, EnergyDelayUnitConventionsPinned) {
   // The two published energy-delay conventions use different power units:
-  // energy_delay_mw_per_gflops2() is mW/GFLOPS^2 (Fig 3.6, what
-  // bench_fig_3_6_3_7 prints) and inverse_energy_delay_gflops2_per_w() is
+  // energy_delay_mw_per_gflops2() is mW/GFLOPS^2 (Fig 3.6, what the
+  // fig_3_6_3_7 paper artifact prints) and inverse_energy_delay_gflops2_per_w() is
   // GFLOPS^2/W (Table 4.2). Both are display scalings of the ONE typed
   // derivation energy_delay() = W / (flop/s)^2, so the mW-per-W factor
   // between them is now a consequence of the unit algebra, not a pair of

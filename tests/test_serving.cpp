@@ -8,10 +8,12 @@
 #include <cmath>
 #include <complex>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -258,22 +260,56 @@ TEST(AsyncExecutor, CompletionHookRunsPerRequest) {
   EXPECT_EQ(completed.load(), static_cast<int>(futs.size()));
 }
 
-TEST(AsyncExecutor, ExceptionsPropagateThroughFutures) {
-  struct ThrowingExecutor final : Executor {
-    const char* name() const override { return "throwing"; }
-    KernelResult execute(const KernelRequest&) const override {
-      throw std::runtime_error("backend exploded");
+TEST(AsyncExecutor, BadBackendResultsFailInBand) {
+  // A backend that throws, or returns a cost that is not finite and >= 0,
+  // resolves its future in-band at zero cost -- the Executor contract is
+  // "never an exception" -- and the completion hook sees the same result.
+  struct BadExecutor final : Executor {
+    const char* name() const override { return "bad"; }
+    KernelResult execute(const KernelRequest& req) const override {
+      if (req.tag == "throw") throw std::runtime_error("backend exploded");
+      KernelResult res = kModel.execute(req);
+      const double inf = std::numeric_limits<double>::infinity();
+      if (req.tag == "cycles nan") res.cycles = units::Cycles(std::nan(""));
+      if (req.tag == "cycles inf") res.cycles = units::Cycles(inf);
+      if (req.tag == "cycles -inf") res.cycles = units::Cycles(-inf);
+      if (req.tag == "energy_nj -1") res.energy_nj = units::Nanojoules(-1.0);
+      return res;
     }
-  } throwing;
-  AsyncExecutor async(throwing);
-  arch::CoreConfig cfg = arch::lac_4x4_dp();
-  MatrixD a = random_matrix(16, 16, 80);
-  std::future<KernelResult> fut =
-      async.submit(make_cholesky(cfg, 2.0, a.view()));
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  // The shared pool survives; well-behaved backends keep serving.
-  AsyncExecutor ok(kModel);
+  } bad;
+  ThreadPool pool(2);
+  AsyncExecutor async(bad, &pool);
+  const arch::CoreConfig cfg = arch::lac_4x4_dp();
   MatrixD spd = random_spd(16, 81);
+  const std::pair<const char*, const char*> cases[] = {
+      {"cycles nan", "not finite and >= 0: cycles = nan"},
+      {"cycles inf", "not finite and >= 0: cycles = inf"},
+      {"cycles -inf", "not finite and >= 0: cycles = -inf"},
+      {"energy_nj -1", "not finite and >= 0: energy_nj = -1"},
+      {"throw", "backend exception: backend exploded"},
+  };
+  for (const auto& [tag, error] : cases) {
+    SCOPED_TRACE(tag);
+    KernelRequest req = make_cholesky(cfg, 2.0, spd.view());
+    req.tag = tag;
+    KernelResult seen;
+    const KernelResult res =
+        async.submit(std::move(req), [&seen](const KernelResult& r) { seen = r; }).get();
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find(error), std::string::npos) << res.error;
+    EXPECT_EQ(res.tag, tag);
+    EXPECT_EQ(res.backend, "bad");
+    EXPECT_EQ(res.cycles.value(), 0.0);
+    EXPECT_EQ(res.energy_nj.value(), 0.0);
+    EXPECT_EQ(res.avg_power_w.value(), 0.0);
+    EXPECT_EQ(res.area_mm2.value(), 0.0);
+    EXPECT_EQ(seen.ok, res.ok);
+    EXPECT_EQ(seen.error, res.error);
+    EXPECT_EQ(seen.cycles.value(), res.cycles.value());
+    EXPECT_EQ(seen.energy_nj.value(), res.energy_nj.value());
+  }
+  // The pool survives; well-behaved backends keep serving.
+  AsyncExecutor ok(kModel, &pool);
   EXPECT_TRUE(ok.submit(make_cholesky(cfg, 2.0, spd.view())).get().ok);
 }
 

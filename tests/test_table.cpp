@@ -33,21 +33,5 @@ TEST(Format, FixedAndSignificant) {
   EXPECT_EQ(fmt_int(12345), "12345");
 }
 
-TEST(Csv, WritesRows) {
-  const std::string path = "/tmp/lac_test_csv.csv";
-  {
-    CsvWriter w(path);
-    ASSERT_TRUE(w.ok());
-    w.write_row({"a", "b"});
-    w.write_row({"1", "2"});
-  }
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64];
-  ASSERT_NE(fgets(buf, sizeof buf, f), nullptr);
-  EXPECT_STREQ(buf, "a,b\n");
-  fclose(f);
-}
-
 }  // namespace
 }  // namespace lac
