@@ -73,7 +73,6 @@ struct ChipConfig {
   OnChipMemKind mem_kind = OnChipMemKind::BankedSram;
   double onchip_bw_words_per_cycle = 8.0;   ///< y: cores <-> on-chip memory
   double offchip_bw_words_per_cycle = 2.0;  ///< z: chip <-> external memory
-  TechNode node = TechNode::nm45;
 
   int total_pes() const { return cores * core.pes(); }
   double peak_gflops() const { return cores * core.peak_gflops(); }

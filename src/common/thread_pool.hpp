@@ -96,9 +96,6 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     unsigned max_workers = 0);
 
-  /// Total jobs queued across all shards right now (tests).
-  std::size_t queued() const { return queued_.load(std::memory_order_relaxed); }
-
  private:
   /// One queued job plus its placement cost, which is subtracted from the
   /// shard backlog on dequeue.

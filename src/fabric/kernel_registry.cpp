@@ -471,6 +471,9 @@ KernelTraits vnorm_traits() {
     if (req.x.empty() ||
         static_cast<index_t>(req.x.size()) % (2 * req.core.nr) != 0)
       return "VNORM vector length must be a positive multiple of 2*nr";
+    // The sim stages the vector into PE column owner_col.
+    if (req.owner_col < 0 || req.owner_col >= req.core.nr)
+      return "VNORM owner_col must be in [0, nr), got " + std::to_string(req.owner_col);
     return "";
   };
   t.useful_macs = [](const KernelRequest& req) {
@@ -650,11 +653,9 @@ KernelTraits chip_gemm_traits() {
 // sustains one frame per max(I/O, steady-state compute), with the first
 // frame paying the full exposed I/O + dependence chain.
 
-/// Frames carried by the request (validated to divide evenly).
+/// 64-point frames carried by the request (validated to divide evenly).
 double fft_frames(const KernelRequest& req) {
-  return req.fft_n > 0
-             ? static_cast<double>(req.xc.size()) / static_cast<double>(req.fft_n)
-             : 0.0;
+  return static_cast<double>(req.xc.size()) / 64.0;
 }
 
 /// Exposed dependence chain of the first 64-point frame (three butterfly
@@ -728,8 +729,6 @@ KernelTraits fft_traits() {
   t.validate = [](const KernelRequest& req) -> std::string {
     if (req.core.nr != 4)
       return "FFT: the radix-4 schedule maps one butterfly per PE on a 4x4 core";
-    if (req.fft_radix != 4 || req.fft_n != 64)
-      return "FFT: only 64-point radix-4 core transforms are scheduled";
     if (req.fft_variant == FftVariant::FourStep && req.xc.size() != 4096)
       return "FFT four-step: signal must be exactly 4096 points (64x64 grid)";
     if (req.xc.empty() || req.xc.size() % 64 != 0)
@@ -753,7 +752,7 @@ KernelTraits fft_traits() {
       return std::string();
     }
     res.spectrum.resize(x.size());
-    const std::size_t n = static_cast<std::size_t>(req.fft_n);
+    const std::size_t n = 64;
     std::vector<fft::cplx> frame(n);
     for (std::size_t f = 0; f < x.size() / n; ++f) {
       std::copy(x.begin() + static_cast<std::ptrdiff_t>(f * n),

@@ -11,8 +11,6 @@
 namespace lac::fabric {
 namespace {
 
-SharedMatrix own(ConstViewD v) { return SharedMatrix(to_matrix<double>(v)); }
-
 /// The PE and core fields both backends read, named under `prefix`. A port
 /// count or pipeline depth below 1 prices infinite cycles or NaN energy, a
 /// store size that is not finite and positive throws out of the sim's
@@ -48,109 +46,6 @@ const char* to_string(KernelKind kind) {
   return traits ? traits->name : "?";
 }
 
-KernelRequest make_gemm(const arch::CoreConfig& core, double bw, ConstViewD a,
-                        ConstViewD b, ConstViewD c, model::Overlap overlap) {
-  KernelRequest req;
-  req.kind = KernelKind::Gemm;
-  req.core = core;
-  req.bw_words_per_cycle = bw;
-  req.overlap = overlap;
-  req.a = own(a);
-  req.b = own(b);
-  req.c = own(c);
-  return req;
-}
-
-KernelRequest make_syrk(const arch::CoreConfig& core, double bw, ConstViewD a,
-                        ConstViewD c) {
-  KernelRequest req;
-  req.kind = KernelKind::Syrk;
-  req.core = core;
-  req.bw_words_per_cycle = bw;
-  req.a = own(a);
-  req.c = own(c);
-  return req;
-}
-
-KernelRequest make_syr2k(const arch::CoreConfig& core, double bw, ConstViewD a,
-                         ConstViewD b, ConstViewD c) {
-  KernelRequest req;
-  req.kind = KernelKind::Syr2k;
-  req.core = core;
-  req.bw_words_per_cycle = bw;
-  req.a = own(a);
-  req.b = own(b);
-  req.c = own(c);
-  return req;
-}
-
-KernelRequest make_trsm(const arch::CoreConfig& core, double bw, ConstViewD l,
-                        ConstViewD b) {
-  KernelRequest req;
-  req.kind = KernelKind::Trsm;
-  req.core = core;
-  req.bw_words_per_cycle = bw;
-  req.a = own(l);
-  req.b = own(b);
-  return req;
-}
-
-KernelRequest make_cholesky(const arch::CoreConfig& core, double bw, ConstViewD a) {
-  KernelRequest req;
-  req.kind = KernelKind::Cholesky;
-  req.core = core;
-  req.bw_words_per_cycle = bw;
-  req.a = own(a);
-  return req;
-}
-
-KernelRequest make_lu(const arch::CoreConfig& core, ConstViewD panel) {
-  KernelRequest req;
-  req.kind = KernelKind::Lu;
-  req.core = core;
-  req.a = own(panel);
-  return req;
-}
-
-KernelRequest make_qr(const arch::CoreConfig& core, ConstViewD panel) {
-  KernelRequest req;
-  req.kind = KernelKind::Qr;
-  req.core = core;
-  req.a = own(panel);
-  return req;
-}
-
-KernelRequest make_vnorm(const arch::CoreConfig& core, std::vector<double> x,
-                         int owner_col) {
-  KernelRequest req;
-  req.kind = KernelKind::Vnorm;
-  req.core = core;
-  req.x = std::move(x);
-  req.owner_col = owner_col;
-  return req;
-}
-
-KernelRequest make_chip_gemm(const arch::ChipConfig& chip, index_t mc, index_t kc,
-                             ConstViewD a, ConstViewD b, ConstViewD c) {
-  KernelRequest req;
-  req.kind = KernelKind::ChipGemm;
-  req.chip = chip;
-  req.core = chip.core;
-  req.mc = mc;
-  req.kc = kc;
-  req.a = own(a);
-  req.b = own(b);
-  req.c = own(c);
-  return req;
-}
-
-KernelRequest make_fft(const arch::CoreConfig& core, double bw,
-                       std::vector<std::complex<double>> x, FftVariant variant) {
-  return make_fft(core, bw, SharedCplxVector(std::move(x)), variant);
-}
-
-
-/// ---- zero-copy builders (shared payloads, serving path) -----------------
 KernelRequest make_gemm(const arch::CoreConfig& core, double bw, SharedMatrix a,
                         SharedMatrix b, SharedMatrix c, model::Overlap overlap) {
   KernelRequest req;
@@ -254,8 +149,6 @@ KernelRequest make_fft(const arch::CoreConfig& core, double bw,
   req.core = core;
   req.bw_words_per_cycle = bw;
   req.xc = std::move(x);
-  req.fft_n = 64;
-  req.fft_radix = 4;
   req.fft_variant = variant;
   return req;
 }

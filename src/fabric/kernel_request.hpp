@@ -58,6 +58,10 @@ class SharedMatrix {
   SharedMatrix() = default;
   SharedMatrix(MatrixD m) : ptr_(std::make_shared<const MatrixD>(std::move(m))) {}
   SharedMatrix(std::shared_ptr<const MatrixD> m) : ptr_(std::move(m)) {}
+  /// Deep-copies the viewed elements into a fresh payload, so the request
+  /// stays valid when the source (e.g. a transient block view) changes.
+  template <class T>
+  SharedMatrix(MatrixView<T> v) : SharedMatrix(to_matrix<double>(ConstViewD(v))) {}
 
   index_t rows() const { return ptr_ ? ptr_->rows() : 0; }
   index_t cols() const { return ptr_ ? ptr_->cols() : 0; }
@@ -122,8 +126,6 @@ struct KernelRequest {
   SharedVector x;                              ///< Vnorm operand
   int owner_col = 2;                           ///< Vnorm PE column
   SharedCplxVector xc;                         ///< Fft operand (frame batch)
-  index_t fft_n = 64;                          ///< Fft transform size per frame
-  int fft_radix = 4;                           ///< Fft butterfly radix
   FftVariant fft_variant = FftVariant::Batched64;
   arch::TechContext tech;                      ///< node + clock for energy/area
   std::string tag;                             ///< caller label (batch reports)
@@ -138,7 +140,7 @@ struct KernelResult {
   std::vector<index_t> pivots;        ///< Lu
   std::vector<double> taus;           ///< Qr
   double scalar = 0.0;                ///< Vnorm
-  /// Fft: natural-order spectra, frame f at [f*fft_n, (f+1)*fft_n).
+  /// Fft: natural-order spectra, frame f at [64f, 64(f+1)).
   std::vector<std::complex<double>> spectrum;
   units::Cycles cycles;
   double utilization = 0.0;
@@ -155,48 +157,30 @@ struct KernelResult {
 };
 
 /// ---- request builders ---------------------------------------------------
-/// The ConstViewD forms deep-copy the operands into fresh payloads (safe
-/// when the source is a transient block view). The SharedMatrix forms are
-/// the zero-copy serving path: callers that keep operands in shared
-/// payloads pay no memcpy per request, and many requests can reference one
-/// payload.
-KernelRequest make_gemm(const arch::CoreConfig& core, double bw, ConstViewD a,
-                        ConstViewD b, ConstViewD c,
-                        model::Overlap overlap = model::Overlap::Partial);
+/// One builder per kind. A view or vector argument is deep-copied into a
+/// fresh payload by the operand's converting constructor (safe when the
+/// source is a transient block view). A SharedMatrix, SharedVector or
+/// SharedCplxVector argument is the zero-copy serving path: callers that
+/// keep operands in shared payloads pay no memcpy per request, and many
+/// requests can reference one payload.
 KernelRequest make_gemm(const arch::CoreConfig& core, double bw, SharedMatrix a,
                         SharedMatrix b, SharedMatrix c,
                         model::Overlap overlap = model::Overlap::Partial);
-KernelRequest make_syrk(const arch::CoreConfig& core, double bw, ConstViewD a,
-                        ConstViewD c);
 KernelRequest make_syrk(const arch::CoreConfig& core, double bw, SharedMatrix a,
                         SharedMatrix c);
-KernelRequest make_syr2k(const arch::CoreConfig& core, double bw, ConstViewD a,
-                         ConstViewD b, ConstViewD c);
 KernelRequest make_syr2k(const arch::CoreConfig& core, double bw, SharedMatrix a,
                          SharedMatrix b, SharedMatrix c);
-KernelRequest make_trsm(const arch::CoreConfig& core, double bw, ConstViewD l,
-                        ConstViewD b);
 KernelRequest make_trsm(const arch::CoreConfig& core, double bw, SharedMatrix l,
                         SharedMatrix b);
-KernelRequest make_cholesky(const arch::CoreConfig& core, double bw, ConstViewD a);
 KernelRequest make_cholesky(const arch::CoreConfig& core, double bw, SharedMatrix a);
-KernelRequest make_lu(const arch::CoreConfig& core, ConstViewD panel);
 KernelRequest make_lu(const arch::CoreConfig& core, SharedMatrix panel);
-KernelRequest make_qr(const arch::CoreConfig& core, ConstViewD panel);
 KernelRequest make_qr(const arch::CoreConfig& core, SharedMatrix panel);
-KernelRequest make_vnorm(const arch::CoreConfig& core, std::vector<double> x,
-                         int owner_col = 2);
 KernelRequest make_vnorm(const arch::CoreConfig& core, SharedVector x,
                          int owner_col = 2);
-KernelRequest make_chip_gemm(const arch::ChipConfig& chip, index_t mc, index_t kc,
-                             ConstViewD a, ConstViewD b, ConstViewD c);
 KernelRequest make_chip_gemm(const arch::ChipConfig& chip, index_t mc, index_t kc,
                              SharedMatrix a, SharedMatrix b, SharedMatrix c);
 /// FFT over the hybrid core. Batched64: `x` holds any positive number of
 /// 64-point frames back to back; FourStep: `x` is one 4096-point signal.
-KernelRequest make_fft(const arch::CoreConfig& core, double bw,
-                       std::vector<std::complex<double>> x,
-                       FftVariant variant = FftVariant::Batched64);
 KernelRequest make_fft(const arch::CoreConfig& core, double bw,
                        SharedCplxVector x,
                        FftVariant variant = FftVariant::Batched64);

@@ -51,9 +51,8 @@ std::array<std::uint64_t, CostKey::kWords> pack(const KernelRequest& req) {
       bits(chip.onchip_mem_mbytes),
       bits(chip.onchip_bw_words_per_cycle),
       bits(chip.offchip_bw_words_per_cycle),
-      word(req.fft_n),
       std::uint64_t{req.xc.size()},
-      ints(req.fft_radix, static_cast<int>(req.fft_variant)),
+      ints(static_cast<int>(req.fft_variant), 0),
   });
   // Both cores: the core-level models read req.core, the ChipGemm cycle
   // and energy models read req.chip.core.

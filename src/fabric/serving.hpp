@@ -12,12 +12,12 @@
 //                     (cycles, utilization, energy, power, area) keyed by a
 //                     fixed-size CostKey (kernel kind, operand shapes,
 //                     core/chip configuration, bandwidth, overlap regime,
-//                     technology context, FFT geometry), so repeated-shape
-//                     traffic skips re-estimation entirely.
+//                     technology context, FFT frames and variant), so
+//                     repeated-shape traffic skips re-estimation entirely.
 //
 // Requests on this path should carry shared operand payloads (see the
-// shared-payload make_* overloads in kernel_request.hpp): enqueueing then
-// costs two pointer copies instead of three matrix copies.
+// request builders in kernel_request.hpp): enqueueing then costs two
+// pointer copies instead of three matrix copies.
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -36,11 +36,12 @@ namespace lac::fabric {
 /// packed into fixed 64-bit words. Doubles are keyed by bit pattern, so a
 /// NaN field still matches itself and -0.0 stays distinct from 0.0. Every
 /// kind keys the ChipGemm fields (chip organisation and chip.core) and the
-/// FFT fields; kinds that never read them carry their defaults, so no
-/// per-kind hook is needed. The key holds no padding: equality and the
+/// FFT fields (frame-batch length and variant; every frame is a 64-point
+/// radix-4 transform); kinds that never read them carry their defaults, so
+/// no per-kind hook is needed. The key holds no padding: equality and the
 /// hash cover exactly the packed fields.
 struct CostKey {
-  static constexpr std::size_t kWords = 40;
+  static constexpr std::size_t kWords = 39;
 
   explicit CostKey(const KernelRequest& req);
 

@@ -1,7 +1,5 @@
 #include "model/factor_model.hpp"
 
-#include <algorithm>
-
 namespace lac::model {
 
 cycle_t cholesky_unblocked_cycles(int nr, int p, int q) {
@@ -34,53 +32,6 @@ int rsqrt_latency(const arch::CoreConfig& core) {
     case arch::SfuOption::DiagonalPEs: return core.sfu_latency_rsqrt + 2;
   }
   return core.sfu_latency_rsqrt;
-}
-
-cycle_t lu_inner_cycles(index_t k, int nr, int p, const arch::CoreConfig& core) {
-  const bool cmp = core.pe.extensions.comparator;
-  cycle_t total = 0;
-  const index_t rows_per_pe = std::max<index_t>(1, k / nr);
-  for (int i = 0; i < nr; ++i) {
-    // S1: pivot search down the i-th column. With the comparator extension
-    // each PE scans its fragment at one element/cycle and an nr-deep bus
-    // reduction follows; without it, magnitude compares are emulated as
-    // MAC subtract + sign checks at two cycles/element plus pipeline drain.
-    const cycle_t search = cmp ? rows_per_pe + nr
-                               : 2 * rows_per_pe + nr + p;
-    // S2: reciprocal of the pivot (+ row swap overlapped with it).
-    const cycle_t recip = recip_latency(core);
-    // S3: scale the column below the diagonal (broadcast + multiply).
-    const cycle_t scale = core.bus_latency + p;
-    // S4: rank-1 update of the trailing k x (nr-1-i) panel.
-    const cycle_t cols_right = nr - 1 - i;
-    const cycle_t update =
-        cols_right > 0 ? std::max<cycle_t>(rows_per_pe * cols_right / nr, 1) + p : 0;
-    total += search + recip + scale + update;
-  }
-  return total;
-}
-
-cycle_t vnorm_cycles(index_t k, int nr, int p, const arch::CoreConfig& core) {
-  const bool expext = core.pe.extensions.extended_exponent;
-  const bool cmp = core.pe.extensions.comparator;
-  const index_t frag = std::max<index_t>(1, k / (2 * nr));  // split across 2 columns
-  cycle_t total = 0;
-  if (!expext) {
-    // Guard pass: find max |x_i| then scale by 1/t (§6.1.3).
-    const cycle_t search = (cmp ? frag : 2 * frag + p) + nr;
-    const cycle_t recip = recip_latency(core);
-    const cycle_t scale = frag + p;
-    total += search + recip + scale;
-  }
-  // S1: local partial inner products on the owner + neighbour column.
-  total += frag + p;
-  // S2: reduce partial sums back to the owner column (pipelined adds).
-  total += core.bus_latency + p;
-  // S3: reduce-all across the column bus: nr broadcasts + accumulate.
-  total += nr * core.bus_latency + p;
-  // Final square root.
-  total += rsqrt_latency(core) + p;
-  return total;
 }
 
 }  // namespace lac::model

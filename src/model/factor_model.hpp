@@ -2,6 +2,9 @@
 // Closed-form cycle counts for the factorization inner kernels (Ch. 6 and
 // Appendix A). These are the published formulas; the cycle-accurate
 // simulator kernels must agree with them (see tests/test_sim_vs_model.cpp).
+// The LU and VNORM panel models the model backend serves are their kernel
+// registry entries' (fabric/kernel_registry.cpp), built on the SFU
+// latencies below.
 #include "arch/configs.hpp"
 #include "common/types.hpp"
 
@@ -16,18 +19,6 @@ cycle_t cholesky_unblocked_cycles(int nr, int p, int q);
 cycle_t trsm_basic_cycles(int nr, int p);
 cycle_t trsm_stacked_cycles(int nr, int p);
 cycle_t trsm_swp_cycles(int nr, int p, int g);
-
-/// k x nr LU factorization with partial pivoting inner kernel: per
-/// iteration a pivot search over the local column fragments, a reciprocal,
-/// a scaled column broadcast and a rank-1 update (§6.1.2). The comparator
-/// extension halves the search cost; the SFU option sets the reciprocal
-/// latency.
-cycle_t lu_inner_cycles(index_t k, int nr, int p, const arch::CoreConfig& core);
-
-/// k-element vector-norm inner kernel (§6.1.3): with the extended-exponent
-/// MAC a single inner-product pass suffices; without it a max-search pass
-/// and a scaling pass precede the accumulation.
-cycle_t vnorm_cycles(index_t k, int nr, int p, const arch::CoreConfig& core);
 
 /// Latency of one reciprocal under the configured SFU option.
 int recip_latency(const arch::CoreConfig& core);

@@ -196,7 +196,7 @@ std::optional<std::future<GraphResult>> GraphScheduler::admit_graph(
     TenantId tenant, KernelGraph graph,
     std::function<void(const GraphResult&)> hook, bool block) {
   // Everything but the tenant check, the capacity gate and the enqueue
-  // runs before the one critical section (validate() may index the shape).
+  // runs before the one critical section.
   std::string err = graph.validate();
   if (!err.empty()) err = "invalid graph: " + err;
   std::unique_ptr<Job> job;

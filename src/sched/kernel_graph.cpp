@@ -2,29 +2,29 @@
 
 #include <algorithm>
 #include <complex>
+#include <functional>
 #include <queue>
 #include <sstream>
 #include <utility>
 
 namespace lac::sched {
 
-/// The closure API's program: one GraphNode per node.
-class ClosureProgram final : public GraphProgram {
- public:
-  fabric::KernelRequest make(NodeId id) override { return nodes[id].make(); }
-  bool commit(NodeId id, const fabric::KernelResult& result) override {
-    if (!nodes[id].commit) return false;
-    nodes[id].commit(result);
-    return true;
-  }
-  std::string name(NodeId id) const override { return nodes[id].name; }
-
-  std::vector<GraphNode> nodes;
-};
-
 GraphShape::GraphShape(std::vector<NodeDesc> desc, std::size_t nodes,
-                       std::vector<std::pair<NodeId, NodeId>> edges, std::string malformed)
-    : desc_(std::move(desc)), error_(std::move(malformed)) {
+                       std::vector<std::pair<NodeId, NodeId>> edges)
+    : desc_(std::move(desc)) {
+  // A bad edge fails validation rather than being dropped silently, which
+  // would leave a conflicting access unordered and break the
+  // byte-identical-across-widths guarantee.
+  const auto bad = [nodes](const std::pair<NodeId, NodeId>& e) {
+    return e.first >= nodes || e.second >= nodes || e.first == e.second;
+  };
+  if (const auto it = std::find_if(edges.begin(), edges.end(), bad); it != edges.end()) {
+    std::ostringstream os;
+    os << "malformed edge " << it->first << " -> " << it->second
+       << (it->first == it->second ? " (self-dependency)" : " (node id out of range)");
+    error_ = os.str();
+    std::erase_if(edges, bad);
+  }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   dep_count_.assign(nodes, 0);
@@ -56,105 +56,6 @@ GraphShape::GraphShape(std::vector<NodeDesc> desc, std::size_t nodes,
       if (--missing[dep] == 0) ready.push(dep);
   }
   if (error_.empty() && topo_.size() != nodes) error_ = "graph contains a dependency cycle";
-}
-
-std::vector<std::pair<NodeId, NodeId>> GraphShape::edges() const {
-  std::vector<std::pair<NodeId, NodeId>> out;
-  out.reserve(succ_.size());
-  for (NodeId from = 0; from < size(); ++from)
-    for (NodeId to : dependents(from)) out.emplace_back(from, to);
-  return out;
-}
-
-KernelGraph::KernelGraph(std::shared_ptr<const GraphShape> shape,
-                         std::shared_ptr<GraphProgram> program)
-    : size_(shape->size()), shape_(std::move(shape)), program_(std::move(program)) {}
-
-KernelGraph::KernelGraph(KernelGraph&& other) noexcept { *this = std::move(other); }
-
-KernelGraph& KernelGraph::operator=(KernelGraph&& other) noexcept {
-  if (this == &other) return *this;
-  size_ = std::exchange(other.size_, 0);
-  shape_ = std::move(other.shape_);
-  program_ = std::move(other.program_);
-  closures_ = std::exchange(other.closures_, nullptr);
-  edges_ = std::move(other.edges_);
-  other.edges_.clear();
-  malformed_ = std::move(other.malformed_);
-  other.malformed_.clear();
-  return *this;
-}
-
-ClosureProgram& KernelGraph::own_closures() {
-  if (closures_ && program_.use_count() == 1) return *closures_;
-  auto fresh = std::make_shared<ClosureProgram>();
-  if (closures_) {
-    fresh->nodes = closures_->nodes;
-  } else if (program_) {
-    // Copy-on-write of a shared shape: its edges become this graph's, and
-    // each node's closures call the program it was built with.
-    edges_ = shape_->edges();
-    fresh->nodes.reserve(size_);
-    for (NodeId id = 0; id < size_; ++id)
-      fresh->nodes.push_back(GraphNode{
-          program_->name(id), [p = program_, id] { return p->make(id); },
-          [p = program_, id](const fabric::KernelResult& r) { p->commit(id, r); }});
-  }
-  closures_ = fresh.get();
-  program_ = std::move(fresh);
-  return *closures_;
-}
-
-NodeId KernelGraph::add_node(fabric::KernelRequest req, std::string name) {
-  return add_node(
-      [req = std::move(req)] { return req; }, std::move(name), {});
-}
-
-NodeId KernelGraph::add_node(std::function<fabric::KernelRequest()> make,
-                             std::string name,
-                             std::function<void(const fabric::KernelResult&)> commit) {
-  own_closures().nodes.push_back(
-      GraphNode{std::move(name), std::move(make), std::move(commit)});
-  shape_.reset();
-  return size_++;
-}
-
-void KernelGraph::add_edge(NodeId from, NodeId to) {
-  own_closures();
-  shape_.reset();
-  if (from >= size_ || to >= size_ || from == to) {
-    // Remembered so validate() rejects the graph: silently dropping an
-    // edge would leave a conflicting access unordered, breaking the
-    // byte-identical-across-widths guarantee instead of failing loudly.
-    if (malformed_.empty()) {
-      std::ostringstream os;
-      os << "malformed edge " << from << " -> " << to
-         << (from == to ? " (self-dependency)" : " (node id out of range)");
-      malformed_ = os.str();
-    }
-    return;
-  }
-  edges_.emplace_back(from, to);
-}
-
-GraphNode& KernelGraph::node(NodeId id) { return own_closures().nodes[id]; }
-
-const GraphShape& KernelGraph::shape() const {
-  if (!shape_) shape_ = std::make_shared<const GraphShape>(std::vector<NodeDesc>{}, size_,
-                                                           edges_, malformed_);
-  return *shape_;
-}
-
-std::string KernelGraph::validate() const {
-  if (!shape().error().empty()) return shape().error();
-  if (closures_)
-    for (NodeId id = 0; id < size_; ++id)
-      if (!closures_->nodes[id].make) {
-        std::ostringstream os;
-        os << "node " << id << " has no request builder";
-        return os.str();
-      }
-  return {};
 }
 
 namespace {

@@ -30,16 +30,8 @@
 // node, not only after its predecessors. `commit(id, result)` runs on the
 // same worker before any dependent is released. Both must be safe to run
 // concurrently with other nodes' calls touching disjoint state.
-//
-// The closure API (add_node, add_edge, node(id)) builds ad-hoc graphs: its
-// nodes are GraphNodes, a `make` and an optional `commit` closure, run by
-// one more program. The first mutation of a graph built on a shape (a
-// builder's, or a copy's) copies it: the graph becomes a closure graph of
-// its own, whose closures call the original program, and the shape it
-// shared is left as it was.
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -78,10 +70,12 @@ class GraphShape {
  public:
   /// Indexes `edges` over `nodes` nodes: sorts and coalesces them, counts
   /// each node's distinct predecessors, builds the CSR dependents and the
-  /// topological order. A non-empty `malformed` (the first bad edge) or a
-  /// cycle becomes error(). `desc` is empty or one descriptor per node.
+  /// topological order. The first out-of-range or self edge, in `edges`'
+  /// order, becomes error() and is left out of the index, as is every later
+  /// one; failing that, a cycle becomes error(). `desc` is empty or one
+  /// descriptor per node.
   GraphShape(std::vector<NodeDesc> desc, std::size_t nodes,
-             std::vector<std::pair<NodeId, NodeId>> edges, std::string malformed = {});
+             std::vector<std::pair<NodeId, NodeId>> edges);
 
   std::size_t size() const { return dep_count_.size(); }
   const NodeDesc& desc(NodeId id) const { return desc_[id]; }
@@ -100,8 +94,6 @@ class GraphShape {
   const std::vector<NodeId>& topo_order() const { return topo_; }
   /// The malformed edge or the cycle; empty when well-formed.
   const std::string& error() const { return error_; }
-  /// The (from, to) edges, sorted and unique.
-  std::vector<std::pair<NodeId, NodeId>> edges() const;
 
  private:
   std::vector<NodeDesc> desc_;
@@ -113,56 +105,18 @@ class GraphShape {
   std::string error_;
 };
 
-/// A closure-graph node.
-struct GraphNode {
-  std::string name;  ///< diagnostic label ("potrf(2)", "gemm(3,1,k=0)")
-  /// Builds the node's request, under the program contract's `make` rules.
-  std::function<fabric::KernelRequest()> make;
-  /// Writes the result back into the shared working state (e.g. a tile of
-  /// the factor), under the contract's `commit` rules; empty for
-  /// side-effect-free nodes.
-  std::function<void(const fabric::KernelResult&)> commit;
-};
-
-class ClosureProgram;
-
-/// A shape plus a program. Closure graphs index lazily: the first of
-/// validate(), topo_order(), dep_count(), dependents(), shape() or
-/// list_makespan() after the last add_node/add_edge builds their shape.
-/// The scheduler's admission runs validate() before any unit is enqueued,
-/// so an admitted graph is indexed once and its workers only read the
-/// shape. Like any lazily built state, do not make the first of those calls
-/// on one graph from two threads at once.
+/// A shape plus a program. Neither pointer changes once built, so a copy
+/// shares both, the program's working state included. A default-constructed
+/// (or moved-from) graph has no shape and no nodes: it validates, and a
+/// scheduler resolves it at once without admitting it.
 class KernelGraph {
  public:
   KernelGraph() = default;
-  /// A graph over a built shape (a factorization builder's).
-  KernelGraph(std::shared_ptr<const GraphShape> shape,
-              std::shared_ptr<GraphProgram> program);
-  /// A copy shares the shape and the program until one of the two mutates.
-  KernelGraph(const KernelGraph&) = default;
-  KernelGraph& operator=(const KernelGraph&) = default;
-  /// Leaves `other` empty.
-  KernelGraph(KernelGraph&& other) noexcept;
-  KernelGraph& operator=(KernelGraph&& other) noexcept;
+  KernelGraph(std::shared_ptr<const GraphShape> shape, std::shared_ptr<GraphProgram> program)
+      : shape_(std::move(shape)), program_(std::move(program)) {}
 
-  /// Immediate node: the request is fixed at build time.
-  NodeId add_node(fabric::KernelRequest req, std::string name = {});
-  /// Deferred node: `make` runs when a worker takes the node, `commit`
-  /// (optional) right after a successful execution.
-  NodeId add_node(std::function<fabric::KernelRequest()> make,
-                  std::string name = {},
-                  std::function<void(const fabric::KernelResult&)> commit = {});
-  /// Data edge: `from` must complete (and commit) before `to` runs.
-  /// Duplicate edges are coalesced when the graph is indexed; out-of-range
-  /// or self edges are remembered and reported by validate() instead of
-  /// silently dropped.
-  void add_edge(NodeId from, NodeId to);
-  /// Node `id` as closures, to wrap or replace them.
-  GraphNode& node(NodeId id);
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return shape_ ? shape_->size() : 0; }
+  bool empty() const { return size() == 0; }
 
   /// The program's calls for node `id`.
   fabric::KernelRequest make(NodeId id) const { return program_->make(id); }
@@ -171,34 +125,23 @@ class KernelGraph {
   }
   std::string name(NodeId id) const { return program_->name(id); }
 
-  /// The structure (indexes a closure graph).
-  const GraphShape& shape() const;
+  /// The structure; the graph must not be default-constructed or moved-from.
+  const GraphShape& shape() const { return *shape_; }
 
-  /// Well-formedness: ids in range, no self-edges, every node has a
-  /// request builder, acyclic. Returns an empty string when valid.
-  std::string validate() const;
+  /// The shape's error: a malformed edge or a cycle. Empty when valid.
+  std::string validate() const { return shape_ ? shape_->error() : std::string(); }
 
   /// The shape's topological order; shorter than size() for cyclic graphs
-  /// (validate() reports those). Valid until the graph next changes.
+  /// (validate() reports those).
   const std::vector<NodeId>& topo_order() const { return shape().topo_order(); }
   /// Distinct predecessors of `id`.
   std::size_t dep_count(NodeId id) const { return shape().dep_count(id); }
-  /// Distinct successors of `id`, in ascending id order; valid until the
-  /// graph next changes.
+  /// Distinct successors of `id`, in ascending id order.
   std::span<const NodeId> dependents(NodeId id) const { return shape().dependents(id); }
 
  private:
-  /// The closure program this graph may mutate: copies a shared shape's
-  /// program into closures, or a closure program another graph shares.
-  ClosureProgram& own_closures();
-
-  std::size_t size_ = 0;
-  mutable std::shared_ptr<const GraphShape> shape_;  ///< null while stale
+  std::shared_ptr<const GraphShape> shape_;
   std::shared_ptr<GraphProgram> program_;
-  ClosureProgram* closures_ = nullptr;  ///< program_, when it holds closures
-  /// A closure graph's (from, to) per add_edge call.
-  std::vector<std::pair<NodeId, NodeId>> edges_;
-  std::string malformed_;  ///< first bad add_edge call, for validate()
 };
 
 /// One node run: `result` is in-band (ok = false with "request build

@@ -249,7 +249,8 @@ TEST(FabricExecutor, FftRejectsInvalidShapesInBand) {
 }
 
 TEST(FabricExecutor, ShapeMessagesAreVerbatim) {
-  // The GEMM shape message and the four FFT messages, byte for byte.
+  // The GEMM shape message, the three FFT messages and VNORM's owner
+  // column message, byte for byte.
   const arch::CoreConfig cfg = arch::lac_4x4_dp();
   EXPECT_EQ(validate(make_gemm(cfg, 2.0, random_matrix(6, 8, 1).view(),
                                random_matrix(8, 4, 2).view(),
@@ -266,9 +267,6 @@ TEST(FabricExecutor, ShapeMessagesAreVerbatim) {
 
   EXPECT_EQ(validate(make_fft(arch::lac_8x8_dp(), 2.0, random_cplx_vector(64, 1))),
             "FFT: the radix-4 schedule maps one butterfly per PE on a 4x4 core");
-  KernelRequest radix2 = make_fft(cfg, 2.0, random_cplx_vector(64, 1));
-  radix2.fft_radix = 2;
-  EXPECT_EQ(validate(radix2), "FFT: only 64-point radix-4 core transforms are scheduled");
   EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(128, 1), FftVariant::FourStep)),
             "FFT four-step: signal must be exactly 4096 points (64x64 grid)");
   EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(63, 1))),
@@ -276,6 +274,9 @@ TEST(FabricExecutor, ShapeMessagesAreVerbatim) {
   EXPECT_EQ(validate(make_fft(cfg, 2.0, std::vector<std::complex<double>>{})),
             "FFT: operand must be a positive multiple of 64 points, got 0");
   EXPECT_EQ(validate(make_fft(cfg, 2.0, random_cplx_vector(128, 1))), "");
+
+  EXPECT_EQ(validate(make_vnorm(cfg, std::vector<double>(16, 1.0), 4)),
+            "VNORM owner_col must be in [0, nr), got 4");
 }
 
 TEST(FabricParity, ChipGemm) {
@@ -408,6 +409,13 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
   bad.push_back(kernel_traits(KernelKind::Vnorm).sized_request(cfg, 2.0, 16, 1));
   bad.back().core.nr = 0;
   bad.back().tag = "VNORM core.nr 0";
+  // An owner column off the core: the sim staged the vector into PEs that
+  // do not exist and died (-1), or into the next row's column 0 (4).
+  for (int col : {-1, 4}) {
+    bad.push_back(kernel_traits(KernelKind::Vnorm).sized_request(cfg, 2.0, 16, 1));
+    bad.back().owner_col = col;
+    bad.back().tag = "VNORM owner_col " + std::to_string(col);
+  }
   // PE and core fields the backends read, one at a time on every kind
   // (CHIP_GEMM through chip.core). Zero ports used to price infinite
   // cycles or NaN energy, a NaN or negative store size to throw out of the
@@ -440,6 +448,7 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
     }
   for (const KernelRequest& req : bad) {
     SCOPED_TRACE(req.tag);
+    std::vector<std::string> errors;
     for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                                static_cast<const Executor*>(&kModel)}) {
       KernelResult res;
@@ -448,7 +457,9 @@ TEST(FabricExecutor, InvalidRequestReportsInBand) {
       EXPECT_FALSE(res.error.empty()) << res.backend;
       EXPECT_EQ(res.cycles.value(), 0.0) << res.backend;
       EXPECT_EQ(res.energy_nj.value(), 0.0) << res.backend;
+      errors.push_back(res.error);
     }
+    EXPECT_EQ(errors[0], errors[1]);
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/presets.hpp"
+#include "fabric/model_executor.hpp"
 
 namespace lac::model {
 namespace {
@@ -38,32 +41,41 @@ TEST(FactorModel, RecipLatencyPerSfuOption) {
   EXPECT_GT(rsqrt_latency(c), recip_latency(c));
 }
 
+/// The model backend's cycles for a k x nr LU panel and a k-element VNORM.
+double lu_cycles(index_t k, const arch::CoreConfig& core) {
+  return fabric::model_cycles(fabric::make_lu(core, MatrixD(k, core.nr, 1.0))).value();
+}
+double vnorm_cycles(index_t k, const arch::CoreConfig& core) {
+  return fabric::model_cycles(
+             fabric::make_vnorm(core, std::vector<double>(static_cast<std::size_t>(k), 1.0)))
+      .value();
+}
+
 TEST(FactorModel, LuCyclesScaleWithK) {
   arch::CoreConfig c = arch::lac_4x4_dp();
-  const cycle_t c64 = lu_inner_cycles(64, 4, 5, c);
-  const cycle_t c128 = lu_inner_cycles(128, 4, 5, c);
-  const cycle_t c256 = lu_inner_cycles(256, 4, 5, c);
+  const double c64 = lu_cycles(64, c);
+  const double c128 = lu_cycles(128, c);
+  const double c256 = lu_cycles(256, c);
   EXPECT_LT(c64, c128);
   EXPECT_LT(c128, c256);
   // Fixed per-iteration overheads mean less than 2x growth per doubling.
-  EXPECT_LT(static_cast<double>(c256) / c128, 2.0);
+  EXPECT_LT(c256 / c128, 2.0);
 }
 
 TEST(FactorModel, ComparatorExtensionShrinksLu) {
   arch::CoreConfig base = arch::lac_4x4_dp();
   arch::CoreConfig ext = base;
   ext.pe.extensions.comparator = true;
-  EXPECT_LT(lu_inner_cycles(128, 4, 5, ext), lu_inner_cycles(128, 4, 5, base));
+  EXPECT_LT(lu_cycles(128, ext), lu_cycles(128, base));
 }
 
 TEST(FactorModel, ExponentExtensionShrinksVnorm) {
   arch::CoreConfig base = arch::lac_4x4_dp();
   arch::CoreConfig ext = base;
   ext.pe.extensions.extended_exponent = true;
-  EXPECT_LT(vnorm_cycles(256, 4, 5, ext), vnorm_cycles(256, 4, 5, base));
+  EXPECT_LT(vnorm_cycles(256, ext), vnorm_cycles(256, base));
   // The guard pass dominates for long vectors: extension saves >30%.
-  const double ratio = static_cast<double>(vnorm_cycles(1024, 4, 5, ext)) /
-                       static_cast<double>(vnorm_cycles(1024, 4, 5, base));
+  const double ratio = vnorm_cycles(1024, ext) / vnorm_cycles(1024, base);
   EXPECT_LT(ratio, 0.7);
 }
 
@@ -72,7 +84,7 @@ TEST(FactorModel, SfuOptionOrderingForVnorm) {
   sw.sfu = arch::SfuOption::Software;
   arch::CoreConfig iso = arch::lac_4x4_dp();
   iso.sfu = arch::SfuOption::IsolatedUnit;
-  EXPECT_GT(vnorm_cycles(128, 4, 5, sw), vnorm_cycles(128, 4, 5, iso));
+  EXPECT_GT(vnorm_cycles(128, sw), vnorm_cycles(128, iso));
 }
 
 }  // namespace

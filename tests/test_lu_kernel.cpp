@@ -8,7 +8,7 @@
 #include "blas/ref_lapack.hpp"
 #include "common/numeric.hpp"
 #include "common/random.hpp"
-#include "model/factor_model.hpp"
+#include "fabric/model_executor.hpp"
 
 namespace lac::kernels {
 namespace {
@@ -70,8 +70,7 @@ TEST_P(LuSizeSweep, CycleCountTracksAnalyticalModel) {
   cfg.pe.extensions.comparator = true;
   MatrixD a = random_matrix(k, 4, 17 + k);
   LuResult r = lu_panel(cfg, a.view());
-  const double model = static_cast<double>(
-      model::lu_inner_cycles(k, 4, cfg.pe.pipeline_stages, cfg));
+  const double model = fabric::model_cycles(fabric::make_lu(cfg, a.view())).value();
   EXPECT_GT(r.kernel.cycles.value(), 0.5 * model);
   EXPECT_LT(r.kernel.cycles.value(), 2.0 * model);
 }

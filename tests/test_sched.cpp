@@ -14,7 +14,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
@@ -104,46 +104,51 @@ fabric::KernelRequest small_gemm(const arch::CoreConfig& cfg, std::string tag) {
   return req;
 }
 
+/// One node of an ad-hoc graph: its request builder and its name. A
+/// request converts to a builder that returns it as built.
+struct AdHocNode {
+  AdHocNode(std::function<fabric::KernelRequest()> make, std::string name = {})
+      : make(std::move(make)), name(std::move(name)) {}
+  AdHocNode(fabric::KernelRequest req, std::string name = {})
+      : make([req = std::move(req)] { return req; }), name(std::move(name)) {}
+  std::function<fabric::KernelRequest()> make;
+  std::string name;
+};
+
+/// An ad-hoc graph built in one go: `nodes` in id order over `edges`. Its
+/// program runs each node's builder and commits nothing.
+KernelGraph adhoc_graph(std::vector<AdHocNode> nodes,
+                        std::vector<std::pair<NodeId, NodeId>> edges = {}) {
+  struct Program final : GraphProgram {
+    explicit Program(std::vector<AdHocNode> n) : nodes(std::move(n)) {}
+    fabric::KernelRequest make(NodeId id) override { return nodes[id].make(); }
+    bool commit(NodeId, const fabric::KernelResult&) override { return false; }
+    std::string name(NodeId id) const override { return nodes[id].name; }
+    std::vector<AdHocNode> nodes;
+  };
+  auto shape = std::make_shared<const GraphShape>(std::vector<NodeDesc>{}, nodes.size(),
+                                                  std::move(edges));
+  return KernelGraph(std::move(shape), std::make_shared<Program>(std::move(nodes)));
+}
+
 TEST(KernelGraph, ValidateCatchesMalformedGraphs) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
-  KernelGraph ok;
-  NodeId n0 = ok.add_node(small_gemm(cfg, "n0"));
-  NodeId n1 = ok.add_node(small_gemm(cfg, "n1"));
-  ok.add_edge(n0, n1);
+  KernelGraph ok = adhoc_graph({{small_gemm(cfg, "n0")}, {small_gemm(cfg, "n1")}}, {{0, 1}});
   EXPECT_EQ(ok.validate(), "");
   EXPECT_EQ(ok.topo_order(), (std::vector<NodeId>{0, 1}));
 
-  KernelGraph self;
-  NodeId s = self.add_node(small_gemm(cfg, "s"));
-  self.add_edge(s, s);
+  KernelGraph self = adhoc_graph({{small_gemm(cfg, "s")}}, {{0, 0}});
   EXPECT_NE(self.validate().find("self-dependency"), std::string::npos);
 
   // An edge naming a node that does not exist must fail validation, not
   // silently drop the dependency.
-  KernelGraph dangling;
-  NodeId d = dangling.add_node(small_gemm(cfg, "d"));
-  dangling.add_edge(d, 99);
+  KernelGraph dangling = adhoc_graph({{small_gemm(cfg, "d")}}, {{0, 99}});
   EXPECT_NE(dangling.validate().find("malformed edge"), std::string::npos);
-  KernelGraph dangling_from;
-  NodeId d2 = dangling_from.add_node(small_gemm(cfg, "d2"));
-  dangling_from.add_edge(99, d2);
+  KernelGraph dangling_from = adhoc_graph({{small_gemm(cfg, "d2")}}, {{99, 0}});
   EXPECT_NE(dangling_from.validate().find("malformed edge"), std::string::npos);
 
-  // A bad edge added after the graph was indexed -- a builder's graph is
-  // indexed from the start -- still fails validation.
-  FactorGraph chol = build_cholesky_graph(cfg, 2.0, random_spd(16, 14).view(), 8);
-  ASSERT_EQ(chol.graph.validate(), "");
-  chol.graph.add_edge(0, chol.graph.size());
-  EXPECT_NE(chol.graph.validate().find("malformed edge"), std::string::npos);
-  EXPECT_EQ(ok.validate(), "");
-  ok.add_edge(n1, n1);
-  EXPECT_NE(ok.validate().find("self-dependency"), std::string::npos);
-
-  KernelGraph cyclic;
-  NodeId a = cyclic.add_node(small_gemm(cfg, "a"));
-  NodeId b = cyclic.add_node(small_gemm(cfg, "b"));
-  cyclic.add_edge(a, b);
-  cyclic.add_edge(b, a);
+  KernelGraph cyclic =
+      adhoc_graph({{small_gemm(cfg, "a")}, {small_gemm(cfg, "b")}}, {{0, 1}, {1, 0}});
   EXPECT_NE(cyclic.validate().find("cycle"), std::string::npos);
 
   // The scheduler resolves an invalid graph immediately with ok = false.
@@ -153,15 +158,26 @@ TEST(KernelGraph, ValidateCatchesMalformedGraphs) {
   EXPECT_NE(res.error.find("invalid graph"), std::string::npos);
 }
 
+TEST(KernelGraph, EmptyGraphResolvesAtOnceWithoutAdmission) {
+  const KernelGraph empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.validate(), "");
+  GraphScheduler scheduler(kModel);
+  const GraphResult res = scheduler.submit(0, KernelGraph()).get();
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(res.nodes.empty());
+  EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_EQ(scheduler.peak_pending(), 0u);
+  EXPECT_EQ(scheduler.tenant_stats(0).jobs_submitted, 0u);
+}
+
 TEST(KernelGraph, ListMakespanMatchesHandComputedSchedules) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
+  const std::vector<AdHocNode> three{
+      {small_gemm(cfg, "0")}, {small_gemm(cfg, "1")}, {small_gemm(cfg, "2")}};
   // Chain of 3: serialized regardless of W.
-  KernelGraph chain;
-  NodeId c0 = chain.add_node(small_gemm(cfg, "0"));
-  NodeId c1 = chain.add_node(small_gemm(cfg, "1"));
-  NodeId c2 = chain.add_node(small_gemm(cfg, "2"));
-  chain.add_edge(c0, c1);
-  chain.add_edge(c1, c2);
+  const KernelGraph chain = adhoc_graph(three, {{0, 1}, {1, 2}});
   std::vector<fabric::KernelResult> costs(3);
   costs[0].cycles = units::Cycles(10.0);
   costs[1].cycles = units::Cycles(20.0);
@@ -170,12 +186,7 @@ TEST(KernelGraph, ListMakespanMatchesHandComputedSchedules) {
   EXPECT_DOUBLE_EQ(serial_cycles(costs).value(), 60.0);
 
   // Fork: two independent successors overlap on 2 workers.
-  KernelGraph fork;
-  NodeId f0 = fork.add_node(small_gemm(cfg, "0"));
-  NodeId f1 = fork.add_node(small_gemm(cfg, "1"));
-  NodeId f2 = fork.add_node(small_gemm(cfg, "2"));
-  fork.add_edge(f0, f1);
-  fork.add_edge(f0, f2);
+  const KernelGraph fork = adhoc_graph(three, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(list_makespan(fork, costs, 2).value(), 40.0);  // 10 + max(20, 30)
   EXPECT_DOUBLE_EQ(list_makespan(fork, costs, 1).value(), 60.0);  // serialized
 }
@@ -185,11 +196,11 @@ TEST(KernelGraph, DuplicateEdgesCoalesce) {
   using Edges = std::vector<std::pair<NodeId, NodeId>>;
   // A diamond 0 -> {1, 2} -> 3 -> 4 with a shortcut 0 -> 4: once with each
   // edge added once, once with repeats in scrambled order.
-  auto diamond = [&](const Edges& edges) {
-    KernelGraph g;
-    for (int i = 0; i < 5; ++i) g.add_node(small_gemm(cfg, std::to_string(i)));
-    for (const auto& [from, to] : edges) g.add_edge(from, to);
-    return g;
+  auto diamond = [&](Edges edges, const Edges& extra = {}) {
+    std::vector<AdHocNode> nodes;
+    for (int i = 0; i < 5; ++i) nodes.emplace_back(small_gemm(cfg, std::to_string(i)));
+    edges.insert(edges.end(), extra.begin(), extra.end());
+    return adhoc_graph(std::move(nodes), std::move(edges));
   };
   const Edges once_edges{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {0, 4}};
   const Edges repeated{{3, 4}, {0, 2}, {0, 1}, {0, 2}, {1, 3}, {2, 3}, {0, 1},
@@ -216,25 +227,12 @@ TEST(KernelGraph, DuplicateEdgesCoalesce) {
   // W = 2: node 0 [0, 10), 1 [10, 30), 2 [10, 40), 3 [40, 80), 4 [80, 130).
   EXPECT_DOUBLE_EQ(list_makespan(twice, costs, 2).value(), 130.0);
 
-  // An edge added after the graph was indexed is picked up.
-  KernelGraph grown = diamond(repeated);
-  ASSERT_EQ(grown.validate(), "");
-  grown.add_edge(1, 2);
-  grown.add_edge(1, 2);
-  EXPECT_EQ(grown.validate(), "");
-  EXPECT_EQ(grown.dep_count(2), 2u);
-  EXPECT_TRUE(std::ranges::equal(grown.dependents(1), std::vector<NodeId>{2, 3}));
-
   // Malformed edges are still rejected among duplicates.
-  KernelGraph self = diamond(repeated);
-  self.add_edge(4, 4);
+  const KernelGraph self = diamond(repeated, {{4, 4}});
   EXPECT_NE(self.validate().find("self-dependency"), std::string::npos);
-  KernelGraph dangling = diamond(repeated);
-  dangling.add_edge(0, 9);
+  const KernelGraph dangling = diamond(repeated, {{0, 9}});
   EXPECT_NE(dangling.validate().find("malformed edge"), std::string::npos);
-  KernelGraph cyclic = diamond(repeated);
-  cyclic.add_edge(4, 0);
-  cyclic.add_edge(4, 0);
+  const KernelGraph cyclic = diamond(repeated, {{4, 0}, {4, 0}});
   EXPECT_NE(cyclic.validate().find("cycle"), std::string::npos);
 }
 
@@ -247,18 +245,19 @@ TEST(GraphScheduler, TopologicalSafetyOn300NodeRandomDags) {
     // LAC_TEST_SCALE shrinks it for the sanitizer lanes (min 60 nodes
     // keeps the deep-and-wide structure).
     const std::size_t n = test::scaled<std::size_t>(300, 60);
-    KernelGraph g;
+    std::vector<AdHocNode> nodes;
+    std::vector<std::pair<NodeId, NodeId>> edges;
     std::vector<std::vector<NodeId>> deps(n);
-    for (std::size_t i = 0; i < n; ++i)
-      g.add_node(small_gemm(cfg, std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) nodes.emplace_back(small_gemm(cfg, std::to_string(i)));
     for (std::size_t j = 1; j < n; ++j) {
       const int fanin = static_cast<int>(rng.next_index(4));
       for (int e = 0; e < fanin; ++e) {
         const NodeId from = static_cast<NodeId>(rng.next_index(j));
-        g.add_edge(from, j);
+        edges.emplace_back(from, j);
         deps[j].push_back(from);
       }
     }
+    KernelGraph g = adhoc_graph(std::move(nodes), std::move(edges));
     ASSERT_EQ(g.validate(), "");
 
     RecordingExecutor rec(kModel);
@@ -295,6 +294,9 @@ TEST(GraphBuilders, TiledCholeskyMatchesReferenceAndIsDeterministicAcrossWidths)
   std::vector<double> base_cycles;
   for (unsigned width : {1u, 3u, 8u}) {
     FactorGraph fg = build_cholesky_graph(cfg, 2.0, a.view(), block);
+    // A copy shares the shape (and the program, so it is not run).
+    const KernelGraph copy = fg.graph;
+    EXPECT_EQ(&copy.shape(), &fg.graph.shape());
     ThreadPool pool(width);
     SchedulerOptions opts;
     opts.workers = width;
@@ -506,70 +508,6 @@ TEST(GraphBuilders, FactorsAndCostsMatchParent) {
   EXPECT_TRUE(all_match) << "factor graph output changed; if intended, paste as "
                             "kBuilderGolden:\n"
                          << table;
-}
-
-TEST(GraphBuilders, ShapesAreSharedAndCopiedOnWrite) {
-  const arch::CoreConfig cfg = arch::lac_4x4_dp();
-  const MatrixD a = random_spd(32, 51);
-  FactorGraph x = build_cholesky_graph(cfg, 2.0, a.view(), 8);
-  // A copy shares the shape (and the program, so it is not run here).
-  const KernelGraph y = x.graph;
-  EXPECT_EQ(&x.graph.shape(), &y.shape());
-
-  const std::size_t n = y.size();
-  std::vector<std::size_t> deps;
-  std::vector<std::vector<NodeId>> succ;
-  for (NodeId id = 0; id < n; ++id) {
-    deps.push_back(y.dep_count(id));
-    succ.emplace_back(y.dependents(id).begin(), y.dependents(id).end());
-  }
-  const std::vector<NodeId> topo(y.topo_order().begin(), y.topo_order().end());
-
-  // Appending to x copies its shape; y's stays as it was.
-  const NodeId extra = x.graph.add_node(small_gemm(cfg, "extra"));
-  x.graph.add_edge(n - 1, extra);
-  ASSERT_EQ(x.graph.validate(), "");
-  EXPECT_EQ(extra, n);
-  EXPECT_EQ(x.graph.dep_count(extra), 1u);
-  EXPECT_TRUE(std::ranges::equal(x.graph.dependents(n - 1), std::vector<NodeId>{extra}));
-  EXPECT_EQ(x.graph.name(0), "potrf(0,0,k=0)");
-  EXPECT_NE(&x.graph.shape(), &y.shape());
-  ASSERT_EQ(y.size(), n);
-  for (NodeId id = 0; id < n; ++id) {
-    EXPECT_EQ(y.dep_count(id), deps[id]) << id;
-    EXPECT_TRUE(std::ranges::equal(y.dependents(id), succ[id])) << id;
-  }
-  EXPECT_EQ(y.topo_order(), topo);
-
-  // A copy of a closure graph shares its closures until one of the two
-  // mutates.
-  KernelGraph copy = x.graph;
-  copy.node(0).name = "renamed";
-  copy.add_node(small_gemm(cfg, "more"));
-  EXPECT_EQ(copy.name(0), "renamed");
-  EXPECT_EQ(x.graph.name(0), "potrf(0,0,k=0)");
-  EXPECT_EQ(copy.size(), n + 2);
-  EXPECT_EQ(x.graph.size(), n + 1);
-
-  // The copied-on-write graph still runs the family program: the same
-  // factor and per-node cycles, byte for byte, as a fresh build.
-  FactorGraph z = build_cholesky_graph(cfg, 2.0, a.view(), 8);
-  ThreadPool pool(4);
-  SchedulerOptions opts;
-  opts.workers = 4;
-  GraphScheduler scheduler(kModel, opts, &pool);
-  const GraphResult rx = scheduler.submit(0, std::move(x.graph)).get();
-  const GraphResult rz = scheduler.submit(0, std::move(z.graph)).get();
-  ASSERT_TRUE(rx.ok) << rx.error;
-  ASSERT_TRUE(rz.ok) << rz.error;
-  ASSERT_EQ(rx.nodes.size(), n + 1);
-  for (NodeId id = 0; id < n; ++id)
-    EXPECT_EQ(rx.nodes[id].cycles.value(), rz.nodes[id].cycles.value()) << id;
-  const MatrixD& wx = *x.work;
-  const MatrixD& wz = *z.work;
-  EXPECT_EQ(std::memcmp(wx.data(), wz.data(),
-                        static_cast<std::size_t>(wx.rows() * wx.cols()) * sizeof(double)),
-            0);
 }
 
 TEST(GraphScheduler, TiledCholeskySpeedupAtLeast1p5xAtFourWorkers) {
@@ -877,12 +815,11 @@ TEST(GraphScheduler, IndependentBranchSurvivesAFailure) {
   MatrixD bad(8, 8, 0.0);
   for (index_t i = 0; i < 8; ++i) bad(i, i) = -1.0;  // not positive definite
 
-  KernelGraph g;
-  NodeId fail = g.add_node(fabric::make_cholesky(cfg, 2.0, bad.view()), "bad-chol");
-  NodeId down = g.add_node(small_gemm(cfg, "down"));
-  NodeId indep = g.add_node(small_gemm(cfg, "indep"));
-  g.add_edge(fail, down);
-  (void)indep;
+  const NodeId fail = 0, down = 1, indep = 2;
+  KernelGraph g = adhoc_graph({{fabric::make_cholesky(cfg, 2.0, bad.view()), "bad-chol"},
+                               {small_gemm(cfg, "down")},
+                               {small_gemm(cfg, "indep")}},
+                              {{fail, down}});
 
   GraphScheduler scheduler(kModel);
   GraphResult res = scheduler.submit(0, std::move(g)).get();
@@ -897,14 +834,12 @@ TEST(GraphScheduler, IndependentBranchSurvivesAFailure) {
 
 TEST(GraphScheduler, ThrowingMakeClosureFailsInBandInsteadOfHanging) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
-  KernelGraph g;
-  NodeId ok_node = g.add_node(small_gemm(cfg, "fine"));
-  NodeId boom = g.add_node(
-      []() -> fabric::KernelRequest { throw std::runtime_error("make boom"); },
-      "boom");
-  NodeId down = g.add_node(small_gemm(cfg, "down"));
-  g.add_edge(boom, down);
-  (void)ok_node;
+  const NodeId ok_node = 0, boom = 1, down = 2;
+  KernelGraph g = adhoc_graph(
+      {{small_gemm(cfg, "fine")},
+       {[]() -> fabric::KernelRequest { throw std::runtime_error("make boom"); }, "boom"},
+       {small_gemm(cfg, "down")}},
+      {{boom, down}});
 
   GraphScheduler scheduler(kModel);
   GraphResult res = scheduler.submit(0, std::move(g)).get();  // must resolve
@@ -959,14 +894,11 @@ TEST(GraphScheduler, CancellationRacingCompletionHooksStaysCoherent) {
   std::vector<std::future<GraphResult>> futs;
   const int jobs = test::scaled(40, 8);
   for (int j = 0; j < jobs; ++j) {
-    KernelGraph g;
-    NodeId fail = g.add_node(fabric::make_cholesky(cfg, 2.0, bad.view()), "bad");
-    NodeId mid = g.add_node(small_gemm(cfg, "mid"));
-    NodeId down = g.add_node(small_gemm(cfg, "down"));
-    NodeId indep = g.add_node(small_gemm(cfg, "indep"));
-    g.add_edge(fail, mid);
-    g.add_edge(mid, down);
-    (void)indep;
+    KernelGraph g = adhoc_graph({{fabric::make_cholesky(cfg, 2.0, bad.view()), "bad"},
+                                 {small_gemm(cfg, "mid")},
+                                 {small_gemm(cfg, "down")},
+                                 {small_gemm(cfg, "indep")}},
+                                {{0, 1}, {1, 2}});
     futs.push_back(scheduler.submit(
         0, std::move(g),
         [&hooks](const GraphResult& r) { if (!r.ok) hooks.fetch_add(1); }));
@@ -989,18 +921,14 @@ TEST(GraphScheduler, CommittedNodesReleaseOutputs) {
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   const MatrixD a = random_matrix(32, 32, 27);
   const fabric::KernelResult plain = kSim.execute(small_gemm(cfg, "x"));
+  ThreadPool pool(4);
+  SchedulerOptions opts;
+  opts.workers = 4;
+  GraphScheduler scheduler(kSim, opts, &pool);
   for (const bool lu : {false, true}) {
     FactorGraph fg = lu ? build_lu_graph(cfg, 2.0, a.view(), 8)
                         : build_qr_graph(cfg, 2.0, a.view(), 8);
     const NodeId committed = fg.graph.size();
-    // Neither of these has a commit, so both keep their outputs.
-    const NodeId immediate = fg.graph.add_node(small_gemm(cfg, "immediate"));
-    const NodeId deferred =
-        fg.graph.add_node([&cfg] { return small_gemm(cfg, "deferred"); }, "deferred");
-    ThreadPool pool(4);
-    SchedulerOptions opts;
-    opts.workers = 4;
-    GraphScheduler scheduler(kSim, opts, &pool);
     const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
     ASSERT_TRUE(res.ok) << res.error;
     for (NodeId id = 0; id < committed; ++id) {
@@ -1015,11 +943,19 @@ TEST(GraphScheduler, CommittedNodesReleaseOutputs) {
       EXPECT_GT(r.energy_nj.value(), 0.0);
       EXPECT_GT(r.stats.mac_ops, 0);
     }
-    for (NodeId id : {immediate, deferred}) {
-      EXPECT_TRUE(res.nodes[id].ok);
-      EXPECT_TRUE(res.nodes[id].out == plain.out) << id;
-      EXPECT_EQ(res.nodes[id].cycles.value(), plain.cycles.value()) << id;
-    }
+  }
+  // Neither of these has a commit, so both keep their outputs.
+  const NodeId immediate = 0, deferred = 1;
+  const GraphResult res =
+      scheduler
+          .submit(0, adhoc_graph({{small_gemm(cfg, "immediate")},
+                                  {[&cfg] { return small_gemm(cfg, "deferred"); }, "deferred"}}))
+          .get();
+  ASSERT_TRUE(res.ok) << res.error;
+  for (NodeId id : {immediate, deferred}) {
+    EXPECT_TRUE(res.nodes[id].ok);
+    EXPECT_TRUE(res.nodes[id].out == plain.out) << id;
+    EXPECT_EQ(res.nodes[id].cycles.value(), plain.cycles.value()) << id;
   }
 }
 
@@ -1037,6 +973,25 @@ struct ThreadRecordingExecutor final : fabric::Executor {
   mutable std::vector<std::thread::id> ran;  // one slot per node, written once
 };
 
+/// Forwards to a graph's program; `make` records, per node, the thread it
+/// runs on and tags the request with the node id.
+struct ThreadRecordingProgram final : GraphProgram {
+  explicit ThreadRecordingProgram(KernelGraph graph)
+      : inner(std::move(graph)), made(inner.size()) {}
+  fabric::KernelRequest make(NodeId id) override {
+    made[id] = std::this_thread::get_id();
+    fabric::KernelRequest req = inner.make(id);
+    req.tag = std::to_string(id);
+    return req;
+  }
+  bool commit(NodeId id, const fabric::KernelResult& result) override {
+    return inner.commit(id, result);
+  }
+  std::string name(NodeId id) const override { return inner.name(id); }
+  const KernelGraph inner;
+  std::vector<std::thread::id> made;  // one slot per node, written once
+};
+
 TEST(GraphScheduler, DeferredRequestsBuildOnTheRunningWorker) {
   // A node's `make` runs on the worker that executes the node, so the
   // payloads it allocates are freed on the thread that allocated them.
@@ -1049,22 +1004,16 @@ TEST(GraphScheduler, DeferredRequestsBuildOnTheRunningWorker) {
         : k == "LU" ? build_lu_graph(cfg, 2.0, random_matrix(64, 64, 42).view(), 16)
                     : build_qr_graph(cfg, 2.0, random_matrix(64, 64, 43).view(), 16);
     const std::size_t nodes = fg.graph.size();
-    std::vector<std::thread::id> made(nodes);
-    for (NodeId id = 0; id < nodes; ++id) {
-      GraphNode& node = fg.graph.node(id);
-      node.make = [inner = std::move(node.make), &made, id] {
-        made[id] = std::this_thread::get_id();
-        fabric::KernelRequest req = inner();
-        req.tag = std::to_string(id);
-        return req;
-      };
-    }
+    // The test keeps the program, so `made` outlives the job.
+    const auto program = std::make_shared<ThreadRecordingProgram>(fg.graph);
+    const std::vector<std::thread::id>& made = program->made;
     const ThreadRecordingExecutor exec(kModel, nodes);
     ThreadPool pool(4);
     SchedulerOptions opts;
     opts.workers = 4;
     GraphScheduler scheduler(exec, opts, &pool);
-    const GraphResult res = scheduler.submit(0, std::move(fg.graph)).get();
+    KernelGraph wrapped(std::make_shared<const GraphShape>(fg.graph.shape()), program);
+    const GraphResult res = scheduler.submit(0, std::move(wrapped)).get();
     ASSERT_TRUE(res.ok) << res.error;
     for (NodeId id = 0; id < nodes; ++id) {
       EXPECT_NE(made[id], std::thread::id()) << id;
@@ -1079,11 +1028,7 @@ TEST(GraphScheduler, UnknownTenantFailsInBand) {
   // tenant roster).
   const arch::CoreConfig cfg = arch::lac_4x4_dp();
   GraphScheduler scheduler(kModel);
-  auto graph = [&] {
-    KernelGraph g;
-    g.add_node(small_gemm(cfg, "g"));
-    return g;
-  };
+  auto graph = [&] { return adhoc_graph({{small_gemm(cfg, "g")}}); };
   std::atomic<int> hooks{0};
   auto ghook = [&hooks](const GraphResult& r) {
     if (!r.ok) hooks.fetch_add(1);
@@ -1171,11 +1116,11 @@ TEST(GraphScheduler, NonFiniteOrNegativeCostsFailInBand) {
       std::future<fabric::KernelResult> alongside = scheduler.submit(other, small_gemm(cfg, "o"));
       check_failed(scheduler.submit(bad, small_gemm(cfg, tag)).get());
 
-      KernelGraph g;
-      const NodeId b = g.add_node(small_gemm(cfg, tag), "bad");
-      const NodeId down = g.add_node(small_gemm(cfg, "down"), "down");
-      const NodeId indep = g.add_node(small_gemm(cfg, "indep"), "indep");
-      g.add_edge(b, down);
+      const NodeId b = 0, down = 1, indep = 2;
+      KernelGraph g = adhoc_graph({{small_gemm(cfg, tag), "bad"},
+                                   {small_gemm(cfg, "down"), "down"},
+                                   {small_gemm(cfg, "indep"), "indep"}},
+                                  {{b, down}});
       const GraphResult res = scheduler.submit(bad, std::move(g)).get();
       ++graphs;
       EXPECT_FALSE(res.ok);
