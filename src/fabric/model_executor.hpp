@@ -34,6 +34,8 @@ units::Cycles model_cycles(const KernelRequest& req);
 /// leakage energy/power/area at the request's TechContext. Depends only on
 /// the fields packed into the request's CostKey (shapes + configuration),
 /// never operand values -- the contract the CostCache memoization relies on.
+/// The request must validate(): the models divide by fields such as core.nr
+/// and the bandwidth, so an invalid one may trap (SIGFPE) or price nonsense.
 struct ModelCost {
   units::Cycles cycles;
   double utilization = 0.0;

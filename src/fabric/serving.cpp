@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <new>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -68,8 +70,8 @@ std::array<std::uint64_t, CostKey::kWords> pack(const KernelRequest& req) {
   return words;
 }
 
-/// FxHash-style word chain, then the murmur3 finalizer so the shard index
-/// and the map's bucket both depend on every word.
+/// FxHash-style word chain, then the murmur3 finalizer so the shard and the
+/// slot both depend on every word.
 std::uint64_t hash_words(const std::array<std::uint64_t, CostKey::kWords>& words) {
   std::uint64_t h = 0;
   for (std::uint64_t w : words) h = (std::rotl(h, 5) ^ w) * 0x9e3779b97f4a7c15ull;
@@ -84,18 +86,18 @@ std::uint64_t hash_words(const std::array<std::uint64_t, CostKey::kWords>& words
 // words covers the whole key.
 static_assert(std::has_unique_object_representations_v<CostKey>);
 
-CostKey::CostKey(const KernelRequest& req)
-    : words(pack(req)), hash(hash_words(words)) {}
+CostKey::CostKey(const KernelRequest& req) : words(pack(req)) {
+  hash = hash_words(words);
+}
 
 CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   const CostKey key(req);
   Shard& shard = shards_[key.hash % kShards];
   {
     MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    if (const Estimate* hit = shard.find(key)) {
       ++shard.hits;
-      return it->second;
+      return *hit;
     }
   }
   // Compute outside the lock: estimation is pure and two threads racing on
@@ -110,11 +112,46 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   MutexLock lock(shard.mu);
   // Exactly one racing thread owns the insert (one miss per entry); the
   // losers found the value present and count as hits.
-  if (shard.map.emplace(key, e).second)
-    ++shard.misses;
-  else
-    ++shard.hits;
+  if (!shard.insert(key, e)) ++shard.hits;
   return e;
+}
+
+const CostCache::Entry& CostCache::Shard::entry(std::uint32_t n) const {
+  return blocks[n / kBlock]->entries[n % kBlock];
+}
+
+std::uint32_t CostCache::Shard::slot_of(const CostKey& key) const {
+  std::uint32_t i = static_cast<std::uint32_t>(key.hash >> kShardBits) & mask;
+  while (slots[i] != 0 && entry(slots[i] - 1).key != key) i = (i + 1) & mask;
+  return i;
+}
+
+const CostCache::Estimate* CostCache::Shard::find(const CostKey& key) const {
+  if (!slots) return nullptr;
+  const std::uint32_t slot = slots[slot_of(key)];
+  return slot != 0 ? &entry(slot - 1).value : nullptr;
+}
+
+bool CostCache::Shard::insert(const CostKey& key, const Estimate& value) {
+  if (2 * (std::size_t{entries} + 1) > std::size_t{mask} + 1) grow();
+  const std::uint32_t i = slot_of(key);
+  if (slots[i] != 0) return false;
+  if (entries % kBlock == 0) blocks.push_back(std::make_unique<Block>());
+  ::new (&blocks.back()->entries[entries % kBlock]) Entry{key, value};
+  slots[i] = ++entries;
+  return true;
+}
+
+void CostCache::Shard::grow() {
+  const std::uint32_t count = slots ? 2 * (mask + 1) : kFirstSlots;
+  slots = std::make_unique<std::uint32_t[]>(count);  // zeroed: every slot empty
+  mask = count - 1;
+  // Entries are distinct, so each takes the first empty slot of its probe.
+  for (std::uint32_t n = 0; n < entries; ++n) {
+    std::uint32_t i = static_cast<std::uint32_t>(entry(n).key.hash >> kShardBits) & mask;
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = n + 1;
+  }
 }
 
 std::string CostCache::signature(const KernelRequest& req) {
@@ -128,24 +165,25 @@ CostCache::Totals CostCache::totals() const {
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     t.hits += shard.hits;
-    t.misses += shard.misses;
-    t.entries += shard.map.size();
+    t.entries += shard.entries;
   }
   return t;
 }
 
 double CostCache::hit_rate() const {
   const Totals t = totals();
-  const double lookups = static_cast<double>(t.hits + t.misses);
+  const double lookups = static_cast<double>(t.hits + t.entries);
   return lookups > 0 ? static_cast<double>(t.hits) / lookups : 0.0;
 }
 
 void CostCache::clear() {
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
-    shard.map.clear();
+    shard.slots.reset();
+    shard.mask = 0;
+    shard.entries = 0;
+    shard.blocks.clear();
     shard.hits = 0;
-    shard.misses = 0;
   }
 }
 
@@ -165,7 +203,10 @@ std::future<KernelResult> AsyncExecutor::submit(
   // Size-aware dispatch: the model cycle estimate is a monotone proxy for
   // backend runtime (sim wall time scales with simulated cycles), which is
   // all the pool's placement needs.
-  const double hint = hints_ ? hints_->estimate(req).cycles.value() : 0.0;
+  // A request that does not validate fails on the worker, as it would
+  // unhinted; pricing it here could divide by a zero field.
+  const double hint =
+      hints_ && validate(req).empty() ? hints_->estimate(req).cycles.value() : 0.0;
   return pool_.submit_hinted(hint, [&backend, req = std::move(req),
                                     hook = std::move(on_complete)] {
     KernelResult res = run_request(backend, req);

@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -45,14 +45,15 @@ struct CostKey {
 
   explicit CostKey(const KernelRequest& req);
 
+  /// Of `words`, computed once: shard and slot reuse it. It leads the key
+  /// so a lookup reads the key's lines in address order.
+  std::uint64_t hash;
   std::array<std::uint64_t, kWords> words;
-  std::uint64_t hash;  ///< of `words`, computed once: shard and bucket reuse it
 
-  friend bool operator==(const CostKey&, const CostKey&) = default;
-
-  struct Hash {
-    std::size_t operator()(const CostKey& key) const noexcept { return key.hash; }
-  };
+  /// The hash first: two different keys almost never share it.
+  friend bool operator==(const CostKey& a, const CostKey& b) {
+    return a.hash == b.hash && a.words == b.words;
+  }
 };
 
 /// Thread-safe memo of model-backend cost estimates (cycles, utilization,
@@ -60,6 +61,14 @@ struct CostKey {
 /// CostKey -- never on operand values -- so one entry serves every request
 /// of the same shape against the same architecture point and technology
 /// context.
+///
+/// Entries spread over 16 independently locked shards by the key's low hash
+/// bits. Each shard is a flat open-addressed table: a power-of-two index of
+/// uint32 slots, probed linearly from the hash bits above the shard's and
+/// kept at most half full, over entries (key and estimate inline) stored in
+/// blocks of 8 that never move. An insert allocates only when it opens a
+/// block or doubles the index, and a probe compares the stored hash before
+/// the key's words.
 class CostCache {
  public:
   struct Estimate {
@@ -71,7 +80,8 @@ class CostCache {
   };
 
   /// Cached estimate for the request, computing (and remembering) it on a
-  /// miss via the closed-form models behind ModelExecutor.
+  /// miss via the closed-form models behind ModelExecutor. The request must
+  /// validate(): like model_cost, a miss may divide by a zero field.
   Estimate estimate(const KernelRequest& req);
 
   /// The request's CostKey words as a byte string: two signatures are
@@ -80,9 +90,9 @@ class CostCache {
 
   /// Threads racing on a cold key resolve to one miss (the inserting
   /// thread) and hits for the rest, so hits + misses == lookups and
-  /// misses == size().
+  /// misses == size(): every miss inserts one entry.
   std::uint64_t hits() const { return totals().hits; }
-  std::uint64_t misses() const { return totals().misses; }
+  std::uint64_t misses() const { return totals().entries; }
   /// Hits over lookups so far (0 when the cache is cold).
   double hit_rate() const;
   std::size_t size() const { return totals().entries; }
@@ -90,21 +100,46 @@ class CostCache {
 
  private:
   struct Totals {
-    std::uint64_t hits = 0, misses = 0;
+    std::uint64_t hits = 0;
     std::size_t entries = 0;
   };
   Totals totals() const;
 
-  /// Entries spread over a fixed number of independently locked shards,
-  /// chosen by the key's hash: with the key this cheap, a single lock in
-  /// front of every lookup would be the cost.
-  static constexpr std::size_t kShards = 16;
+  /// A single lock in front of every lookup would cost more than the key.
+  static constexpr int kShardBits = 4;  ///< the low hash bits that pick the shard
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+  static constexpr std::uint32_t kBlock = 8;  ///< entries per block
+  static constexpr std::uint32_t kFirstSlots = 16;
+
+  struct Entry {
+    CostKey key;
+    Estimate value;
+  };
+  /// Raw room for kBlock entries: each is constructed when it is inserted.
+  union Block {
+    Block() {}
+    Entry entries[kBlock];
+  };
 
   struct alignas(64) Shard {
     mutable Mutex mu;
-    std::unordered_map<CostKey, Estimate, CostKey::Hash> map LAC_GUARDED_BY(mu);
+    /// 0 = empty, else entry number + 1; null until the first insert.
+    std::unique_ptr<std::uint32_t[]> slots LAC_GUARDED_BY(mu);
+    std::uint32_t mask LAC_GUARDED_BY(mu) = 0;  ///< slot count - 1
+    std::uint32_t entries LAC_GUARDED_BY(mu) = 0;
+    std::vector<std::unique_ptr<Block>> blocks LAC_GUARDED_BY(mu);
     std::uint64_t hits LAC_GUARDED_BY(mu) = 0;
-    std::uint64_t misses LAC_GUARDED_BY(mu) = 0;
+
+    /// The memoized estimate for `key`, or nullptr.
+    const Estimate* find(const CostKey& key) const LAC_REQUIRES(mu);
+    /// Adds `key` unless it is present; false if it was.
+    bool insert(const CostKey& key, const Estimate& value) LAC_REQUIRES(mu);
+
+    const Entry& entry(std::uint32_t n) const LAC_REQUIRES(mu);
+    /// The slot holding `key`, or the empty slot that ends its probe.
+    std::uint32_t slot_of(const CostKey& key) const LAC_REQUIRES(mu);
+    /// Doubles the index (or opens the first) and re-slots every entry.
+    void grow() LAC_REQUIRES(mu);
   };
 
   std::array<Shard, kShards> shards_;

@@ -1,18 +1,21 @@
 // The persistent serving layer: ThreadPool scheduling and exception
 // semantics, AsyncExecutor futures under mixed-kernel stress on both
-// backends, determinism across pool widths, CostCache hit behavior, and
-// the zero-copy request path.
+// backends, determinism across pool widths, CostCache hit behavior and
+// table growth, and the zero-copy request path.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -337,6 +340,40 @@ TEST(AsyncExecutor, BadBackendResultsFailInBand) {
   EXPECT_TRUE(ok.submit(make_cholesky(cfg, 2.0, spd.view())).get().ok);
 }
 
+TEST(AsyncExecutor, HintedInvalidRequestsFailInBandUnpriced) {
+  // The cost hint is priced only for a request that validates: TRSM's
+  // cycle model divides by core.nr, so pricing this one at submit killed
+  // the process with SIGFPE. Each request reaches the pool and fails there
+  // with the error the unhinted executor gives, and nothing is cached.
+  const std::pair<const char*, void (*)(KernelRequest&)> cases[] = {
+      {"core.nr = 0", [](KernelRequest& r) { r.core.nr = 0; }},
+      {"bw_words_per_cycle = 0", [](KernelRequest& r) { r.bw_words_per_cycle = 0.0; }},
+      {"pe.pipeline_stages = 0", [](KernelRequest& r) { r.core.pe.pipeline_stages = 0; }},
+  };
+  ThreadPool pool(2);
+  for (const Executor* ex : {static_cast<const Executor*>(&kSim),
+                             static_cast<const Executor*>(&kModel)}) {
+    CostCache hints;
+    const AsyncExecutor plain(*ex, &pool);
+    const AsyncExecutor hinted(*ex, &pool, &hints);
+    for (const auto& [name, spoil] : cases) {
+      SCOPED_TRACE(std::string(ex->name()) + ", " + name);
+      KernelRequest req =
+          kernel_traits(KernelKind::Trsm).sized_request(arch::lac_4x4_dp(), 2.0, 16, 9);
+      spoil(req);
+      const KernelResult want = plain.submit(req).get();
+      const KernelResult got = hinted.submit(req).get();
+      EXPECT_FALSE(want.ok);
+      EXPECT_FALSE(got.ok);
+      EXPECT_FALSE(got.error.empty());
+      EXPECT_EQ(got.error, want.error);
+      EXPECT_EQ(got.cycles.value(), 0.0);
+    }
+    EXPECT_EQ(hints.size(), 0u);
+    EXPECT_EQ(hints.hits() + hints.misses(), 0u);
+  }
+}
+
 TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
   CostCache cache;
   ModelExecutor cached(&cache);
@@ -418,6 +455,111 @@ TEST(CostCache, ColdKeyRaceCountsOneMissPerEntry) {
     EXPECT_EQ(cache.hits() + cache.misses(), kThreads * keys.size())
         << "round " << round;
   }
+}
+
+TEST(CostCache, GrowthAndClearKeepEveryEntry) {
+  // A dse_sweep-like grid of 4,860 distinct keys (kind x n x bandwidth x
+  // node x SFU x clock on two core sizes), about 300 per shard, so every
+  // shard's index doubles five or six times from its first 16 slots while
+  // 4 threads insert. An entry the table loses shows as a second miss.
+  std::vector<KernelRequest> grid;
+  for (const arch::CoreConfig& core : {arch::lac_4x4_dp(), arch::lac_8x8_dp()})
+    for (KernelKind kind : {KernelKind::Gemm, KernelKind::Syrk, KernelKind::Trsm,
+                            KernelKind::Cholesky, KernelKind::Lu, KernelKind::Qr})
+      for (index_t n : {16, 32, 48}) {
+        const KernelRequest base = kernel_traits(kind).sized_request(core, 1.0, n, 3);
+        for (double bw : {0.5, 1.0, 2.0, 4.0, 8.0})
+          for (arch::TechNode node :
+               {arch::TechNode::nm65, arch::TechNode::nm45, arch::TechNode::nm32})
+            for (arch::SfuOption sfu : {arch::SfuOption::Software, arch::SfuOption::IsolatedUnit,
+                                        arch::SfuOption::DiagonalPEs})
+              for (double clock : {0.0, 0.8, 1.4}) {
+                KernelRequest req = base;
+                req.bw_words_per_cycle = bw;
+                req.core.sfu = sfu;
+                req.tech = arch::TechContext{node, clock};
+                ASSERT_EQ(validate(req), "");
+                grid.push_back(std::move(req));
+              }
+      }
+  std::set<std::string> keys;
+  for (const KernelRequest& req : grid) keys.insert(CostCache::signature(req));
+  ASSERT_EQ(keys.size(), grid.size());
+
+  // Bit-identical to an uncached model_cost.
+  const auto matches = [](const CostCache::Estimate& e, const KernelRequest& req) {
+    const ModelCost want = model_cost(req);
+    const auto same = [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    return same(e.cycles.value(), want.cycles.value()) &&
+           same(e.utilization, want.utilization) &&
+           same(e.energy_nj.value(), want.energy.energy_nj().value()) &&
+           same(e.avg_power_w.value(), want.energy.avg_power_w.value()) &&
+           same(e.area_mm2.value(), want.energy.area_mm2.value());
+  };
+
+  CostCache cache;
+  ThreadPool pool(3);
+  std::vector<CostCache::Estimate> got(grid.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "cold pass" : "warm pass");
+    pool.parallel_for(
+        grid.size(), [&](std::size_t i) { got[i] = cache.estimate(grid[i]); }, 4);
+    EXPECT_EQ(cache.misses(), keys.size());
+    EXPECT_EQ(cache.size(), keys.size());
+    EXPECT_EQ(cache.hits() + cache.misses(), (pass + 1) * grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      ASSERT_TRUE(matches(got[i], grid[i])) << "point " << i;
+  }
+
+  // clear() empties the table; a subset priced again misses again.
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  std::size_t subset = 0;
+  for (std::size_t i = 0; i < grid.size(); i += 7, ++subset)
+    ASSERT_TRUE(matches(cache.estimate(grid[i]), grid[i])) << "point " << i;
+  EXPECT_EQ(cache.misses(), subset);
+  EXPECT_EQ(cache.size(), subset);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(CostCache, ColdKeyLookedUpTogetherInsertsOnce) {
+  // Threads that miss one cold key together must leave one entry and count
+  // one miss: the insert re-checks the key under the shard's lock. Threads
+  // that start a walk at different times rarely meet inside a key's
+  // pricing, so 4 threads meet at a spin barrier before every key and look
+  // it up at once.
+  constexpr int kThreads = 4;
+  const int keys = test::scaled(200, 40);
+  const KernelRequest base =
+      kernel_traits(KernelKind::Gemm).sized_request(arch::lac_4x4_dp(), 1.0, 16, 4);
+  std::vector<KernelRequest> reqs(static_cast<std::size_t>(keys), base);
+  for (int k = 0; k < keys; ++k) reqs[k].bw_words_per_cycle = 0.5 + k;
+
+  CostCache cache;
+  std::atomic<int> arrived{0};
+  std::vector<std::vector<double>> cycles(kThreads, std::vector<double>(reqs.size()));
+  const auto walk = [&](int t) {
+    for (int k = 0; k < keys; ++k) {
+      arrived.fetch_add(1);
+      for (long spins = 0; arrived.load() < (k + 1) * kThreads; ++spins)
+        if (spins > 100000) std::this_thread::yield();  // more threads than cores
+      cycles[t][k] = cache.estimate(reqs[k]).cycles.value();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 1; t < kThreads; ++t) threads.emplace_back(walk, t);
+  walk(0);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(cache.size(), reqs.size());
+  EXPECT_EQ(cache.misses(), reqs.size());
+  EXPECT_EQ(cache.hits(), (kThreads - 1) * reqs.size());
+  for (int k = 0; k < keys; ++k)
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(cycles[t][k], model_cost(reqs[k]).cycles.value()) << "key " << k;
 }
 
 TEST(CostCache, SignatureKeysEveryEnergyRelevantField) {
