@@ -1,5 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 
@@ -22,6 +26,21 @@ struct PoolMetrics {
   }
 };
 
+/// Blocks while `word` reads `expected`; returns at once if it does not,
+/// and may return spuriously.
+void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected) {
+  syscall(SYS_futex, &word, FUTEX_WAIT_PRIVATE, expected, nullptr, nullptr, 0);
+}
+
+/// Wakes one thread blocked in futex_wait on `word`.
+void futex_wake(std::atomic<std::uint32_t>& word) {
+  syscall(SYS_futex, &word, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
+}
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "the futex reads the parking word as a plain 32-bit integer");
+
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -36,10 +55,12 @@ ThreadPool::~ThreadPool() {
   std::vector<std::thread> joined;
   {
     MutexLock lock(mu_);
-    stop_ = true;
     joined.swap(workers_);
-    cv_.notify_all();
   }
+  // A worker re-reads the flag after publishing `parked`, so each one either
+  // sees it or is parked by the time the sweep below wakes it.
+  stop_.store(true);
+  for (auto& shard : shards_) wake(*shard);
   // Discard queued jobs (running ones finish first -- workers re-check
   // the queues before exiting, and a job popped concurrently with this
   // sweep simply runs).
@@ -69,17 +90,14 @@ void ThreadPool::start_locked() {
   started_flag_.store(true, std::memory_order_release);
 }
 
-void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
-  QueuedJob qj;
-  qj.fn = std::move(job);
+void ThreadPool::enqueue(Job&& job, double cost_hint) {
   // Hintless jobs count one unit; hinted jobs land proportional to the
   // estimate, so one queued sim job outweighs hundreds of model jobs. A
   // NaN, infinite or sub-unit hint (an invalid request's estimate) counts
   // one unit too: it must never reach the integer cast.
-  qj.cost = std::isfinite(cost_hint) && cost_hint >= 1.0
-                ? static_cast<std::int64_t>(std::min(cost_hint, 1e15))
-                : 1;
-  const std::int64_t cost = qj.cost;
+  const std::int64_t cost = std::isfinite(cost_hint) && cost_hint >= 1.0
+                                ? static_cast<std::int64_t>(std::min(cost_hint, 1e15))
+                                : 1;
 
   if (!started_flag_.load(std::memory_order_acquire)) {
     MutexLock lock(mu_);
@@ -101,20 +119,38 @@ void ThreadPool::post_hinted(std::function<void()> job, double cost_hint) {
 
   Shard& shard = *shards_[pick];
   // outstanding_/queued_ go up before the job is visible so drain() and
-  // the sleep protocol never observe a posted job as "no work".
+  // the parking protocol never observe a posted job as "no work".
   outstanding_.fetch_add(1);
   queued_.fetch_add(1);
   {
     MutexLock lock(shard.mu);
-    shard.queue.push_back(std::move(qj));
+    shard.queue.emplace_back(std::move(job), cost);
     shard.cost.fetch_add(cost, std::memory_order_relaxed);
   }
-  // Wake a sleeper only when one exists; the notify is taken under mu_ so
-  // it cannot slip between a worker's queued_ re-check and its wait.
-  if (sleepers_.load() > 0) {
-    MutexLock lock(mu_);
-    cv_.notify_one();
+  // A searching worker will reach the job; otherwise wake a parked one,
+  // the shard's owner first (see the header for why nothing is lost).
+  if (searching_.load() == 0) wake_one(pick);
+}
+
+bool ThreadPool::wake(Shard& shard) {
+  if (shard.park.load() != kParked) return false;
+  // Counted before the CAS, so the worker never leaves the count before
+  // joining it.
+  searching_.fetch_add(1);
+  std::uint32_t parked = kParked;
+  if (shard.park.compare_exchange_strong(parked, kWoken)) {
+    futex_wake(shard.park);
+    return true;
   }
+  // It re-checked and stayed up, or another poster woke it: either way it
+  // is awake and counted.
+  searching_.fetch_sub(1);
+  return false;
+}
+
+void ThreadPool::wake_one(unsigned first) {
+  for (unsigned k = 0, s = first; k < target_; ++k, s = s + 1 == target_ ? 0 : s + 1)
+    if (wake(*shards_[s])) return;
 }
 
 bool ThreadPool::pop_from(unsigned shard_idx, QueuedJob& out) {
@@ -129,11 +165,13 @@ bool ThreadPool::pop_from(unsigned shard_idx, QueuedJob& out) {
 }
 
 void ThreadPool::run_job(QueuedJob&& job) {
-  job.fn();
+  job.fn.run();
   // Count the task before releasing it, so drain() returns only after
   // every task it waited for is counted.
   PoolMetrics::instance().tasks.add();
-  if (outstanding_.fetch_sub(1) == 1) {
+  // drain() publishes itself in drainers_ before it reads outstanding_,
+  // and holds mu_ until it waits: either it sees zero or this notifies.
+  if (outstanding_.fetch_sub(1) == 1 && drainers_.load() > 0) {
     MutexLock lock(mu_);
     idle_cv_.notify_all();
   }
@@ -141,9 +179,15 @@ void ThreadPool::run_job(QueuedJob&& job) {
 
 void ThreadPool::worker_loop(unsigned me) {
   PoolMetrics& metrics = PoolMetrics::instance();
+  std::atomic<std::uint32_t>& word = shards_[me]->park;
+  bool searching = false;  // counted in searching_
   for (;;) {
     QueuedJob job;
     bool have = pop_from(me, job);
+    if (!have && !searching) {
+      searching_.fetch_add(1);
+      searching = true;
+    }
     if (!have && queued_.load() > 0) {
       // Steal: try the costliest shard first (it has the deepest backlog),
       // then sweep the rest. Taking the oldest job preserves FIFO order.
@@ -161,29 +205,39 @@ void ThreadPool::worker_loop(unsigned me) {
         if (s != me && s != victim) have = pop_from(s, job);
       if (have) metrics.steals.add();
     }
-    if (!have) {
-      MutexLock lock(mu_);
-      // Re-check under mu_: post() publishes queued_ before it checks
-      // sleepers_, so either we see the job here or post() sees us after
-      // the increment below and notifies under mu_.
-      if (queued_.load() == 0) {
-        // On stop with work still queued, keep popping: the destructor
-        // clears the queues before it joins, so only jobs popped before
-        // its sweep reaches them still run.
-        if (stop_) return;
-        ++sleepers_;
-        cv_.wait(mu_);
-        --sleepers_;
+    if (have) {
+      // The last searcher to find a job hands the search on while jobs
+      // remain queued, since posters skipped their wakes while it searched.
+      if (searching) {
+        searching = false;
+        if (searching_.fetch_sub(1) == 1 && queued_.load() > 0)
+          wake_one(me + 1 == target_ ? 0 : me + 1);
       }
+      run_job(std::move(job));
       continue;
     }
-    run_job(std::move(job));
+    // Park: publish, leave the search, then re-check before blocking.
+    word.store(kParked);
+    searching_.fetch_sub(1);
+    if (queued_.load() > 0 || stop_.load()) {
+      // Back to searching; a waker that flipped the word counted it already.
+      if (word.exchange(kRunning) == kParked) searching_.fetch_add(1);
+      // On stop with work still queued, keep popping: the destructor
+      // clears the queues before it joins, so only jobs popped before its
+      // sweep reaches them still run.
+      if (stop_.load() && queued_.load() == 0) return;
+      continue;
+    }
+    while (word.load() == kParked) futex_wait(word, kParked);
+    word.store(kRunning, std::memory_order_relaxed);  // its waker counted it
   }
 }
 
 void ThreadPool::drain() {
   MutexLock lock(mu_);
+  drainers_.fetch_add(1);
   while (outstanding_.load() != 0) idle_cv_.wait(mu_);
+  drainers_.fetch_sub(1);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -90,6 +90,8 @@ CostKey::CostKey(const KernelRequest& req) : words(pack(req)) {
   hash = hash_words(words);
 }
 
+CostCache::CostCache(Pricing price) : price_(std::move(price)) {}
+
 CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   const CostKey key(req);
   Shard& shard = shards_[key.hash % kShards];
@@ -102,7 +104,7 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   }
   // Compute outside the lock: estimation is pure and two threads racing on
   // the same cold key produce identical entries.
-  const ModelCost cost = model_cost(req);
+  const ModelCost cost = price_(req);
   Estimate e;
   e.cycles = cost.cycles;
   e.utilization = cost.utilization;
@@ -116,41 +118,41 @@ CostCache::Estimate CostCache::estimate(const KernelRequest& req) {
   return e;
 }
 
-const CostCache::Entry& CostCache::Shard::entry(std::uint32_t n) const {
-  return blocks[n / kBlock]->entries[n % kBlock];
-}
-
 std::uint32_t CostCache::Shard::slot_of(const CostKey& key) const {
   std::uint32_t i = static_cast<std::uint32_t>(key.hash >> kShardBits) & mask;
-  while (slots[i] != 0 && entry(slots[i] - 1).key != key) i = (i + 1) & mask;
+  while (slots[i] != nullptr && slots[i]->key != key) i = (i + 1) & mask;
   return i;
 }
 
 const CostCache::Estimate* CostCache::Shard::find(const CostKey& key) const {
   if (!slots) return nullptr;
-  const std::uint32_t slot = slots[slot_of(key)];
-  return slot != 0 ? &entry(slot - 1).value : nullptr;
+  const Entry* e = slots[slot_of(key)];
+  return e != nullptr ? &e->value : nullptr;
 }
 
 bool CostCache::Shard::insert(const CostKey& key, const Estimate& value) {
   if (2 * (std::size_t{entries} + 1) > std::size_t{mask} + 1) grow();
   const std::uint32_t i = slot_of(key);
-  if (slots[i] != 0) return false;
+  if (slots[i] != nullptr) return false;
   if (entries % kBlock == 0) blocks.push_back(std::make_unique<Block>());
-  ::new (&blocks.back()->entries[entries % kBlock]) Entry{key, value};
-  slots[i] = ++entries;
+  slots[i] = ::new (&blocks.back()->entries[entries % kBlock]) Entry{key, value};
+  ++entries;
   return true;
 }
 
 void CostCache::Shard::grow() {
-  const std::uint32_t count = slots ? 2 * (mask + 1) : kFirstSlots;
-  slots = std::make_unique<std::uint32_t[]>(count);  // zeroed: every slot empty
+  const std::uint32_t old_count = slots ? mask + 1 : 0;
+  const std::uint32_t count = slots ? 2 * old_count : kFirstSlots;
+  // The new index is value-initialized: every slot empty.
+  std::unique_ptr<Entry*[]> old = std::exchange(slots, std::make_unique<Entry*[]>(count));
   mask = count - 1;
   // Entries are distinct, so each takes the first empty slot of its probe.
-  for (std::uint32_t n = 0; n < entries; ++n) {
-    std::uint32_t i = static_cast<std::uint32_t>(entry(n).key.hash >> kShardBits) & mask;
-    while (slots[i] != 0) i = (i + 1) & mask;
-    slots[i] = n + 1;
+  for (std::uint32_t n = 0; n < old_count; ++n) {
+    Entry* e = old[n];
+    if (e == nullptr) continue;
+    std::uint32_t i = static_cast<std::uint32_t>(e->key.hash >> kShardBits) & mask;
+    while (slots[i] != nullptr) i = (i + 1) & mask;
+    slots[i] = e;
   }
 }
 

@@ -29,6 +29,7 @@
 #include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/executor.hpp"
+#include "fabric/model_executor.hpp"
 
 namespace lac::fabric {
 
@@ -64,11 +65,11 @@ struct CostKey {
 ///
 /// Entries spread over 16 independently locked shards by the key's low hash
 /// bits. Each shard is a flat open-addressed table: a power-of-two index of
-/// uint32 slots, probed linearly from the hash bits above the shard's and
+/// entry pointers, probed linearly from the hash bits above the shard's and
 /// kept at most half full, over entries (key and estimate inline) stored in
-/// blocks of 8 that never move. An insert allocates only when it opens a
-/// block or doubles the index, and a probe compares the stored hash before
-/// the key's words.
+/// blocks of 8 that never move. A probe reads a slot, then its entry, and
+/// compares the stored hash before the key's words; an insert allocates
+/// only when it opens a block or doubles the index.
 class CostCache {
  public:
   struct Estimate {
@@ -79,9 +80,16 @@ class CostCache {
     units::SquareMillimeters area_mm2;
   };
 
+  /// What a miss runs. It must be pure: the cache keeps one result per
+  /// CostKey, whichever racing thread computed it.
+  using Pricing = std::function<ModelCost(const KernelRequest&)>;
+
+  /// `price` defaults to the closed-form models behind ModelExecutor.
+  explicit CostCache(Pricing price = model_cost);
+
   /// Cached estimate for the request, computing (and remembering) it on a
-  /// miss via the closed-form models behind ModelExecutor. The request must
-  /// validate(): like model_cost, a miss may divide by a zero field.
+  /// miss. The request must validate(): like model_cost, a miss may divide
+  /// by a zero field.
   Estimate estimate(const KernelRequest& req);
 
   /// The request's CostKey words as a byte string: two signatures are
@@ -123,10 +131,12 @@ class CostCache {
 
   struct alignas(64) Shard {
     mutable Mutex mu;
-    /// 0 = empty, else entry number + 1; null until the first insert.
-    std::unique_ptr<std::uint32_t[]> slots LAC_GUARDED_BY(mu);
+    /// Null = empty; the index itself is null until the first insert.
+    std::unique_ptr<Entry*[]> slots LAC_GUARDED_BY(mu);
     std::uint32_t mask LAC_GUARDED_BY(mu) = 0;  ///< slot count - 1
     std::uint32_t entries LAC_GUARDED_BY(mu) = 0;
+    /// Owns the entries; only an insert that opens a block and clear()
+    /// read it.
     std::vector<std::unique_ptr<Block>> blocks LAC_GUARDED_BY(mu);
     std::uint64_t hits LAC_GUARDED_BY(mu) = 0;
 
@@ -135,13 +145,13 @@ class CostCache {
     /// Adds `key` unless it is present; false if it was.
     bool insert(const CostKey& key, const Estimate& value) LAC_REQUIRES(mu);
 
-    const Entry& entry(std::uint32_t n) const LAC_REQUIRES(mu);
     /// The slot holding `key`, or the empty slot that ends its probe.
     std::uint32_t slot_of(const CostKey& key) const LAC_REQUIRES(mu);
     /// Doubles the index (or opens the first) and re-slots every entry.
     void grow() LAC_REQUIRES(mu);
   };
 
+  const Pricing price_;
   std::array<Shard, kShards> shards_;
 };
 
@@ -152,6 +162,12 @@ class CostCache {
 /// fabric::run_request, so a backend exception or a cost that is not
 /// finite and >= 0 resolves the future in-band (ok = false, zero cost), as
 /// the Executor contract has it, not as an exception from future::get().
+///
+/// A submission is one pool job: ThreadPool::submit_hinted keeps its
+/// packaged_task inline in the queue, so the task's shared state (holding
+/// the request, the hook and then the result) is the one allocation the
+/// hand-off makes. Posting takes no pool-wide lock, and wakes a parked
+/// worker only when no worker is already looking for work.
 class AsyncExecutor {
  public:
   /// `pool` defaults to the process-wide shared pool.

@@ -3,11 +3,26 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 namespace lac::fft {
 namespace {
 constexpr double kTau = 2.0 * std::numbers::pi;
+
+/// log4(n): the base-4 digits of an index below n, for n a power of 4.
+index_t digits4(index_t n) {
+  index_t digits = 0;
+  for (index_t t = n; t > 1; t /= 4) ++digits;
+  return digits;
 }
+
+/// i with its `digits` low base-4 digits in reverse order.
+index_t reverse_digits4(index_t i, index_t digits) {
+  index_t r = 0;
+  for (index_t d = 0; d < digits; ++d, i >>= 2) r = r * 4 + (i & 3);
+  return r;
+}
+}  // namespace
 
 std::vector<cplx> dft(const std::vector<cplx>& x) {
   const index_t n = static_cast<index_t>(x.size());
@@ -25,17 +40,8 @@ std::vector<cplx> dft(const std::vector<cplx>& x) {
 
 std::vector<index_t> digit_reversal4(index_t n) {
   std::vector<index_t> perm(static_cast<std::size_t>(n));
-  index_t digits = 0;
-  for (index_t t = n; t > 1; t /= 4) ++digits;
-  for (index_t i = 0; i < n; ++i) {
-    index_t r = 0;
-    index_t v = i;
-    for (index_t d = 0; d < digits; ++d) {
-      r = r * 4 + (v & 3);
-      v >>= 2;
-    }
-    perm[static_cast<std::size_t>(i)] = r;
-  }
+  const index_t digits = digits4(n);
+  for (index_t i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = reverse_digits4(i, digits);
   return perm;
 }
 
@@ -46,12 +52,14 @@ std::vector<cplx> fft_radix4(const std::vector<cplx>& x) {
   const cplx neg_i{0.0, -1.0};
   for (index_t len = n; len >= 4; len /= 4) {
     const index_t quarter = len / 4;
-    for (index_t base = 0; base < n; base += len) {
-      for (index_t q = 0; q < quarter; ++q) {
-        const double ang = -kTau * static_cast<double>(q) / len;
-        const cplx w1{std::cos(ang), std::sin(ang)};
-        const cplx w2 = w1 * w1;
-        const cplx w3 = w2 * w1;
+    // One twiddle set per q serves every block of the stage; the blocks'
+    // butterflies touch disjoint elements, so their order is free.
+    for (index_t q = 0; q < quarter; ++q) {
+      const double ang = -kTau * static_cast<double>(q) / len;
+      const cplx w1{std::cos(ang), std::sin(ang)};
+      const cplx w2 = w1 * w1;
+      const cplx w3 = w2 * w1;
+      for (index_t base = 0; base < n; base += len) {
         cplx& p0 = a[static_cast<std::size_t>(base + q)];
         cplx& p1 = a[static_cast<std::size_t>(base + q + quarter)];
         cplx& p2 = a[static_cast<std::size_t>(base + q + 2 * quarter)];
@@ -70,12 +78,14 @@ std::vector<cplx> fft_radix4(const std::vector<cplx>& x) {
   // Digit reversal to natural order (n is a power of 4 by construction of
   // the loop above reaching len == 4; for powers of 2 not of 4 a final
   // radix-2 stage would be required -- the LAC mapping uses powers of 4).
-  std::vector<cplx> out(static_cast<std::size_t>(n));
-  const auto perm = digit_reversal4(n);
-  for (index_t i = 0; i < n; ++i)
-    out[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] =
-        a[static_cast<std::size_t>(i)];
-  return out;
+  // Reversing the digits twice is the identity, so swapping each pair once
+  // permutes in place.
+  const index_t digits = digits4(n);
+  for (index_t i = 0; i < n; ++i) {
+    const index_t r = reverse_digits4(i, digits);
+    if (i < r) std::swap(a[static_cast<std::size_t>(i)], a[static_cast<std::size_t>(r)]);
+  }
+  return a;
 }
 
 std::vector<cplx> fft2d(const std::vector<cplx>& x, index_t n) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <future>
@@ -558,6 +559,54 @@ TEST(CostCache, ColdKeyLookedUpTogetherInsertsOnce) {
   EXPECT_EQ(cache.misses(), reqs.size());
   EXPECT_EQ(cache.hits(), (kThreads - 1) * reqs.size());
   for (int k = 0; k < keys; ++k)
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(cycles[t][k], model_cost(reqs[k]).cycles.value()) << "key " << k;
+}
+
+TEST(CostCache, ColdKeyHeldInsidePricingInsertsOnce) {
+  // The cache's pricing holds every thread inside a key's pricing until
+  // all of them have missed that key, so each key is always raced: the
+  // insert's re-check under the shard lock must leave one entry and count
+  // one miss, however the host schedules the threads. A thread waits at
+  // most 10 s for the others.
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 16;
+  std::atomic<int> inside{0};
+  std::atomic<bool> timed_out{false};
+  CostCache cache([&](const KernelRequest& req) {
+    const int arrived = inside.fetch_add(1) + 1;
+    const int all_in = (arrived + kThreads - 1) / kThreads * kThreads;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inside.load() < all_in)
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        break;
+      } else {
+        std::this_thread::yield();
+      }
+    return model_cost(req);
+  });
+  const KernelRequest base =
+      kernel_traits(KernelKind::Gemm).sized_request(arch::lac_4x4_dp(), 1.0, 16, 5);
+  std::vector<KernelRequest> reqs(kKeys, base);
+  for (int k = 0; k < kKeys; ++k) reqs[k].bw_words_per_cycle = 0.25 + k;
+
+  std::vector<std::vector<double>> cycles(kThreads, std::vector<double>(kKeys));
+  const auto walk = [&](int t) {
+    for (int k = 0; k < kKeys; ++k) cycles[t][k] = cache.estimate(reqs[k]).cycles.value();
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads - 1);
+  for (int t = 1; t < kThreads; ++t) threads.emplace_back(walk, t);
+  walk(0);
+  for (std::thread& thread : threads) thread.join();
+
+  ASSERT_FALSE(timed_out.load()) << "the threads did not all reach a key's pricing";
+  EXPECT_EQ(inside.load(), kThreads * kKeys);  // every lookup missed
+  EXPECT_EQ(cache.size(), std::size_t{kKeys});
+  EXPECT_EQ(cache.misses(), std::uint64_t{kKeys});
+  EXPECT_EQ(cache.hits(), std::uint64_t{(kThreads - 1) * kKeys});
+  for (int k = 0; k < kKeys; ++k)
     for (int t = 0; t < kThreads; ++t)
       EXPECT_EQ(cycles[t][k], model_cost(reqs[k]).cycles.value()) << "key " << k;
 }
