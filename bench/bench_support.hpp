@@ -1,26 +1,13 @@
 #pragma once
-// Shared bench plumbing: run metadata.
-//
-// Every BENCH_*.json used to be a bare measurement -- comparing two runs
-// meant guessing which commit, build type, and pool width produced each.
-// meta_json() stamps all of that (plus an ISO-8601 UTC timestamp) into a
-// `meta` object every bench embeds.
-//
-// Header-only on purpose: bench/bench_*.cpp files each glob into their own
-// executable, so a bench_support.cpp would itself become a (linkless)
-// bench target.
+// Run provenance for perfbench: the commit a binary was built from and the
+// time it ran. perfbench/src/main.cpp is the only reader; it stays in
+// bench/ because perfbench/CMakeLists.txt puts this directory on its
+// include path.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <sstream>
 #include <string>
-
-// Stamped per bench target by CMake (the build type is only knowable
-// there); a bare `c++ bench_foo.cpp` build still compiles.
-#ifndef LAC_BUILD_TYPE
-#define LAC_BUILD_TYPE "unknown"
-#endif
 
 namespace lac::bench {
 
@@ -50,21 +37,6 @@ inline std::string iso8601_utc_now() {
   char buf[32] = {};
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
-}
-
-/// The `meta` object every BENCH_*.json embeds: enough provenance to
-/// compare two result files without the shell history that produced them.
-/// `indent` is the prefix of the line the object starts on.
-inline std::string meta_json(unsigned worker_width,
-                             const std::string& indent = "  ") {
-  std::ostringstream os;
-  os << "{\n"
-     << indent << "  \"git_sha\": \"" << run_git_sha() << "\",\n"
-     << indent << "  \"build_type\": \"" << LAC_BUILD_TYPE << "\",\n"
-     << indent << "  \"timestamp\": \"" << iso8601_utc_now() << "\",\n"
-     << indent << "  \"worker_width\": " << worker_width << "\n"
-     << indent << "}";
-  return os.str();
 }
 
 }  // namespace lac::bench

@@ -48,7 +48,7 @@ double power_scale_from_45(TechNode to);  // lint-allow: raw-unit (dimensionless
 /// scaling law from the quantity's dimension (energy/power ~ L, area ~
 /// L^2), so a caller cannot apply the area law to an energy or mix two
 /// nodes in one sum without the seam showing. test_arch_presets.cpp pins
-/// the 45nm -> 32nm factors bench_codesign's tech sweeps rely on.
+/// the 45nm -> 32nm factors.
 units::Picojoules scale_from_45(units::Picojoules at45, TechNode to);
 units::Nanojoules scale_from_45(units::Nanojoules at45, TechNode to);
 units::Milliwatts scale_from_45(units::Milliwatts at45, TechNode to);

@@ -24,10 +24,10 @@
 // in), so derived quantities never inherit an ambiguous prefix.
 //
 // Zero cost: a Quantity is one double, trivially copyable, standard layout
-// (static_asserts below). Hot paths and BENCH_*.json emission are
-// unchanged; `.value()` is the raw-double escape hatch, allowed only at
-// JSON/stdout formatting boundaries (the `raw-unit` rule in
-// tools/lint/lint.py enforces the header-level discipline).
+// (static_asserts below). Hot paths are unchanged; `.value()` is the
+// raw-double escape hatch, allowed only at output formatting boundaries
+// (tables, CSV, JSON; the `raw-unit` rule in tools/lint/lint.py enforces
+// the header-level discipline).
 #include <compare>
 #include <ostream>
 #include <ratio>

@@ -172,12 +172,6 @@ CostCache::Totals CostCache::totals() const {
   return t;
 }
 
-double CostCache::hit_rate() const {
-  const Totals t = totals();
-  const double lookups = static_cast<double>(t.hits + t.entries);
-  return lookups > 0 ? static_cast<double>(t.hits) / lookups : 0.0;
-}
-
 void CostCache::clear() {
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
@@ -215,14 +209,6 @@ std::future<KernelResult> AsyncExecutor::submit(
     if (hook) hook(res);
     return res;
   });
-}
-
-std::vector<std::future<KernelResult>> AsyncExecutor::submit_all(
-    std::vector<KernelRequest> reqs) const {
-  std::vector<std::future<KernelResult>> futures;
-  futures.reserve(reqs.size());
-  for (KernelRequest& req : reqs) futures.push_back(submit(std::move(req)));
-  return futures;
 }
 
 }  // namespace lac::fabric

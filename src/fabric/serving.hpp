@@ -101,8 +101,6 @@ class CostCache {
   /// misses == size(): every miss inserts one entry.
   std::uint64_t hits() const { return totals().hits; }
   std::uint64_t misses() const { return totals().entries; }
-  /// Hits over lookups so far (0 when the cache is cold).
-  double hit_rate() const;
   std::size_t size() const { return totals().entries; }
   void clear();
 
@@ -190,10 +188,6 @@ class AsyncExecutor {
   std::future<KernelResult> submit(
       KernelRequest req,
       std::function<void(const KernelResult&)> on_complete) const;
-
-  /// Queue a whole workload; future i corresponds to request i.
-  std::vector<std::future<KernelResult>> submit_all(
-      std::vector<KernelRequest> reqs) const;
 
   const Executor& backend() const { return backend_; }
   ThreadPool& pool() const { return pool_; }

@@ -1,8 +1,9 @@
 #include "fft/reference_fft.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace lac::fft {
@@ -47,7 +48,12 @@ std::vector<index_t> digit_reversal4(index_t n) {
 
 std::vector<cplx> fft_radix4(const std::vector<cplx>& x) {
   const index_t n = static_cast<index_t>(x.size());
-  assert(n > 0 && (n & (n - 1)) == 0);
+  // The stages below stop at len == 4 and the reversal assumes whole base-4
+  // digits: any other size would index past the vector.
+  const index_t digits = digits4(n);
+  if (n != index_t{1} << (2 * digits))
+    throw std::invalid_argument("fft_radix4: " + std::to_string(n) +
+                                " points is not a power of 4");
   std::vector<cplx> a = x;
   const cplx neg_i{0.0, -1.0};
   for (index_t len = n; len >= 4; len /= 4) {
@@ -75,12 +81,8 @@ std::vector<cplx> fft_radix4(const std::vector<cplx>& x) {
       }
     }
   }
-  // Digit reversal to natural order (n is a power of 4 by construction of
-  // the loop above reaching len == 4; for powers of 2 not of 4 a final
-  // radix-2 stage would be required -- the LAC mapping uses powers of 4).
-  // Reversing the digits twice is the identity, so swapping each pair once
-  // permutes in place.
-  const index_t digits = digits4(n);
+  // Digit reversal to natural order. Reversing the digits twice is the
+  // identity, so swapping each pair once permutes in place.
   for (index_t i = 0; i < n; ++i) {
     const index_t r = reverse_digits4(i, digits);
     if (i < r) std::swap(a[static_cast<std::size_t>(i)], a[static_cast<std::size_t>(r)]);
@@ -89,7 +91,10 @@ std::vector<cplx> fft_radix4(const std::vector<cplx>& x) {
 }
 
 std::vector<cplx> fft2d(const std::vector<cplx>& x, index_t n) {
-  assert(static_cast<index_t>(x.size()) == n * n);
+  if (static_cast<index_t>(x.size()) != n * n)
+    throw std::invalid_argument("fft2d: " + std::to_string(x.size()) +
+                                " points for a " + std::to_string(n) + " x " +
+                                std::to_string(n) + " grid");
   std::vector<cplx> work = x;
   std::vector<cplx> line(static_cast<std::size_t>(n));
   // Row FFTs (row-major storage: element (r, c) at r*n + c).
@@ -109,7 +114,10 @@ std::vector<cplx> fft2d(const std::vector<cplx>& x, index_t n) {
 
 std::vector<cplx> fft_four_step(const std::vector<cplx>& x, index_t n1, index_t n2) {
   const index_t n = n1 * n2;
-  assert(static_cast<index_t>(x.size()) == n);
+  if (static_cast<index_t>(x.size()) != n)
+    throw std::invalid_argument("fft_four_step: " + std::to_string(x.size()) +
+                                " points for " + std::to_string(n1) + " x " +
+                                std::to_string(n2));
   // View x as an n1 x n2 matrix stored row-major: x[j1*n2 + j2].
   std::vector<cplx> work = x;
   std::vector<cplx> line;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "model/blocking.hpp"
 #include "model/chip_model.hpp"
 
 namespace lac::model {
@@ -50,18 +49,11 @@ ValidationCase validate_clearspeed_csx() {
   v.avail_offchip_gbs = 4.0;
   v.measured_utilization = 0.78;
 
-  // 128 KB fits a 64x128 block of C; the §4.3 analysis uses the external
-  // blocking model with d = 16, k~ = 2.
-  ExternalBlocking b;
-  b.n = 1024;
-  b.ns = 64;
-  b.k = 2;
-  v.ns = b.ns;
+  // 128 KB fits a 64x128 block of C.
+  v.ns = 64;
   v.mc = 64;
-  // elements/cycle -> GB/s at the CSX clock; CSX streams 8-byte words.
-  const double epc = external_bw_words(b) * 96.0 * 4.0;  // scaled to 96 PE-equivalents
-  v.required_offchip_gbs = epc * v.clock_ghz * 8.0 / 4.0;
-  // The published analysis arrives at 4.7 GB/s demand vs 4.0 available.
+  // The published analysis's off-chip demand, 4.7 GB/s against 4.0
+  // available; not a model output.
   v.required_offchip_gbs = 4.7;
   v.required_onchip_gbs = 0.0;
   v.predicted_utilization = std::min(1.0, v.avail_offchip_gbs / v.required_offchip_gbs);

@@ -32,7 +32,7 @@ ValidationCase validate_fermi_c2050();
 /// ClearSpeed CSX (128 KB, 64x128 C block): predicted 83% vs measured 78%.
 ValidationCase validate_clearspeed_csx();
 
-/// Both cases, for the bench/table printer.
+/// Both cases, as the sec_4_3 paper artifact prints them.
 std::vector<ValidationCase> all_validation_cases();
 
 }  // namespace lac::model

@@ -1,6 +1,6 @@
 #pragma once
-// The paper's reproduced tables and figures (Tables 3.1-6.2, Figs 3.4-6.7,
-// Apps. A-B) and two simulator studies, as one explicit table of
+// The paper's reproduced tables and figures (Tables 3.1-6.2, §4.3, Figs
+// 3.4-6.7, Apps. A-B) and three simulator studies, as one explicit table of
 // artifacts. Each artifact renders into a Report: the text
 // bench_paper_artifacts prints and the CSV files it writes, which
 // tests/test_paper_artifacts.cpp digests.
@@ -8,7 +8,6 @@
 // The table is a plain array, not statics that register themselves: a
 // static library drops every object file nothing references, and
 // self-registered entries would go with it.
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -26,10 +25,19 @@ class Report {
     std::string text;  ///< its rows, comma-separated, one per line
   };
 
+  /// The worst |value/reference - 1| recorded under one name.
+  struct Gap {
+    std::string name;
+    double worst = 0.0;
+  };
+
   /// A "paper | model" cell, as fixed decimals or as percents. Records
-  /// the cell's |model/paper - 1|.
+  /// the cell's gap under "paper".
   std::string vs(double paper, double model, int decimals);
   std::string vs_pct(double paper, double model);
+
+  /// Records |value/reference - 1| under `name`, keeping the worst.
+  void gap(const std::string& name, double reference, double value);
 
   void print(const Table& t) { text_ += t.str(); }
   /// Appends `text` and a newline, as std::puts does.
@@ -39,19 +47,17 @@ class Report {
 
   const std::string& text() const { return text_; }
   const std::vector<CsvFile>& csv_files() const { return csv_; }
-  /// The worst |model/paper - 1| over the vs() cells; none without any.
-  std::optional<double> paper_gap() const { return paper_gap_; }
+  /// One worst gap per recorded name, in first-write order.
+  const std::vector<Gap>& gaps() const { return gaps_; }
 
  private:
-  void note_gap(double paper, double model);
-
   std::string text_;
   std::vector<CsvFile> csv_;
-  std::optional<double> paper_gap_;
+  std::vector<Gap> gaps_;
 };
 
 struct Artifact {
-  const char* id;       ///< e.g. "table_3_1", "fig_4_9_4_12", "chip_scaling"
+  const char* id;       ///< e.g. "table_3_1", "fig_4_9_4_12", "sim_model_gap"
   const char* caption;  ///< what it reproduces
   void (*render)(Report&);
 };

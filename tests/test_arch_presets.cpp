@@ -57,8 +57,8 @@ TEST(Technology, ScalingMonotonic) {
 
 TEST(Technology, TypedScaleFrom45PinsNodeFactors) {
   // The typed overloads pick the scaling law from the quantity's dimension:
-  // energy and power scale ~L, area ~L^2. Pin the 45nm -> 32nm factors the
-  // bench_codesign tech sweep relies on, in each typed representation.
+  // energy and power scale ~L, area ~L^2. Pin the 45nm -> 32nm factors a
+  // technology sweep relies on, in each typed representation.
   const double p = power_scale_from_45(TechNode::nm32);
   const double a = area_scale_from_45(TechNode::nm32);
   EXPECT_NEAR(p, 32.0 / 45.0, 1e-12);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/random.hpp"
 
@@ -56,6 +58,34 @@ TEST_P(Radix4VsDft, MatchesNaiveDft) {
 
 INSTANTIATE_TEST_SUITE_P(PowersOfFour, Radix4VsDft,
                          ::testing::Values(4, 16, 64, 256, 1024));
+
+/// What f() throws as std::invalid_argument, or a note that it did not.
+template <class F>
+std::string invalid_argument_message(F f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no std::invalid_argument";
+}
+
+TEST(ReferenceFft, RejectsSizesItCannotTransformNamingThem) {
+  // Powers of 2 that are not powers of 4 used to run the radix-4 stages and
+  // the digit reversal past the vector in an optimized build.
+  for (index_t n : {2, 8, 32, 128}) {
+    const std::vector<cplx> x = random_signal(n, 3);
+    EXPECT_NE(invalid_argument_message([&x] { fft_radix4(x); })
+                  .find(std::to_string(n) + " points"),
+              std::string::npos)
+        << n << " points";
+  }
+  const std::vector<cplx> x = random_signal(64, 4);
+  EXPECT_NE(invalid_argument_message([&x] { fft2d(x, 16); }).find("64 points"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_message([&x] { fft_four_step(x, 16, 16); }).find("64 points"),
+            std::string::npos);
+}
 
 TEST(ReferenceFft, DigitReversalIsInvolution) {
   const auto perm = digit_reversal4(64);

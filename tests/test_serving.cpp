@@ -72,12 +72,16 @@ std::vector<KernelResult> run_serial(const Executor& ex,
   return out;
 }
 
-/// Every request through an AsyncExecutor on `pool`; result i answers
-/// request i whatever order the workers finish in.
+/// Every request through an AsyncExecutor on `pool`, hinted by `hints`
+/// when set; result i answers request i whatever order the workers finish
+/// in.
 std::vector<KernelResult> run_async(const Executor& ex, ThreadPool& pool,
-                                    const std::vector<KernelRequest>& reqs) {
-  std::vector<std::future<KernelResult>> futs =
-      AsyncExecutor(ex, &pool).submit_all(reqs);
+                                    const std::vector<KernelRequest>& reqs,
+                                    CostCache* hints = nullptr) {
+  const AsyncExecutor async(ex, &pool, hints);
+  std::vector<std::future<KernelResult>> futs;
+  futs.reserve(reqs.size());
+  for (const KernelRequest& req : reqs) futs.push_back(async.submit(req));
   std::vector<KernelResult> out;
   out.reserve(futs.size());
   for (auto& f : futs) out.push_back(f.get());
@@ -213,14 +217,13 @@ TEST(AsyncExecutor, StressMixedKernelsBothBackends) {
   for (const Executor* ex : {static_cast<const Executor*>(&kSim),
                              static_cast<const Executor*>(&kModel)}) {
     std::vector<KernelResult> expect = run_serial(*ex, reqs);
-    AsyncExecutor async(*ex);
-    std::vector<std::future<KernelResult>> futs = async.submit_all(reqs);
-    ASSERT_EQ(futs.size(), reqs.size());
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      KernelResult got = futs[i].get();
-      ASSERT_TRUE(got.ok) << ex->name() << " request " << i << ": " << got.error;
-      EXPECT_EQ(got.cycles.value(), expect[i].cycles.value()) << ex->name() << " request " << i;
-      EXPECT_TRUE(got.out == expect[i].out) << ex->name() << " request " << i;
+    std::vector<KernelResult> got = run_async(*ex, ThreadPool::shared(), reqs);
+    ASSERT_EQ(got.size(), reqs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].ok) << ex->name() << " request " << i << ": " << got[i].error;
+      EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value())
+          << ex->name() << " request " << i;
+      EXPECT_TRUE(got[i].out == expect[i].out) << ex->name() << " request " << i;
     }
   }
 }
@@ -255,19 +258,14 @@ TEST(AsyncExecutor, CostHintedDispatchMatchesUnhintedResults) {
   // never a second simulation).
   std::vector<KernelRequest> reqs = serving_workload(3);
   ThreadPool plain_pool(4);
-  const AsyncExecutor plain(kSim, &plain_pool);
-  std::vector<std::future<KernelResult>> base_futs = plain.submit_all(reqs);
-  std::vector<KernelResult> expect;
-  for (auto& f : base_futs) expect.push_back(f.get());
+  std::vector<KernelResult> expect = run_async(kSim, plain_pool, reqs);
 
   CostCache hints;
   ThreadPool hinted_pool(4);
-  const AsyncExecutor hinted(kSim, &hinted_pool, &hints);
-  std::vector<std::future<KernelResult>> futs = hinted.submit_all(reqs);
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    KernelResult got = futs[i].get();
-    EXPECT_EQ(got.cycles.value(), expect[i].cycles.value()) << "req " << i;
-    EXPECT_TRUE(got.out == expect[i].out) << "req " << i;
+  std::vector<KernelResult> got = run_async(kSim, hinted_pool, reqs, &hints);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value()) << "req " << i;
+    EXPECT_TRUE(got[i].out == expect[i].out) << "req " << i;
   }
   // Every submission consulted the cache; the repeated shapes hit.
   EXPECT_EQ(hints.hits() + hints.misses(), reqs.size());
@@ -399,7 +397,7 @@ TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
   EXPECT_EQ(cache.misses(), unique_shapes);
   EXPECT_EQ(cache.size(), unique_shapes);
   EXPECT_EQ(cache.hits(), reqs.size() - unique_shapes);
-  EXPECT_GT(cache.hit_rate(), 0.5);
+  EXPECT_GT(cache.hits(), cache.misses());
 
   const std::uint64_t hits_before = cache.hits();
   cache.clear();
@@ -410,7 +408,7 @@ TEST(CostCache, RepeatedShapesHitAndMatchUncached) {
 TEST(CostCache, ColdKeyRaceCountsOneMissPerEntry) {
   // Many threads racing on the same cold key must resolve to exactly one
   // miss (the inserting thread) -- the pre-fix behavior counted one miss
-  // per racing thread for a single inserted entry, skewing hit_rate().
+  // per racing thread for a single inserted entry, skewing the miss count.
   arch::CoreConfig cfg = arch::lac_4x4_dp();
   auto a = std::make_shared<const MatrixD>(random_matrix(16, 16, 200));
   auto b = std::make_shared<const MatrixD>(random_matrix(16, 16, 201));
@@ -810,22 +808,19 @@ TEST(AsyncExecutor, FftByteIdenticalAcrossPoolWidths) {
   for (const Executor* ex : {static_cast<const Executor*>(&sim),
                              static_cast<const Executor*>(&model)}) {
     ThreadPool serial(1);
-    std::vector<KernelResult> expect;
-    for (auto& f : AsyncExecutor(*ex, &serial).submit_all(reqs))
-      expect.push_back(f.get());
+    std::vector<KernelResult> expect = run_async(*ex, serial, reqs);
     for (unsigned width : {2u, 4u}) {
       ThreadPool pool(width);
-      std::vector<std::future<KernelResult>> futs =
-          AsyncExecutor(*ex, &pool).submit_all(reqs);
+      std::vector<KernelResult> got = run_async(*ex, pool, reqs);
       for (std::size_t i = 0; i < expect.size(); ++i) {
-        KernelResult got = futs[i].get();
-        ASSERT_TRUE(got.ok) << ex->name();
-        EXPECT_EQ(got.cycles.value(), expect[i].cycles.value()) << ex->name() << " req " << i;
-        EXPECT_EQ(got.energy_nj.value(), expect[i].energy_nj.value()) << ex->name();
-        ASSERT_EQ(got.spectrum.size(), expect[i].spectrum.size());
+        ASSERT_TRUE(got[i].ok) << ex->name();
+        EXPECT_EQ(got[i].cycles.value(), expect[i].cycles.value())
+            << ex->name() << " req " << i;
+        EXPECT_EQ(got[i].energy_nj.value(), expect[i].energy_nj.value()) << ex->name();
+        ASSERT_EQ(got[i].spectrum.size(), expect[i].spectrum.size());
         // Byte-identical: exact complex equality, no tolerance.
-        for (std::size_t g = 0; g < got.spectrum.size(); ++g)
-          ASSERT_EQ(got.spectrum[g], expect[i].spectrum[g])
+        for (std::size_t g = 0; g < got[i].spectrum.size(); ++g)
+          ASSERT_EQ(got[i].spectrum[g], expect[i].spectrum[g])
               << ex->name() << " req " << i << " point " << g;
       }
     }

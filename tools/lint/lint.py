@@ -15,14 +15,6 @@ compiles fine today and corrupts an invariant three PRs later:
                         (perfbench's mixes and the golden tests build
                         traffic via sized_request, so a kind without one
                         is invisible to them).
-  bench-schema          Every numeric field a bench emits into a
-                        BENCH_*.json must carry a unit suffix (_cycles,
-                        _nj, _w, _mm2, _ms, _per_s, ... -- or be a named
-                        display unit like `gflops`), unless the key is a
-                        recognizably dimensionless count/ratio (hits,
-                        requests, utilization, speedup, ...). Unit-less
-                        quantity keys are how the PR 3 mW-vs-W ambiguity
-                        leaks into downstream tooling.
   raw-thread            No raw std::thread construction outside
                         src/common/: concurrency goes through the
                         ThreadPool so the sanitizer lanes and the
@@ -64,22 +56,17 @@ compiles fine today and corrupts an invariant three PRs later:
                         mutex) is allowed. Waive with
                         `lint-allow: blocking-under-lock`.
 
---artifact FILE validates an emitted BENCH_*.json instead of sources: its
-`meta` provenance object must carry every required key. The object is
-streamed in from a helper at runtime, so bench-schema cannot see it in
-the source.
-
 Exit status 0 = clean, 1 = findings (printed one per line as
 file:line: [check] message), 2 = linter could not run.
 
---self-test seeds one violation of each rule into an in-memory copy of
-the tree and asserts the corresponding check reports it (run as the
-`lint_selftest` CTest target, so a check that silently stops matching
-the codebase fails CI the same way a violation would).
+--self-test seeds at least one violation of each rule into an in-memory
+copy of the tree and asserts the corresponding check reports it (run as
+the `lint_selftest` CTest target, so a check that silently stops matching
+the codebase fails CI the same way a violation would). A rule with no
+seed fails the self-test too.
 """
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -282,71 +269,19 @@ def check_raw_thread(tree):
     return findings
 
 
-# JSON keys inside bench sources: `\"key\": ` inside a C++ string literal.
-# Group 2 captures what immediately follows the colon *inside the same
-# literal*: an opening quote means a string value, `[`/`{` a nested
-# container -- both exempt from the unit rule.
-BENCH_JSON_KEY = re.compile(r'\\"([A-Za-z0-9_]+)\\":\s?(\\"|\[|\{)?')
-
-# Unit-bearing final tokens: `energy_nj`, `p99_ms`, `requests_per_s`,
-# `avg_power_w`, `energy_delay_mw_per_gflops2` -- and bare display-unit
-# names (`cycles`, `watts`, `gflops`).
-UNIT_TOKENS = {
-    "cycles", "nj", "pj", "w", "mw", "watts", "mm2", "ms", "us", "ns", "s",
-    "ghz", "gflops", "gflops2", "bytes", "kb", "mb",
-}
-
-# Dimensionless counts/ratios/config echoes: allowed without a suffix.
-DIMENSIONLESS_KEYS = {"smoke", "n", "nr", "bw", "utilization"}
-DIMENSIONLESS_TOKENS = {"points", "hits", "misses", "rate", "width"}
-
-# Keys whose values are runtime-composed JSON objects streamed in from a
-# helper (`<< meta_json(...)`), so the source-level regex cannot see the
-# `{` that proves them non-numeric. The --artifact validation CI runs on
-# the emitted files checks their contents.
-RUNTIME_SECTION_KEYS = {"meta"}
-
-
-def check_bench_schema(tree):
-    findings = []
-    for rel, text in tree.files.items():
-        if not rel.startswith("bench/"):
-            continue
-        if "BENCH_" not in text:
-            continue  # bench prints tables only; no JSON schema to check
-        clean = strip_comments(text)
-        raw_lines = text.splitlines()
-        for m in BENCH_JSON_KEY.finditer(clean):
-            key, value_head = m.group(1), m.group(2)
-            if value_head is not None:
-                continue  # string-valued or nested object/array field
-            if key in RUNTIME_SECTION_KEYS:
-                continue  # object streamed from a helper; --artifact checks it
-            last = key.rsplit("_", 1)[-1]
-            if last in UNIT_TOKENS:
-                continue
-            if key in DIMENSIONLESS_KEYS or last in DIMENSIONLESS_TOKENS:
-                continue
-            line = line_of(clean, m.start())
-            raw = raw_lines[line - 1] if line <= len(raw_lines) else ""
-            if "lint-allow(bench-unit)" in raw:
-                continue
-            findings.append(
-                (rel, line,
-                 f"numeric BENCH json field `{key}` has no unit suffix "
-                 "(_cycles, _nj, _w, _mm2, _ms, _per_s, ...) and is not a "
-                 "known dimensionless count/ratio -- name the unit (or "
-                 "waive with lint-allow(bench-unit))")
-            )
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # metric-names: registry metric literals in product code.
 
 # A metric-name (or metric-name-prefix) string literal: `"lac.` followed by
 # dotted segments. Captures the literal's contents up to the closing quote.
 METRIC_LITERAL = re.compile(r'"(lac\.[^"\\]*)"')
+
+# Unit-bearing final tokens: `wait_us`, `run_ns`, `energy_nj` -- and bare
+# display-unit names (`cycles`, `watts`, `gflops`).
+UNIT_TOKENS = {
+    "cycles", "nj", "pj", "w", "mw", "watts", "mm2", "ms", "us", "ns", "s",
+    "ghz", "gflops", "gflops2", "bytes", "kb", "mb",
+}
 
 # Final-segment tokens that read as a count without a unit: the name *is*
 # the dimension. Everything else numeric must end in a unit suffix.
@@ -563,36 +498,8 @@ def check_blocking_under_lock(tree):
     return findings
 
 
-# ---------------------------------------------------------------------------
-# --artifact: runtime validation of emitted BENCH JSON.
-
-REQUIRED_META_KEYS = {"git_sha", "build_type", "timestamp", "worker_width"}
-
-
-def validate_artifact_data(rel, data):
-    """Findings for one parsed BENCH_*.json."""
-    meta = data.get("meta")
-    if not isinstance(meta, dict):
-        return [(rel, 1, "BENCH json has no `meta` provenance object")]
-    missing = REQUIRED_META_KEYS - set(meta)
-    if missing:
-        return [(rel, 1, f"BENCH `meta` is missing {sorted(missing)}")]
-    return []
-
-
-def validate_artifact_file(path):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
-        return [(str(path), 1, f"unreadable artifact: {e}")]
-    if not isinstance(data, dict):
-        return [(str(path), 1, "artifact root is not a JSON object")]
-    return validate_artifact_data(str(path), data)
-
-
 CHECKS = {
     "stray-kernel-switch": check_stray_kernel_switch,
-    "bench-schema": check_bench_schema,
     "registry-complete": check_registry_complete,
     "raw-thread": check_raw_thread,
     "metric-names": check_metric_names,
@@ -640,14 +547,6 @@ def self_test(tree):
     def seed_sized_request(files):
         files[REGISTRY] = re.sub(r"t\.sized_request", "t.lint_seed",
                                  files[REGISTRY], count=1)
-
-    # bench-schema: a numeric JSON field with no unit suffix.
-    def seed_bench_schema(files):
-        files["bench/bench_codesign.cpp"] += (
-            "\nstatic void lint_seed(std::ostream& os) {\n"
-            "  os << \"\\\"latency\\\": \" << 1.0;  // BENCH_seed.json\n"
-            "}\n"
-        )
 
     # raw-thread: a spawned std::thread outside src/common/.
     def seed_thread(files):
@@ -704,7 +603,6 @@ def self_test(tree):
 
     seeds = [
         ("stray-kernel-switch", seed_switch),
-        ("bench-schema", seed_bench_schema),
         ("registry-complete", seed_registry),
         ("registry-complete", seed_sized_request),
         ("raw-thread", seed_thread),
@@ -715,6 +613,8 @@ def self_test(tree):
         ("raw-unit", seed_raw_unit),
         ("blocking-under-lock", seed_blocking),
     ]
+    for name in sorted(set(CHECKS) - {name for name, _ in seeds}):
+        failures.append(f"self-test: [{name}] has no seed")
     for name, mutate in seeds:
         try:
             hits = run_checks(seeded(mutate), [name])
@@ -727,26 +627,6 @@ def self_test(tree):
                             "was NOT caught")
         else:
             print(f"self-test: [{name}] {mutate.__name__} caught: {hits[0]}")
-
-    # Artifact-validation seeds: each bad fixture must be caught, and the
-    # good fixture must be clean.
-    good_meta = {"git_sha": "abc123", "build_type": "Release",
-                 "timestamp": "2026-01-01T00:00:00Z", "worker_width": 8}
-    artifact_cases = [
-        ("good bench", {"meta": good_meta, "records": []}, False),
-        ("bench without meta", {"records": []}, True),
-        ("meta missing keys", {"meta": {"git_sha": "abc123"}}, True),
-    ]
-    for label, data, expect_findings in artifact_cases:
-        hits = validate_artifact_data(label, data)
-        if bool(hits) != expect_findings:
-            failures.append(
-                f"self-test: [artifact] `{label}` expected "
-                f"{'findings' if expect_findings else 'clean'}, got "
-                f"{hits or 'clean'}")
-        else:
-            print(f"self-test: [artifact] {label}: "
-                  f"{'caught: ' + str(hits[0]) if hits else 'clean'}")
 
     # And the pristine tree must be clean, or the seeds prove nothing.
     pristine = run_checks(tree, list(CHECKS))
@@ -762,22 +642,7 @@ def main():
                     help="run only this check (repeatable; default: all)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify every check catches a seeded violation")
-    ap.add_argument("--artifact", action="append", metavar="FILE",
-                    help="validate an emitted BENCH_*.json instead of "
-                         "linting sources (repeatable)")
     args = ap.parse_args()
-
-    if args.artifact:
-        findings = []
-        for path in args.artifact:
-            for rel, line, msg in validate_artifact_file(path):
-                findings.append(f"{rel}:{line}: [artifact] {msg}")
-        for f in findings:
-            print(f)
-        print(f"lint --artifact: {len(findings)} finding(s) across "
-              f"{len(args.artifact)} file(s)"
-              + (" -- FAIL" if findings else " -- OK"))
-        return 1 if findings else 0
 
     repo = Path(args.repo).resolve()
     if not (repo / REQUEST_HPP).is_file():
