@@ -21,6 +21,8 @@ enum class SfuOption { Software, IsolatedUnit, DiagonalPEs };
 struct MacExtensions {
   bool comparator = false;
   bool extended_exponent = false;
+
+  bool operator==(const MacExtensions&) const = default;
 };
 
 /// One processing element: FMAC + local stores + register file.
@@ -36,6 +38,8 @@ struct PeConfig {
   int mem_b_ports = 2;
   int register_file_entries = 4;  ///< §3.4: size 3 rounded to 4
   MacExtensions extensions;
+
+  bool operator==(const PeConfig&) const = default;
 
   /// Total local store per PE in KB.
   double local_store_kbytes() const { return mem_a_kbytes + mem_b_kbytes; }
@@ -55,6 +59,10 @@ struct CoreConfig {
   int sfu_latency_rsqrt = 13;     ///< f(x)=1/sqrt(x)
   int sfu_latency_sqrt = 15;      ///< sqrt via rsqrt * x
   int sw_emulation_cycles = 27;   ///< Goldschmidt on the MAC (SfuOption::Software)
+
+  /// Every field compares (doubles with ==): a pooled sim core is reused
+  /// only for the config it was built from.
+  bool operator==(const CoreConfig&) const = default;
 
   int pes() const { return nr * nr; }
   /// Peak GFLOPS of the core at the PE clock.

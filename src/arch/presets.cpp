@@ -25,8 +25,6 @@ CoreConfig lac_8x8_dp(double clock_ghz) {
   return c;
 }
 
-CoreConfig lac_table51() { return lac_4x4_dp(1.1); }
-
 ChipConfig lap_s8(double onchip_mbytes) {
   ChipConfig chip;
   chip.cores = 8;
@@ -51,15 +49,6 @@ ChipConfig lap15_dp() {
   ChipConfig chip = lap30_sp();
   chip.cores = 15;
   chip.core = lac_4x4_dp(1.4);
-  return chip;
-}
-
-ChipConfig lap2_dp() {
-  ChipConfig chip = lap15_dp();
-  chip.cores = 2;
-  chip.onchip_mem_mbytes = 1.0;
-  chip.onchip_bw_words_per_cycle = 4.0;
-  chip.offchip_bw_words_per_cycle = 1.0;
   return chip;
 }
 

@@ -13,9 +13,6 @@ CoreConfig lac_4x4_sp(double clock_ghz = 1.0);
 /// 8x8 core used in the nr=8 sweeps of Figs 3.4/3.5 and Ch. 5.
 CoreConfig lac_8x8_dp(double clock_ghz = 1.0);
 
-/// The Table 5.1 operating point: 4x4 DP core at 1.1 GHz.
-CoreConfig lac_table51();
-
 /// The LAP used for the chip-level studies: S=8 4x4 cores, 128 MAC units,
 /// banked SRAM on-chip memory (Figs 4.9-4.12).
 ChipConfig lap_s8(double onchip_mbytes = 5.0);
@@ -24,7 +21,5 @@ ChipConfig lap_s8(double onchip_mbytes = 5.0);
 /// 30 SP cores ("LAP-30") and 15 DP cores ("LAP-15") at 1.4 GHz.
 ChipConfig lap30_sp();
 ChipConfig lap15_dp();
-/// Two-core DP LAP matched against the dual-core Penryn.
-ChipConfig lap2_dp();
 
 }  // namespace lac::arch

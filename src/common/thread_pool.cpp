@@ -69,10 +69,7 @@ ThreadPool::~ThreadPool() {
     const std::size_t dropped = shard->queue.size();
     shard->queue.clear();
     shard->cost.store(0, std::memory_order_relaxed);
-    if (dropped > 0) {
-      queued_.fetch_sub(dropped);
-      outstanding_.fetch_sub(dropped);
-    }
+    if (dropped > 0) queued_.fetch_sub(dropped);
   }
   for (std::thread& t : joined) t.join();
 }
@@ -118,9 +115,8 @@ void ThreadPool::enqueue(Job&& job, double cost_hint) {
   }
 
   Shard& shard = *shards_[pick];
-  // outstanding_/queued_ go up before the job is visible so drain() and
-  // the parking protocol never observe a posted job as "no work".
-  outstanding_.fetch_add(1);
+  // queued_ goes up before the job is visible so the parking protocol
+  // never observes a posted job as "no work".
   queued_.fetch_add(1);
   {
     MutexLock lock(shard.mu);
@@ -164,19 +160,6 @@ bool ThreadPool::pop_from(unsigned shard_idx, QueuedJob& out) {
   return true;
 }
 
-void ThreadPool::run_job(QueuedJob&& job) {
-  job.fn.run();
-  // Count the task before releasing it, so drain() returns only after
-  // every task it waited for is counted.
-  PoolMetrics::instance().tasks.add();
-  // drain() publishes itself in drainers_ before it reads outstanding_,
-  // and holds mu_ until it waits: either it sees zero or this notifies.
-  if (outstanding_.fetch_sub(1) == 1 && drainers_.load() > 0) {
-    MutexLock lock(mu_);
-    idle_cv_.notify_all();
-  }
-}
-
 void ThreadPool::worker_loop(unsigned me) {
   PoolMetrics& metrics = PoolMetrics::instance();
   std::atomic<std::uint32_t>& word = shards_[me]->park;
@@ -213,7 +196,10 @@ void ThreadPool::worker_loop(unsigned me) {
         if (searching_.fetch_sub(1) == 1 && queued_.load() > 0)
           wake_one(me + 1 == target_ ? 0 : me + 1);
       }
-      run_job(std::move(job));
+      // A job counts as a task once it has returned and released what it
+      // captured.
+      job.fn.run();
+      metrics.tasks.add();
       continue;
     }
     // Park: publish, leave the search, then re-check before blocking.
@@ -231,13 +217,6 @@ void ThreadPool::worker_loop(unsigned me) {
     while (word.load() == kParked) futex_wait(word, kParked);
     word.store(kRunning, std::memory_order_relaxed);  // its waker counted it
   }
-}
-
-void ThreadPool::drain() {
-  MutexLock lock(mu_);
-  drainers_.fetch_add(1);
-  while (outstanding_.load() != 0) idle_cv_.wait(mu_);
-  drainers_.fetch_sub(1);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

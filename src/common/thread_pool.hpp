@@ -61,13 +61,9 @@
 // flag, then wakes every parked word, and a worker re-reads the flag after
 // publishing `parked`.
 //
-// drain() costs the caller a lock and a condition wait. Workers pay one
-// extra atomic load per job, and take `mu_` to notify only when their job
-// brings `outstanding_` to zero while a drain() caller waits.
-//
 // Locking: each shard has its own lac::Mutex guarding only that deque; the
-// global `mu_` guards the worker list and lazy start, and drain()'s wait.
-// Aggregate counts (`queued_`, `outstanding_`, `searching_`, shard backlog
+// global `mu_` guards the worker list and lazy start, so workers take no
+// pool-wide lock. Aggregate counts (`queued_`, `searching_`, shard backlog
 // costs) are atomics. Everything mutex-guarded is annotated for Clang's
 // thread-safety analysis (see common/thread_annotations.hpp): a dedicated
 // CI lane compiles with -Wthread-safety -Werror.
@@ -133,11 +129,6 @@ class ThreadPool {
   void post(F&& job) {
     enqueue(Job(std::forward<F>(job)), 0.0);
   }
-
-  /// Block until every job queued so far has been taken *and* completed
-  /// (the pool is momentarily idle). Jobs submitted concurrently extend
-  /// the wait; the workers stay up.
-  void drain();
 
   /// Run fn(i) for i in [0, n) across the pool, the calling thread
   /// participating as one worker (so progress never depends on pool
@@ -243,7 +234,6 @@ class ThreadPool {
   void wake_one(unsigned first);
   /// Wakes the shard's worker if it is parked; false if it was not.
   bool wake(Shard& shard);
-  void run_job(QueuedJob&& job);
 
   unsigned target_ = 1;  ///< immutable after construction
 
@@ -252,13 +242,10 @@ class ThreadPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> rr_{0};        ///< round-robin placement cursor
   std::atomic<std::size_t> queued_{0};      ///< jobs sitting in shard queues
-  std::atomic<std::size_t> outstanding_{0};  ///< posted, not yet completed
   std::atomic<unsigned> searching_{0};      ///< workers sweeping for a job
   std::atomic<bool> stop_{false};           ///< set once, by the destructor
-  std::atomic<unsigned> drainers_{0};       ///< drain() callers waiting
 
   Mutex mu_;
-  CondVar idle_cv_;  ///< outstanding work hit zero
   std::vector<std::thread> workers_ LAC_GUARDED_BY(mu_);
   /// Lock-free mirror of started_ so the post fast path skips mu_ entirely
   /// once the workers are up.

@@ -230,7 +230,6 @@ constexpr Milliwatts to_milliwatts(Watts p) { return quantity_cast<Milliwatts>(p
 constexpr Seconds to_seconds(Milliseconds t) { return quantity_cast<Seconds>(t); }
 constexpr Seconds to_seconds(Nanoseconds t) { return quantity_cast<Seconds>(t); }
 constexpr Milliseconds to_milliseconds(Seconds t) { return quantity_cast<Milliseconds>(t); }
-constexpr Nanoseconds to_nanoseconds(Seconds t) { return quantity_cast<Nanoseconds>(t); }
 constexpr Gigaflops to_gigaflops(Flops f) { return quantity_cast<Gigaflops>(f); }
 
 /// GFLOPS (the display unit of every bench table) from a canonical rate.

@@ -2,10 +2,9 @@
 // accounting, both backends' execution paths, the closed-form cycle models
 // (§3.4, Ch. 4-6, Appendices A/B) and the energy hooks are registered
 // here as KernelTraits; every other layer dispatches through the
-// registry. The single switch on KernelKind lives
-// in build_traits() below -- adding an enumerator without registering it
-// is a -Wswitch warning, and tests/test_registry.cpp executes every entry
-// on both backends.
+// registry. The single switch on KernelKind lives in build_traits() below,
+// which fills a constexpr table at compile time; the static_assert after
+// it rejects a table that misses a kind, a name or a hook.
 #include "fabric/kernel_registry.hpp"
 
 #include <algorithm>
@@ -13,6 +12,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "arch/presets.hpp"
@@ -65,7 +65,7 @@ double core_utilization(const KernelRequest& req, units::Cycles cycles) {
 }
 
 /// Core-level traits skeleton: every hook a single-core kernel shares.
-KernelTraits core_base(KernelKind kind, const char* name) {
+constexpr KernelTraits core_base(KernelKind kind, const char* name) {
   KernelTraits t;
   t.kind = kind;
   t.name = name;
@@ -90,7 +90,7 @@ bool multiple_of_nr(const KernelRequest& req, index_t v) {
 
 /// ---- GEMM (§3.3/§3.4) ----------------------------------------------------
 
-KernelTraits gemm_traits() {
+constexpr KernelTraits gemm_traits() {
   KernelTraits t = core_base(KernelKind::Gemm, "GEMM");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (!multiple_of_nr(req, req.a.rows()) || !multiple_of_nr(req, req.b.cols()) ||
@@ -139,7 +139,7 @@ KernelTraits gemm_traits() {
 
 /// ---- SYRK (§5.2) ---------------------------------------------------------
 
-KernelTraits syrk_traits() {
+constexpr KernelTraits syrk_traits() {
   KernelTraits t = core_base(KernelKind::Syrk, "SYRK");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (!multiple_of_nr(req, req.a.rows()) || req.c.rows() != req.a.rows() ||
@@ -186,7 +186,7 @@ KernelTraits syrk_traits() {
 
 /// ---- SYR2K (§5.2.2) ------------------------------------------------------
 
-KernelTraits syr2k_traits() {
+constexpr KernelTraits syr2k_traits() {
   KernelTraits t = core_base(KernelKind::Syr2k, "SYR2K");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (!multiple_of_nr(req, req.a.rows()) || req.b.rows() != req.a.rows() ||
@@ -240,7 +240,7 @@ KernelTraits syr2k_traits() {
 
 /// ---- TRSM (§5.3) ---------------------------------------------------------
 
-KernelTraits trsm_traits() {
+constexpr KernelTraits trsm_traits() {
   KernelTraits t = core_base(KernelKind::Trsm, "TRSM");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (!multiple_of_nr(req, req.a.rows()) || req.a.cols() != req.a.rows() ||
@@ -295,7 +295,7 @@ KernelTraits trsm_traits() {
 
 /// ---- Cholesky (§6.1.1) ---------------------------------------------------
 
-KernelTraits cholesky_traits() {
+constexpr KernelTraits cholesky_traits() {
   KernelTraits t = core_base(KernelKind::Cholesky, "CHOL");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (!multiple_of_nr(req, req.a.rows()) || req.a.cols() != req.a.rows())
@@ -353,7 +353,7 @@ KernelTraits cholesky_traits() {
 
 /// ---- LU panel (§6.1.2) ---------------------------------------------------
 
-KernelTraits lu_traits() {
+constexpr KernelTraits lu_traits() {
   KernelTraits t = core_base(KernelKind::Lu, "LU");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (req.a.cols() != req.core.nr || !multiple_of_nr(req, req.a.rows()) ||
@@ -407,7 +407,7 @@ KernelTraits lu_traits() {
 
 /// ---- QR panel (§6.1.3) ---------------------------------------------------
 
-KernelTraits qr_traits() {
+constexpr KernelTraits qr_traits() {
   KernelTraits t = core_base(KernelKind::Qr, "QR");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (req.a.cols() != req.core.nr || !multiple_of_nr(req, req.a.rows()) ||
@@ -465,7 +465,7 @@ KernelTraits qr_traits() {
 
 /// ---- VNORM (§6.1.3, Fig 6.4) ---------------------------------------------
 
-KernelTraits vnorm_traits() {
+constexpr KernelTraits vnorm_traits() {
   KernelTraits t = core_base(KernelKind::Vnorm, "VNORM");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (req.x.empty() ||
@@ -531,7 +531,7 @@ KernelTraits vnorm_traits() {
 
 /// ---- chip-level (LAP) GEMM (Ch. 4) ---------------------------------------
 
-KernelTraits chip_gemm_traits() {
+constexpr KernelTraits chip_gemm_traits() {
   KernelTraits t;
   t.kind = KernelKind::ChipGemm;
   t.name = "CHIP_GEMM";
@@ -724,7 +724,7 @@ sim::Stats fft_predicted_stats(const KernelRequest& req) {
   return s;
 }
 
-KernelTraits fft_traits() {
+constexpr KernelTraits fft_traits() {
   KernelTraits t = core_base(KernelKind::Fft, "FFT");
   t.validate = [](const KernelRequest& req) -> std::string {
     if (req.core.nr != 4)
@@ -799,10 +799,10 @@ KernelTraits fft_traits() {
 
 /// ---- registry assembly ---------------------------------------------------
 
-/// The single switch on KernelKind in the codebase (CI greps for strays):
-/// a new enumerator is a -Wswitch warning here until its traits are
-/// registered.
-KernelTraits build_traits(KernelKind kind) {
+/// The single switch on KernelKind in the codebase (lint's
+/// stray-kernel-switch): a new enumerator fails -Werror=switch here until
+/// its traits are registered.
+constexpr KernelTraits build_traits(KernelKind kind) {
   switch (kind) {
     case KernelKind::Gemm: return gemm_traits();
     case KernelKind::Syrk: return syrk_traits();
@@ -818,40 +818,49 @@ KernelTraits build_traits(KernelKind kind) {
   return {};
 }
 
-constexpr KernelKind kAllKinds[] = {
-    KernelKind::Gemm, KernelKind::Syrk,     KernelKind::Syr2k,
-    KernelKind::Trsm, KernelKind::Cholesky, KernelKind::Lu,
-    KernelKind::Qr,   KernelKind::Vnorm,    KernelKind::ChipGemm,
-    KernelKind::Fft,
-};
+/// The table's length: the one place it meets the enum's last enumerator.
+constexpr std::size_t kKindCount = static_cast<std::size_t>(KernelKind::Fft) + 1;
 
-struct Registry {
-  std::vector<KernelTraits> traits;
-  std::vector<KernelKind> kinds;
+/// Every kind's traits, indexed by KernelKind and built by the compiler.
+constexpr std::array<KernelTraits, kKindCount> kTraits = [] {
+  std::array<KernelTraits, kKindCount> table;
+  for (std::size_t i = 0; i < kKindCount; ++i)
+    table[i] = build_traits(static_cast<KernelKind>(i));
+  return table;
+}();
 
-  Registry() {
-    for (KernelKind kind : kAllKinds) {
-      const std::size_t idx = static_cast<std::size_t>(kind);
-      if (traits.size() <= idx) traits.resize(idx + 1);
-      traits[idx] = build_traits(kind);
-      kinds.push_back(kind);
-    }
+/// Every kind in enumerator order: registered_kernel_kinds()' storage.
+constexpr std::array<KernelKind, kKindCount> kRegisteredKinds = [] {
+  std::array<KernelKind, kKindCount> kinds{};
+  for (std::size_t i = 0; i < kKindCount; ++i) kinds[i] = static_cast<KernelKind>(i);
+  return kinds;
+}();
+
+/// True, or not a constant: a broken rule reaches its throw, and the
+/// compiler's diagnostic quotes that line.
+constexpr bool registry_complete() {
+  for (std::size_t i = 0; i < kKindCount; ++i) {
+    const KernelTraits& t = kTraits[i];
+    if (t.kind != static_cast<KernelKind>(i)) throw "slot i holds KernelKind(i)";
+    if (std::string_view(t.name) == "?" || !t.validate || !t.useful_macs ||
+        !t.model_cycles || !t.model_utilization || !t.reference_run || !t.sim_run ||
+        !t.model_energy || !t.sim_energy || !t.sized_request)
+      throw "every kind sets its name and all nine hooks";
+    for (std::size_t j = 0; j < i; ++j)
+      if (std::string_view(t.name) == kTraits[j].name)
+        throw "no two kinds share a name";
   }
-};
-
-const Registry& registry() {
-  static const Registry reg;
-  return reg;
+  if (std::string_view(build_traits(static_cast<KernelKind>(kKindCount)).name) != "?")
+    throw "no kind past the table's end has traits: kKindCount counts to it";
+  return true;
 }
+static_assert(registry_complete());
 
 }  // namespace
 
 const KernelTraits* try_kernel_traits(KernelKind kind) {
-  const Registry& reg = registry();
-  const std::size_t idx = static_cast<std::size_t>(kind);
-  if (idx >= reg.traits.size() || reg.traits[idx].validate == nullptr)
-    return nullptr;
-  return &reg.traits[idx];
+  const auto idx = static_cast<std::size_t>(kind);
+  return idx < kKindCount ? &kTraits[idx] : nullptr;
 }
 
 const KernelTraits& kernel_traits(KernelKind kind) {
@@ -860,17 +869,7 @@ const KernelTraits& kernel_traits(KernelKind kind) {
                           std::to_string(static_cast<int>(kind)));
 }
 
-const KernelTraits* find_kernel_traits(std::string_view name) {
-  for (KernelKind kind : registry().kinds) {
-    const KernelTraits& t = *try_kernel_traits(kind);
-    if (name == t.name) return &t;
-  }
-  return nullptr;
-}
-
-const std::vector<KernelKind>& registered_kernel_kinds() {
-  return registry().kinds;
-}
+std::span<const KernelKind> registered_kernel_kinds() { return kRegisteredKinds; }
 
 KernelRequest sample_request(KernelKind kind, std::uint64_t seed) {
   return kernel_traits(kind).sized_request(arch::lac_4x4_dp(), 2.0, 16, seed);

@@ -13,62 +13,59 @@
 // kernel_registry.cpp, and the serving layer (AsyncExecutor, CostCache,
 // GraphScheduler) serves it like the other ten.
 //
-// No `switch` on KernelKind exists outside kernel_registry.cpp (CI greps
-// for strays); the registry's own dispatch is the one exhaustive switch,
-// so a new enumerator without traits is a compiler warning, and the
-// registry completeness test (tests/test_registry.cpp) executes every
-// registered kind on both backends.
+// The registry is one constexpr table indexed by KernelKind, and a
+// static_assert holds it complete: a kind without its own slot, its name
+// and every hook, or with another kind's name, does not compile. The
+// table's one switch on KernelKind is exhaustive (-Werror=switch); no other
+// exists outside kernel_registry.cpp (lint's stray-kernel-switch), and
+// tests/test_registry.cpp executes every registered kind on both backends.
 #include <cstdint>
-#include <functional>
-#include <string_view>
-#include <vector>
+#include <span>
+#include <string>
 
 #include "fabric/kernel_request.hpp"
 
 namespace lac::fabric {
 
 /// Everything the fabric stack needs to know about one kernel kind.
-/// Hooks take the request (and only the request): traits are stateless and
-/// safe to share across threads.
+/// Hooks are plain functions of the request (and only the request): traits
+/// are constant data, safe to share across threads.
 struct KernelTraits {
   KernelKind kind = KernelKind::Gemm;
-  /// Stable display/registry name ("GEMM", "FFT", ...); to_string() and
-  /// find_kernel_traits() both read this field, so they cannot drift.
+  /// Stable display/registry name ("GEMM", "FFT", ...); to_string() reads
+  /// this field, so the two cannot drift.
   const char* name = "?";
 
   /// Shape/blocking sanity check; empty string when valid.
-  std::function<std::string(const KernelRequest&)> validate;
+  std::string (*validate)(const KernelRequest&) = nullptr;
 
   /// Useful MAC count (the utilization numerator).
-  std::function<units::Flops(const KernelRequest&)> useful_macs;
+  units::Flops (*useful_macs)(const KernelRequest&) = nullptr;
 
   /// Closed-form cycle estimate (the analytical backend's clock).
-  std::function<units::Cycles(const KernelRequest&)> model_cycles;
+  units::Cycles (*model_cycles)(const KernelRequest&) = nullptr;
 
   /// Closed-form sustained utilization at `cycles` (defaults to
   /// useful_macs / (cycles * nr^2); ChipGemm scales by the core count).
-  std::function<double(const KernelRequest&, units::Cycles cycles)>
-      model_utilization;
+  double (*model_utilization)(const KernelRequest&, units::Cycles cycles) = nullptr;
 
   /// Host-reference numerics for the analytical backend: fill the result's
   /// output fields (out / pivots / taus / scalar / spectrum) and return an
   /// error string on in-band failure ("" on success).
-  std::function<std::string(const KernelRequest&, KernelResult&)> reference_run;
+  std::string (*reference_run)(const KernelRequest&, KernelResult&) = nullptr;
 
   /// Cycle-exact execution on the simulator backend: fill the result's
   /// output fields plus cycles / utilization / stats and return an error
   /// string on in-band failure (the executor voids the accounting).
-  std::function<std::string(const KernelRequest&, KernelResult&)> sim_run;
+  std::string (*sim_run)(const KernelRequest&, KernelResult&) = nullptr;
 
   /// Closed-form energy at the request's TechContext (model backend).
-  std::function<power::EnergyReport(const KernelRequest&, units::Cycles cycles,
-                                    double utilization)>
-      model_energy;
+  power::EnergyReport (*model_energy)(const KernelRequest&, units::Cycles cycles,
+                                      double utilization) = nullptr;
 
   /// Activity-priced energy from simulator counters (sim backend).
-  std::function<power::EnergyReport(const KernelRequest&, const sim::Stats&,
-                                    units::Cycles cycles)>
-      sim_energy;
+  power::EnergyReport (*sim_energy)(const KernelRequest&, const sim::Stats&,
+                                    units::Cycles cycles) = nullptr;
 
   /// Valid request of this kind scaled to a nominal operand dimension `n`
   /// (workload/trace generators -- the sched layer builds its serving
@@ -76,24 +73,19 @@ struct KernelTraits {
   /// registration). Operands are deterministic from `seed` and carried as
   /// shared payloads, so callers may copy the request to fan one payload
   /// out across many submissions.
-  std::function<KernelRequest(const arch::CoreConfig& cfg, double bw, index_t n,
-                              std::uint64_t seed)>
-      sized_request;
+  KernelRequest (*sized_request)(const arch::CoreConfig& cfg, double bw, index_t n,
+                                std::uint64_t seed) = nullptr;
 };
 
-/// Traits for a registered kind; throws std::out_of_range for a kind with
-/// no registration (executors report it in-band via validate()).
+/// Traits for a registered kind; throws std::out_of_range for a value
+/// outside the enum (executors report it in-band via validate()).
 const KernelTraits& kernel_traits(KernelKind kind);
 
-/// Null-safe lookup: nullptr when the kind is unregistered.
+/// Null-safe lookup: nullptr for a value outside the enum.
 const KernelTraits* try_kernel_traits(KernelKind kind);
 
-/// Lookup by registry name (the to_string round-trip); nullptr when no
-/// registered kind carries `name`.
-const KernelTraits* find_kernel_traits(std::string_view name);
-
 /// Every registered kind, in enumerator order.
-const std::vector<KernelKind>& registered_kernel_kinds();
+std::span<const KernelKind> registered_kernel_kinds();
 
 /// Small, valid, deterministic request of a registered kind (registry smoke
 /// tests, completeness checks): its sized_request at n = 16 and 2 words per

@@ -40,8 +40,7 @@ std::string validate_core(const arch::CoreConfig& core, const char* prefix) {
 }  // namespace
 
 const char* to_string(KernelKind kind) {
-  // The registry's name field is the one source of truth: to_string and
-  // find_kernel_traits cannot drift.
+  // The registry's name field is the one source of truth.
   const KernelTraits* traits = try_kernel_traits(kind);
   return traits ? traits->name : "?";
 }

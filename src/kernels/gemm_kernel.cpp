@@ -43,8 +43,11 @@ KernelResult gemm_rank1_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstVi
   return res;
 }
 
+namespace {
+
+/// gemm_core's schedule on a fresh arena core.
 KernelResult gemm_on_core(sim::Core& core, ConstViewD a, ConstViewD b, ConstViewD c_in,
-                          model::Overlap overlap, sim::time_t_ start) {
+                          model::Overlap overlap) {
   const int nr = core.nr();
   const index_t mc = a.rows();
   const index_t kc = a.cols();
@@ -52,14 +55,14 @@ KernelResult gemm_on_core(sim::Core& core, ConstViewD a, ConstViewD b, ConstView
   assert(mc % nr == 0 && n % nr == 0);
   assert(b.rows() == kc && c_in.rows() == mc && c_in.cols() == n);
 
-  StreamSchedule sched(core, start);
+  StreamSchedule sched(core);
 
   // ---- load the resident A block. Under partial overlap it is charged
   // serially ahead of compute; under full overlap the (double-buffered)
   // block was prefetched with spare bandwidth during the previous kernel,
   // so its words are charged at the end of this kernel's streams instead.
   sched.poke_resident(a);
-  sim::time_t_ compute_gate = start;
+  sim::time_t_ compute_gate = 0.0;
   if (overlap == model::Overlap::Partial) {
     compute_gate = sched.dma(static_cast<double>(mc) * kc);
   }
@@ -141,12 +144,14 @@ KernelResult gemm_on_core(sim::Core& core, ConstViewD a, ConstViewD b, ConstView
         finish, sched.dma_after(static_cast<double>(nr) * nr, pending_out_ready));
   }
 
-  res.cycles = units::Cycles(std::max(finish, core.finish_time()) - start);
+  res.cycles = units::Cycles(std::max(finish, core.finish_time()));
   res.stats = core.stats();
   res.utilization =
       static_cast<double>(res.stats.mac_ops) / (res.cycles.value() * nr * nr);
   return res;
 }
+
+}  // namespace
 
 KernelResult gemm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
                        ConstViewD a, ConstViewD b, ConstViewD c_in,

@@ -10,7 +10,7 @@
 #include "common/matrix.hpp"
 #include "common/units.hpp"
 #include "model/core_model.hpp"
-#include "sim/core.hpp"
+#include "sim/engine.hpp"
 
 namespace lac::kernels {
 
@@ -23,7 +23,7 @@ struct KernelResult {
 
 /// Single nr x nr rank-1 update kernel: C(nr x nr) += A(nr x kc)*B(kc x nr),
 /// with A already resident and B replicated; C preloaded into accumulators.
-/// This is the Fig 3.1/3.2 inner engine; cycle count ~ kc + pipeline drain.
+/// This is the Fig 3.1/3.2 inner engine; cycle count ~ kc + pipeline depth.
 KernelResult gemm_rank1_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstViewD b,
                               ConstViewD c_in);
 
@@ -32,10 +32,5 @@ KernelResult gemm_rank1_inner(const arch::CoreConfig& cfg, ConstViewD a, ConstVi
 KernelResult gemm_core(const arch::CoreConfig& cfg, double bw_words_per_cycle,
                        ConstViewD a, ConstViewD b, ConstViewD c_in,
                        model::Overlap overlap = model::Overlap::Partial);
-
-/// Same schedule on an existing core (used by the multi-core driver); rows
-/// of C/A are this core's slice. Returns the computed C slice.
-KernelResult gemm_on_core(sim::Core& core, ConstViewD a, ConstViewD b, ConstViewD c_in,
-                          model::Overlap overlap, sim::time_t_ start = 0.0);
 
 }  // namespace lac::kernels

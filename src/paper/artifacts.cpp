@@ -28,8 +28,8 @@
 #include "model/core_model.hpp"
 #include "model/level3_model.hpp"
 #include "model/validation.hpp"
-#include "power/bus_model.hpp"
 #include "power/chip_power.hpp"
+#include "power/energy_model.hpp"
 #include "power/fmac_model.hpp"
 #include "power/metrics.hpp"
 #include "power/pe_power.hpp"
@@ -769,28 +769,6 @@ void fig_6_6_6_7(Report& out) {
            "diagonal-PE option avoids the bus round-trip of the isolated unit.");
 }
 
-/// Dynamic energy of a kernel run from its activity counters (nJ at 1 GHz).
-/// Table A.2's own pricer: power::core_energy_from_stats charges a compare
-/// at 0.15x a MAC, not 0.3x, and adds DMA words, so pricing the table
-/// through it would change its energy column.
-double dynamic_energy_nj(const arch::CoreConfig& core, const sim::Stats& s) {
-  const double mac_pj = power::fmac_energy_pj(core.pe.precision, core.pe.clock_ghz);
-  const double mem_a_pj = power::pe_sram_access_pj(core.pe.mem_a_kbytes, core.pe.mem_a_ports);
-  const double mem_b_pj = power::pe_sram_access_pj(core.pe.mem_b_kbytes, core.pe.mem_b_ports);
-  const double bus_pj = power::bus_transfer_pj(core.nr, core.pe.precision);
-  const double sfu_pj = power::sfu_op_energy_pj(core);
-  const double rf_pj = 0.3;
-  double pj = 0.0;
-  pj += static_cast<double>(s.mac_ops + s.mul_ops) * mac_pj;
-  pj += static_cast<double>(s.cmp_ops) * 0.3 * mac_pj;
-  pj += static_cast<double>(s.mem_a_reads + s.mem_a_writes) * mem_a_pj;
-  pj += static_cast<double>(s.mem_b_reads + s.mem_b_writes) * mem_b_pj;
-  pj += static_cast<double>(s.row_bus_xfers + s.col_bus_xfers) * bus_pj;
-  pj += static_cast<double>(s.rf_reads + s.rf_writes) * rf_pj;
-  pj += static_cast<double>(s.sfu_ops) * sfu_pj;
-  return pj / 1000.0;
-}
-
 void table_a_2(Report& out) {
   // Table A.1: operation table of the divide/square-root unit.
   Table a1("Table A.1 -- divide/square-root unit operations");
@@ -800,7 +778,15 @@ void table_a_2(Report& out) {
                 r.control});
   out.print(a1);
 
-  // Table A.2: cycles + energy across the option matrix.
+  // Table A.2: cycles + energy across the option matrix, the energy priced
+  // as SimExecutor prices a default request.
+  const auto dynamic_nj = [](const arch::CoreConfig& core, const sim::Stats& stats,
+                             units::Cycles cycles) {
+    return fmt(power::core_energy_from_stats(core, arch::TechNode::nm45, stats, cycles,
+                                             arch::ChipConfig{}.onchip_mem_mbytes)
+                   .dynamic_nj.value(),
+               1);
+  };
   Table t("Table A.2 -- cycles | dynamic energy [nJ] per option and size");
   t.set_header({"alg", "MAC ext", "size", "SW", "Isolate", "Diag PEs"});
   struct ExtOpt {
@@ -819,7 +805,7 @@ void table_a_2(Report& out) {
         MatrixD a = random_matrix(k, 4, 31 + static_cast<std::uint64_t>(k));
         const auto r = kernels::lu_panel(core, a.view());
         row.push_back(fmt(r.kernel.cycles.value(), 0) + " | " +
-                      fmt(dynamic_energy_nj(core, r.kernel.stats), 1));
+                      dynamic_nj(core, r.kernel.stats, r.kernel.cycles));
       }
       t.add_row(row);
     }
@@ -837,7 +823,7 @@ void table_a_2(Report& out) {
         std::vector<double> x(static_cast<std::size_t>(k));
         for (auto& v : x) v = rng.uniform(-1.0, 1.0);
         const auto r = kernels::vnorm(core, x);
-        row.push_back(fmt(r.cycles.value(), 0) + " | " + fmt(dynamic_energy_nj(core, r.stats), 1));
+        row.push_back(fmt(r.cycles.value(), 0) + " | " + dynamic_nj(core, r.stats, r.cycles));
       }
       t.add_row(row);
     }

@@ -22,11 +22,6 @@ double fmac_area_mm2(Precision prec) {
   return prec == Precision::Double ? 0.04 : 0.01;
 }
 
-double fmac_max_clock_ghz(Precision prec) {
-  // Table 3.1 sweeps up to 2.08 GHz (SP) and 1.81 GHz (DP).
-  return prec == Precision::Double ? 1.81 : 2.08;
-}
-
 double fmac_energy_pj(Precision prec, double clock_ghz) {
   // mW / GHz == pJ per cycle; one MAC issues per cycle at full rate.
   return fmac_dynamic_mw(prec, clock_ghz) / clock_ghz;

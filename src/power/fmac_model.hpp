@@ -17,9 +17,6 @@ double fmac_dynamic_mw(Precision prec, double clock_ghz);
 /// Area in mm^2 at 45nm. (0.01 SP / 0.04 DP per the cited survey.)
 double fmac_area_mm2(Precision prec);
 
-/// Maximum practical clock for the pipelined FMAC at 45nm.
-double fmac_max_clock_ghz(Precision prec);
-
 /// Energy of a single MAC operation in pJ at the given clock.
 double fmac_energy_pj(Precision prec, double clock_ghz);
 

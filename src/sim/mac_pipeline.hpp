@@ -125,7 +125,7 @@ class MacPipeline {
 
   /// Magnitude compare on the MAC datapath. With the comparator extension
   /// it is a 1-cycle dedicated op; without it, emulation costs two issue
-  /// slots and a pipeline drain before the outcome is known.
+  /// slots, and the outcome is known once the pipeline drains.
   TimedVal compare_abs_max(TimedVal a, TimedVal b, bool comparator_ext,
                            time_t_ earliest = 0.0) {
     const time_t_ operands = std::max({a.ready, b.ready, earliest});
@@ -136,12 +136,12 @@ class MacPipeline {
       return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 1.0};
     }
     // Emulated: subtract magnitudes on the MAC and examine the sign; costs
-    // two issue slots and the result is only known after the pipeline drain.
+    // two issue slots and the result is only known once the pipeline drains.
     const time_t_ issue = issue_.acquire(operands, 2.0);
     return {std::abs(a.v) >= std::abs(b.v) ? a.v : b.v, issue + 2.0 + depth_};
   }
 
-  /// Read the accumulated value (forces normalization: pipeline drain).
+  /// Read the accumulated value (forces normalization: the pipeline drains).
   TimedVal read_acc(int idx, time_t_ earliest = 0.0) const {
     assert(idx >= 0 && idx < static_cast<int>(accs_.size()));
     const Acc& acc = accs_[static_cast<std::size_t>(idx)];

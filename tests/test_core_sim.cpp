@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "arch/presets.hpp"
 #include "sim/arena.hpp"
 #include "sim/chip.hpp"
@@ -180,12 +182,36 @@ TEST(SimArena, PooledCoreIsReusedOnlyForMatchingConfig) {
     EXPECT_EQ(core.get().stats().dma_words, 0);
     EXPECT_DOUBLE_EQ(core.get().bw_words_per_cycle(), 2.0);
   }
-  {
-    // Any config difference (here: bus latency) must miss the pool.
+  // Any config difference must miss the pool: each of the 17 CoreConfig
+  // fields changed alone.
+  using Edit = void (*)(arch::CoreConfig&);
+  const std::pair<const char*, Edit> edits[] = {
+      {"nr", [](arch::CoreConfig& c) { c.nr = 8; }},
+      {"pe.precision", [](arch::CoreConfig& c) { c.pe.precision = Precision::Single; }},
+      {"pe.pipeline_stages", [](arch::CoreConfig& c) { c.pe.pipeline_stages += 1; }},
+      {"pe.clock_ghz", [](arch::CoreConfig& c) { c.pe.clock_ghz *= 2.0; }},
+      {"pe.mem_a_kbytes", [](arch::CoreConfig& c) { c.pe.mem_a_kbytes *= 2.0; }},
+      {"pe.mem_a_ports", [](arch::CoreConfig& c) { c.pe.mem_a_ports += 1; }},
+      {"pe.mem_b_kbytes", [](arch::CoreConfig& c) { c.pe.mem_b_kbytes *= 2.0; }},
+      {"pe.mem_b_ports", [](arch::CoreConfig& c) { c.pe.mem_b_ports += 1; }},
+      {"pe.register_file_entries",
+       [](arch::CoreConfig& c) { c.pe.register_file_entries += 1; }},
+      {"pe.extensions.comparator",
+       [](arch::CoreConfig& c) { c.pe.extensions.comparator = true; }},
+      {"pe.extensions.extended_exponent",
+       [](arch::CoreConfig& c) { c.pe.extensions.extended_exponent = true; }},
+      {"bus_latency", [](arch::CoreConfig& c) { c.bus_latency += 1; }},
+      {"sfu", [](arch::CoreConfig& c) { c.sfu = arch::SfuOption::Software; }},
+      {"sfu_latency_recip", [](arch::CoreConfig& c) { c.sfu_latency_recip += 1; }},
+      {"sfu_latency_rsqrt", [](arch::CoreConfig& c) { c.sfu_latency_rsqrt += 1; }},
+      {"sfu_latency_sqrt", [](arch::CoreConfig& c) { c.sfu_latency_sqrt += 1; }},
+      {"sw_emulation_cycles", [](arch::CoreConfig& c) { c.sw_emulation_cycles += 1; }},
+  };
+  for (const auto& [field, edit] : edits) {
     arch::CoreConfig other = cfg();
-    other.bus_latency += 1;
+    edit(other);
     ArenaCore core(other, 4.0);
-    EXPECT_NE(&core.get(), first);
+    EXPECT_NE(&core.get(), first) << field;
   }
 }
 

@@ -55,7 +55,7 @@ constexpr Pinned kDigests[] = {
     {"table_6_2", 0xa941eeef99451f18ull},
     {"fig_6_5", 0x2b053b7d4b5fb8dcull},
     {"fig_6_6_6_7", 0x883b5222045ae50full},
-    {"table_a_2", 0xd3d58287faae2abeull},
+    {"table_a_2", 0xb5456f90fc7f56a3ull},
     {"table_b_1", 0x6c9190c70763e5f5ull},
     {"table_b_2_b_3", 0x1b0d79a9cf1e3c49ull},
     {"fig_b_5_b_7", 0xcda1bf948b22e1a6ull},

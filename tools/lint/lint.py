@@ -9,12 +9,6 @@ compiles fine today and corrupts an invariant three PRs later:
                         src/fabric/kernel_registry.cpp (PR 5). Tests are
                         exempt -- exhaustive switches over per-kernel pins
                         are the point there.
-  registry-complete     Every KernelKind enumerator is registered: a
-                        `case` in build_traits(), an entry in kAllKinds,
-                        and a sized_request hook in its traits function
-                        (perfbench's mixes and the golden tests build
-                        traffic via sized_request, so a kind without one
-                        is invisible to them).
   raw-thread            No raw std::thread construction outside
                         src/common/: concurrency goes through the
                         ThreadPool so the sanitizer lanes and the
@@ -120,33 +114,6 @@ def line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
-def matched_body(text, open_brace):
-    """Return (body, end) for the brace block opening at text[open_brace]."""
-    depth = 0
-    i = open_brace
-    clean = text  # caller passes comment-stripped text
-    while i < len(clean):
-        c = clean[i]
-        if c in "\"'":
-            quote = c
-            i += 1
-            while i < len(clean):
-                if clean[i] == "\\":
-                    i += 2
-                    continue
-                if clean[i] == quote:
-                    break
-                i += 1
-        elif c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return clean[open_brace + 1 : i], i
-        i += 1
-    return clean[open_brace + 1 :], len(clean)
-
-
 class Tree:
     """File set the checks run against (real repo or a seeded copy)."""
 
@@ -179,68 +146,6 @@ def check_stray_kernel_switch(tree):
                 (rel, line_of(clean, m.start()),
                  "switch on KernelKind outside the kernel registry -- "
                  "register per-kernel behaviour in kernel_registry.cpp")
-            )
-    return findings
-
-
-def kernel_kinds(tree):
-    """Enumerators of `enum class KernelKind` from kernel_request.hpp."""
-    text = tree.files.get(REQUEST_HPP, "")
-    clean = strip_comments(text)
-    m = re.search(r"enum\s+class\s+KernelKind\s*\{", clean)
-    if not m:
-        return []
-    body, _ = matched_body(clean, m.end() - 1)
-    return re.findall(r"\b([A-Z]\w*)\b\s*(?:=[^,}]*)?(?:,|$)", body)
-
-
-def check_registry_complete(tree):
-    findings = []
-    kinds = kernel_kinds(tree)
-    if not kinds:
-        return [(REQUEST_HPP, 1, "could not parse enum class KernelKind")]
-    reg = strip_comments(tree.files.get(REGISTRY, ""))
-    if not reg:
-        return [(REGISTRY, 1, "kernel_registry.cpp missing")]
-
-    # build_traits(): one `case KernelKind::X: return x_traits();` per kind.
-    dispatch = dict(
-        re.findall(r"case\s+KernelKind::(\w+)\s*:\s*return\s+(\w+)\s*\(\)", reg)
-    )
-    # kAllKinds: the registry's construction-order table.
-    all_kinds_m = re.search(r"kAllKinds\[\]\s*=\s*\{", reg)
-    all_kinds = (
-        set(re.findall(r"KernelKind::(\w+)", matched_body(reg, all_kinds_m.end() - 1)[0]))
-        if all_kinds_m
-        else set()
-    )
-    # Traits factory bodies, for the per-kind sized_request requirement.
-    bodies = {}
-    for fm in re.finditer(r"KernelTraits\s+(\w+)\s*\(\s*\)\s*\{", reg):
-        bodies[fm.group(1)] = matched_body(reg, fm.end() - 1)[0]
-
-    for kind in kinds:
-        if kind not in dispatch:
-            findings.append(
-                (REGISTRY, 1,
-                 f"KernelKind::{kind} has no `case` in build_traits() -- "
-                 "unregistered kinds fail every backend in-band")
-            )
-            continue
-        if kind not in all_kinds:
-            findings.append(
-                (REGISTRY, 1,
-                 f"KernelKind::{kind} missing from kAllKinds[] -- it would "
-                 "never be constructed into the registry")
-            )
-        fn = dispatch[kind]
-        body = bodies.get(fn, "")
-        if "sized_request" not in body:
-            findings.append(
-                (REGISTRY, 1,
-                 f"{fn}() registers KernelKind::{kind} without a "
-                 "sized_request hook -- perfbench's mixes and the golden "
-                 "tests cannot build traffic for it")
             )
     return findings
 
@@ -500,7 +405,6 @@ def check_blocking_under_lock(tree):
 
 CHECKS = {
     "stray-kernel-switch": check_stray_kernel_switch,
-    "registry-complete": check_registry_complete,
     "raw-thread": check_raw_thread,
     "metric-names": check_metric_names,
     "hot-alloc": check_hot_alloc,
@@ -536,17 +440,6 @@ def self_test(tree):
             "  switch (k) { case lac::fabric::KernelKind::Gemm: return 1; "
             "default: return 0; }\n}\n"
         )
-
-    # registry-complete: drop the Fft dispatch case.
-    def seed_registry(files):
-        files[REGISTRY] = re.sub(
-            r"case\s+KernelKind::Fft\s*:\s*return\s+fft_traits\s*\(\s*\)\s*;",
-            "", files[REGISTRY], count=1)
-
-    # registry-complete: a traits factory without sized_request.
-    def seed_sized_request(files):
-        files[REGISTRY] = re.sub(r"t\.sized_request", "t.lint_seed",
-                                 files[REGISTRY], count=1)
 
     # raw-thread: a spawned std::thread outside src/common/.
     def seed_thread(files):
@@ -603,8 +496,6 @@ def self_test(tree):
 
     seeds = [
         ("stray-kernel-switch", seed_switch),
-        ("registry-complete", seed_registry),
-        ("registry-complete", seed_sized_request),
         ("raw-thread", seed_thread),
         ("metric-names", seed_metric_name),
         ("metric-names", seed_metric_case),
